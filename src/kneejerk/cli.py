@@ -10,7 +10,8 @@ overrides::
       "blocks": [2, 3],
       "weights": [1, 1, 1, 1, 1],          // optional
       "init": [0.5, 0.5, ...] | "barycenter",
-      "config": {"max_iters": 5000, "tol_div": 1e-18, "tol_w": 1e-16}  // optional
+      "config": {"max_iters": 5000, "tol_div": 1e-18, "tol_w": 1e-16,
+                 "trace_stride": 1}  // optional: any IterationConfig field
     }
 
 Subcommands: ``optimize`` (iterate, write trace CSV + JSON summary),
@@ -19,7 +20,8 @@ seed), ``discriminant`` (graph file to polynomial JSON), ``oracle``
 (exhaustive grid search, reports the gap to the iteration's terminal value).
 
 Exit codes: 0 success / converged, 1 verification failure or iteration cap
-reached, 2 input error, 3 degenerate terminal status.
+reached, 2 input error (including an expression nested too deeply to parse),
+3 degenerate terminal status.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,7 @@ __all__ = [
 ]
 
 _ORACLE_POINT_GUARD = 10**8
+_TOO_DEEP = "expression: nested too deeply to parse"
 _ARGMAX_COMPETITORS = 1000
 
 
@@ -116,6 +119,8 @@ def parse_problem(text: str) -> Problem:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"problem file is not valid JSON: {err}") from None
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
     _require(isinstance(data, dict), "problem: top level must be a JSON object")
     extra = set(data) - {"expression", "blocks", "weights", "init", "config"}
     _require(not extra, f"problem: unexpected field(s) {sorted(extra)!r}")
@@ -126,7 +131,10 @@ def parse_problem(text: str) -> Problem:
     _require(isinstance(src, dict), "expression: must be an object")
     declared_n = None
     if "op" in src:
-        expr = construct_expression(src, path="expression")
+        try:
+            expr = construct_expression(src, path="expression")
+        except RecursionError:
+            raise ValueError(_TOO_DEEP) from None
     elif "polynomial" in src:
         _require(set(src) == {"polynomial"}, "expression: 'polynomial' must be the only key")
         poly = SparsePolynomial.from_json_dict(src["polynomial"], path="expression.polynomial")
@@ -180,7 +188,7 @@ def parse_problem(text: str) -> Problem:
 
     cfg_data = data.get("config", {})
     _require(isinstance(cfg_data, dict), "config: must be an object")
-    extra = set(cfg_data) - {"max_iters", "tol_div", "tol_w"}
+    extra = set(cfg_data) - {f.name for f in fields(IterationConfig)}
     _require(not extra, f"config: unexpected field(s) {sorted(extra)!r}")
     try:
         config = IterationConfig(**cfg_data)
@@ -193,19 +201,12 @@ def parse_problem(text: str) -> Problem:
 def serialize_problem(problem: Problem) -> dict:
     """JSON form of a problem; parsing it back reproduces the problem
     structurally (graph/polynomial sources are resolved to the expression)."""
-    out = {
+    return {
         "expression": expression_to_json_dict(problem.expression),
-        "blocks": list(problem.structure.blocks),
+        **problem.structure.to_json_dict(),
         "init": [float(v) for v in problem.init.x],
-        "config": {
-            "max_iters": problem.config.max_iters,
-            "tol_div": problem.config.tol_div,
-            "tol_w": problem.config.tol_w,
-        },
+        "config": asdict(problem.config),
     }
-    if not np.all(problem.structure.weights == 1.0):
-        out["weights"] = [float(w) for w in problem.structure.weights]
-    return out
 
 
 def _terminal_residual(problem: Problem, point: BlockPoint) -> float:

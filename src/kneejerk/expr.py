@@ -285,11 +285,6 @@ def eval_log(expr: KneeJerkExpr, x) -> LogEval:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D point, got shape {x.shape}")
-    if expr.n_vars > x.size:
-        raise ValueError(
-            f"expression references variable {expr.n_vars - 1} but the point "
-            f"has only {x.size} coordinates"
-        )
     bad = np.where(~(x > 0.0) | ~np.isfinite(x))[0]
     if bad.size:
         i = int(bad[0])
@@ -332,22 +327,24 @@ def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
 
 
 def _central_hessian_from_grad(
-    grad: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float
+    grad: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float | np.ndarray
 ) -> np.ndarray:
     """Symmetrized central-difference Hessian from a gradient callable.
 
-    Row i of the raw stencil is (grad(u + h e_i) - grad(u - h e_i)) / 2h; the
+    Row i of the raw stencil is (grad(u + h_i e_i) - grad(u - h_i e_i)) / 2h_i;
+    ``h`` is one step for every coordinate or one step per coordinate.  The
     result averages the (i, j) and (j, i) stencils so it is symmetric by
     construction.
     """
     n = u.size
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
     rows = np.empty((n, n))
     for i in range(n):
         up = u.copy()
-        up[i] += h
+        up[i] += h[i]
         um = u.copy()
-        um[i] -= h
-        rows[i] = (grad(up) - grad(um)) / (2.0 * h)
+        um[i] -= h[i]
+        rows[i] = (grad(up) - grad(um)) / (2.0 * h[i])
     return (rows + rows.T) / 2.0
 
 

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import KneeJerkExpr, _eval_log_raw
-from .simplex import BlockPoint, BlockStructure, i_divergence, i_divergence_blocks
+from .expr import KneeJerkExpr, LogEval, _eval_log_raw
+from .simplex import BlockPoint, BlockStructure, i_divergence_blocks
+from .simplex import i_divergence  # noqa: F401  perfbench/tracing.py wraps mapping.i_divergence
 
 __all__ = [
     "StepResult",
@@ -46,9 +47,11 @@ class StepResult:
     """One application of the update.
 
     ``bound`` is the certified lower bound ``sum_i m_i I_i`` on
-    ``W_new - W``; ``masses`` holds the per-block gradient masses ``m_i``;
-    ``degenerate`` flags blocks that fell back to renormalization.
-    ``gradient`` is the gradient-weight vector at the starting point.
+    ``W_new - W``; ``divergence`` is the total I-divergence ``sum_i I_i``;
+    ``masses`` holds the per-block gradient masses ``m_i``; ``degenerate``
+    flags blocks that fell back to renormalization.  ``gradient`` and
+    ``gradient_new`` are the gradient-weight vectors at the starting point
+    and at ``x_new``.
     """
 
     x_new: BlockPoint
@@ -58,6 +61,8 @@ class StepResult:
     bound: float
     degenerate: tuple[bool, ...]
     gradient: np.ndarray
+    divergence: float
+    gradient_new: np.ndarray
 
 
 @dataclass
@@ -151,21 +156,20 @@ def _support_residual(g: np.ndarray, x: np.ndarray, structure: BlockStructure) -
     return worst
 
 
-def knee_jerk_step(expr: KneeJerkExpr, point: BlockPoint) -> StepResult:
+def knee_jerk_step(
+    expr: KneeJerkExpr, point: BlockPoint, *, start: LogEval | None = None
+) -> StepResult:
     """Apply the multiplicative update once.
 
     The input may touch the boundary: coordinates equal to zero have gradient
     weight exactly zero and stay at zero.  The output is feasible by
     construction (each block is renormalized by its actual weighted sum).
+    ``start`` is ``eval_log(expr, point.x)`` when the caller already has it,
+    e.g. the previous step's ``W_new`` and ``gradient_new``; it changes nothing.
     """
     s = point.structure
     x = point.x
-    if expr.n_vars > s.n:
-        raise ValueError(
-            f"expression references variable {expr.n_vars - 1} but the structure "
-            f"has only {s.n} coordinates"
-        )
-    W, g = _checked_eval(expr, x)
+    W, g = _checked_eval(expr, x) if start is None else (start.W, start.g)
     w = s.weights
     x_new = np.empty_like(x)
     masses = np.empty(s.k)
@@ -188,16 +192,22 @@ def knee_jerk_step(expr: KneeJerkExpr, point: BlockPoint) -> StepResult:
             x_new[sl] = x[sl]
         else:
             degenerate.append(False)
+            # Scale weights below 1/2 up by an exact power of two: subnormal
+            # ones would lose bits in the weighted sum and miss the
+            # normalization.  Without subnormals the quotient is unchanged.
+            gb = np.ldexp(gb, -min(np.frexp(gb.max())[1], 0))
             raw = gb / w[sl]
             total = float(np.sum(w[sl] * raw))
             x_new[sl] = raw / total
     new_point = BlockPoint(x_new, s)
     per_block = i_divergence_blocks(new_point.x, x, s)
     bound = 0.0
+    divergence = 0.0
     for i in range(s.k):
         if masses[i] > 0.0:
             bound += float(masses[i]) * float(per_block[i])
-    W_new, _ = _checked_eval(expr, new_point.x)
+        divergence += float(per_block[i])
+    W_new, g_new = _checked_eval(expr, new_point.x)
     return StepResult(
         x_new=new_point,
         W=W,
@@ -206,6 +216,8 @@ def knee_jerk_step(expr: KneeJerkExpr, point: BlockPoint) -> StepResult:
         bound=bound,
         degenerate=tuple(degenerate),
         gradient=g,
+        divergence=divergence,
+        gradient_new=g_new,
     )
 
 
@@ -217,11 +229,6 @@ def criticality_residual(expr: KneeJerkExpr, point: BlockPoint) -> float:
     """
     if not point.interior:
         raise ValueError("criticality residual requires an interior point")
-    if expr.n_vars > point.structure.n:
-        raise ValueError(
-            f"expression references variable {expr.n_vars - 1} but the structure "
-            f"has only {point.structure.n} coordinates"
-        )
     _, g = _checked_eval(expr, point.x)
     return _support_residual(g, point.x, point.structure)
 
@@ -244,19 +251,20 @@ def iterate(
     status = "max-iterations"
     last: TraceRecord | None = None
     last_recorded = False
+    start = None
     for k in range(1, cfg.max_iters + 1):
-        res = knee_jerk_step(expr, x)
-        div = i_divergence(res.x_new.x, x.x, s)
+        res = knee_jerk_step(expr, x, start=start)
         r0 = _support_residual(res.gradient, x.x, s)
-        last = TraceRecord(k, res.W_new, res.bound, div, r0)
+        last = TraceRecord(k, res.W_new, res.bound, res.divergence, r0)
         last_recorded = k % cfg.trace_stride == 0
         if last_recorded:
             records.append(last)
         x = res.x_new
+        start = LogEval(res.W_new, res.gradient_new)
         if any(res.degenerate):
             status = "degenerate"
             break
-        if div < cfg.tol_div or (res.W_new - res.W) < cfg.tol_w:
+        if res.divergence < cfg.tol_div or (res.W_new - res.W) < cfg.tol_w:
             status = "converged"
             break
     if last is not None and not last_recorded:

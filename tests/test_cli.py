@@ -146,7 +146,11 @@ class TestParseProblem:
             )
 
     def test_round_trip_through_serialization(self):
-        for text in (INLINE_PROBLEM, POLY_PROBLEM, GRAPH_PROBLEM, WEIGHTED_PROBLEM):
+        strided = WEIGHTED_PROBLEM.replace(
+            '"init": [0.25, 0.5]', '"init": [0.25, 0.5], "config": {"trace_stride": 3}'
+        )
+        assert parse_problem(strided).config.trace_stride == 3
+        for text in (INLINE_PROBLEM, POLY_PROBLEM, GRAPH_PROBLEM, WEIGHTED_PROBLEM, strided):
             p = parse_problem(text)
             q = parse_problem(json.dumps(serialize_problem(p)))
             assert p.expression == q.expression
@@ -312,6 +316,17 @@ class TestMain:
         code = main(["optimize", "--problem", prob])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_over_deep_expression_exit_two(self, tmp_path, capsys):
+        depth = 1000
+        node = '{"op": "pow", "base": ' * depth + '{"op": "var", "index": 0}'
+        node += ', "exponent": 1.0}' * depth
+        prob = self._write(
+            tmp_path, "p.json", '{"expression": ' + node + ', "blocks": [1], "init": [1.0]}'
+        )
+        code = main(["optimize", "--problem", prob])
+        assert code == 2
+        assert "expression" in capsys.readouterr().err
 
     def test_verify_exit_zero_and_writes_report(self, tmp_path, capsys):
         prob = self._write(tmp_path, "p.json", GRAPH_PROBLEM)

@@ -1,6 +1,7 @@
 """Tests for the multiplicative update step and the iteration driver."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from kneejerk import (
     IterationConfig,
     Pow,
     Prod,
+    StepResult,
     Sum,
     Var,
     barycenter,
@@ -23,6 +25,7 @@ from kneejerk import (
     knee_jerk_step,
     polynomial_to_expression,
 )
+from kneejerk import mapping
 from generators import (
     dlr_expression,
     interior_point,
@@ -160,6 +163,35 @@ class TestStep:
         with pytest.raises(ValueError, match="variable"):
             knee_jerk_step(Var(4), x)
 
+    @pytest.mark.parametrize("weight", np.linspace(0.5, 2.0, 31))
+    def test_subnormal_gradient_mass_steps_cleanly(self, weight):
+        # The second coordinate's gradient weight is subnormal, so without
+        # rescaling the weighted sum of the updated block misses 1.
+        s = BlockStructure((2,), [1.0, weight])
+        x = BlockPoint(np.array([0.5, 0.5 / weight]), s)
+        expr = Sum((Const(1.0), Prod((Const(3e-316), Var(1)))))
+        res = knee_jerk_step(expr, x)
+        assert res.degenerate == (False,)
+        assert res.x_new.x[0] == 0.0
+        assert abs(weight * res.x_new.x[1] - 1.0) <= 1e-15
+
+    def test_given_start_evaluation_changes_nothing(self):
+        rng = np.random.default_rng(54)
+        cases = [(dlr_expression(), BlockPoint(np.array([0.5, 0.5]), BlockStructure((2,))))]
+        for _ in range(20):
+            st = random_structure(rng)
+            poly = random_polynomial(rng, st.n)
+            cases.append((polynomial_to_expression(poly), interior_point(rng, st)))
+        for expr, x in cases:
+            own = knee_jerk_step(expr, x)
+            given = knee_jerk_step(expr, x, start=eval_log(expr, x.x))
+            for f in fields(StepResult):
+                a, b = getattr(own, f.name), getattr(given, f.name)
+                if f.name == "x_new":
+                    a, b = a.x, b.x
+                assert np.array_equal(a, b), f.name
+            assert own.divergence == i_divergence(own.x_new, x)
+
 
 class TestResidual:
     def test_zero_for_linear_objective(self):
@@ -231,6 +263,21 @@ class TestIterate:
             x = interior_point(rng, st)
             res = knee_jerk_step(expr, x)
             assert res.W_new >= res.W - 1e-10
+
+    def test_one_evaluation_per_point(self, monkeypatch):
+        calls = []
+        real = mapping._eval_log_raw
+
+        def counted(expr, x):
+            calls.append(1)
+            return real(expr, x)
+
+        monkeypatch.setattr(mapping, "_eval_log_raw", counted)
+        s = BlockStructure((3,))
+        x = BlockPoint(np.array([0.2, 0.3, 0.5]), s)
+        trace = iterate(discriminant_expression(triangle_graph()), x)
+        assert trace.iterations > 1
+        assert len(calls) == trace.iterations + 1
 
     def test_degenerate_status(self):
         s = BlockStructure((2,))

@@ -41,7 +41,6 @@ from .diagnostics import (
     InequalityReport,
     check_log_concavity,
     check_log_log_convexity,
-    raw_u_function_for_tests,
     tangent_lower_bound,
     verify_argmax_property,
     verify_step_inequality,
@@ -77,7 +76,6 @@ __all__ = [
     "InequalityReport", "ArgmaxReport", "ConvexityReport",
     "tangent_lower_bound", "verify_step_inequality", "verify_argmax_property",
     "check_log_log_convexity", "check_log_concavity",
-    "raw_u_function_for_tests",
     "Graph", "enumerate_spanning_trees", "discriminant_polynomial",
     "eval_matrix_tree", "eval_matrix_tree_log",
     "Problem", "OracleResult", "parse_problem", "serialize_problem",

@@ -11,9 +11,11 @@ Four probes, each checking one face of the theory on concrete points:
 * ``check_log_concavity`` - optional: ``log Z`` concave in ``x`` itself,
   which holds for graph discriminants but not for every valid objective.
 
-Probe failures on valid expressions indicate a bug; the probes are given
-teeth by negative controls (see :func:`raw_u_function_for_tests` and the
-``x^2 + y^2`` concavity counterexample).
+Both curvature probes share one sampling loop, ``_curvature_probe``, which
+takes a gradient callable and the end of the spectrum to bound.  Probe
+failures on valid expressions indicate a bug; the probes are given teeth by
+negative controls (the indefinite ``u0^2 + u1^2 - 3 u0 u1`` fed to the
+sampling loop directly, and the ``x^2 + y^2`` concavity counterexample).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .expr import (
     _central_hessian_from_grad,
     eval_log,
 )
-from .mapping import knee_jerk_step
+from .mapping import _update, knee_jerk_step
 from .simplex import BlockPoint
 
 __all__ = [
@@ -41,11 +43,15 @@ __all__ = [
     "verify_argmax_property",
     "check_log_log_convexity",
     "check_log_concavity",
-    "raw_u_function_for_tests",
 ]
 
 _MARGIN_TOL = 1e-9
 _EIG_TOL = 1e-6
+# Central-difference step of the curvature probes (relative in x for concavity).
+_STENCIL_H = 1e-4
+# Per-coordinate sampling boxes: u = log x for convexity, x itself for concavity.
+_LOG_BOX = (-3.0, 3.0)
+_X_BOX = (0.2, 2.0)
 
 
 @dataclass(eq=False)
@@ -158,8 +164,7 @@ def verify_argmax_property(
         raise ValueError("the argmax check needs an interior base point")
     s = point.structure
     x = point.x
-    res = knee_jerk_step(expr, point)
-    g = res.gradient
+    g = eval_log(expr, x).g
     log_x = np.log(x)
 
     # bound(y) = g . (log y - log x); evaluate all competitors in one matmul.
@@ -173,7 +178,7 @@ def verify_argmax_property(
         log_c = np.log(competitors)
     bounds = (log_c - log_x) @ g
 
-    x_new = res.x_new.x
+    x_new = _update(point, g)[0].x
     live = g > 0.0
     b_star = float(np.sum(g[live] * (np.log(x_new[live]) - log_x[live])))
 
@@ -187,125 +192,82 @@ def verify_argmax_property(
     )
 
 
-@dataclass(eq=False)
-class _RawUFunction:
-    """Arbitrary log-domain function, for negative-control tests only."""
-
-    n_vars: int
-    u_value: Callable[[np.ndarray], float]
-    u_gradient: Callable[[np.ndarray], np.ndarray]
+def _probed_size(expr) -> int:
+    if not isinstance(expr, KneeJerkExpr):
+        raise ValueError(f"expected an expression, got {expr!r}")
+    return max(expr.n_vars, 1)
 
 
-def raw_u_function_for_tests(n_vars, value, gradient) -> _RawUFunction:
-    """Test-only constructor wrapping raw ``W(u)`` / ``dW/du`` callables.
+def _curvature_probe(
+    grad: Callable[[np.ndarray], np.ndarray],
+    n: int,
+    samples: int,
+    rng: np.random.Generator | None,
+    *,
+    upper: bool,
+) -> ConvexityReport:
+    """Bound one end of the Hessian spectrum of ``grad`` at random points.
 
-    This bypasses every guarantee the expression constructors enforce.  Its
-    sole purpose is proving that the curvature probes reject functions from
-    outside the closed class; never use it to feed the optimizer.
+    The lower side probes convexity in ``u = log x``: ``u`` is drawn from
+    ``_LOG_BOX``, the stencil step is ``h``, and the smallest eigenvalue must
+    stay above ``-1e-6 * (1 + ||H||)``.  The upper side probes concavity in
+    ``x``: ``x`` is drawn from ``_X_BOX``, the steps are ``h * x_i`` so stencil
+    points stay positive, and the largest eigenvalue must stay below
+    ``1e-6 * (1 + ||H||)``.  ``grad`` takes points in the drawn coordinates;
+    the reported worst point is in ``x``.
     """
-    return _RawUFunction(int(n_vars), value, gradient)
-
-
-def _u_gradient_fn(obj) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-    if isinstance(obj, _RawUFunction):
-        return obj.n_vars, obj.u_gradient
-    if isinstance(obj, KneeJerkExpr):
-        n = max(obj.n_vars, 1)
-        return n, lambda u: eval_log(obj, np.exp(u)).g
-    raise ValueError(f"expected an expression, got {obj!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    points = rng.uniform(*(_X_BOX if upper else _LOG_BOX), (samples, n))
+    worst = (math.inf, -math.inf if upper else math.inf, 0)  # margin, eigenvalue, index
+    for k, v in enumerate(points):
+        H = _central_hessian_from_grad(grad, v, _STENCIL_H * v if upper else _STENCIL_H)
+        eigs = np.linalg.eigvalsh(H)
+        eig = float(eigs[-1] if upper else eigs[0])
+        norm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+        margin = (-eig if upper else eig) + _EIG_TOL * (1.0 + norm)
+        if margin < worst[0]:
+            worst = (margin, eig, k)
+    margin, eig, k = worst
+    return ConvexityReport(
+        samples=samples,
+        worst_eigenvalue=eig,
+        worst_point=points[k] if upper else np.exp(points[k]),
+        passed=margin >= 0.0,
+    )
 
 
 def check_log_log_convexity(
-    obj,
-    samples: int = 100,
-    box: tuple[float, float] = (-3.0, 3.0),
-    rng: np.random.Generator | None = None,
-    h: float = 1e-4,
+    expr: KneeJerkExpr, samples: int = 100, rng: np.random.Generator | None = None
 ) -> ConvexityReport:
     """Probe convexity of ``log Z`` in ``u = log x`` at random points.
 
-    Samples ``u`` uniformly from ``box`` per coordinate and requires the
+    Samples ``u`` uniformly from ``[-3, 3]`` per coordinate and requires the
     smallest eigenvalue of the central-difference Hessian to stay above
     ``-1e-6 * (1 + ||H||)`` at every sample.  The reported worst point is in
     the original coordinates ``x = exp(u)``.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n, grad = _u_gradient_fn(obj)
-    lo, hi = box
-    passed = True
-    worst_margin = math.inf
-    worst_eig = math.inf
-    worst_point = np.exp(np.full(n, lo))
-    for _ in range(samples):
-        u = rng.uniform(lo, hi, n)
-        H = _central_hessian_from_grad(grad, u, h)
-        eigs = np.linalg.eigvalsh(H)
-        mn = float(eigs[0])
-        norm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-        margin = mn + _EIG_TOL * (1.0 + norm)
-        if margin < 0.0:
-            passed = False
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_eig = mn
-            worst_point = np.exp(u)
-    return ConvexityReport(
-        samples=samples,
-        worst_eigenvalue=worst_eig,
-        worst_point=worst_point,
-        passed=passed,
+    n = _probed_size(expr)
+    return _curvature_probe(
+        lambda u: eval_log(expr, np.exp(u)).g, n, samples, rng, upper=False
     )
 
 
 def check_log_concavity(
-    expr: KneeJerkExpr,
-    samples: int = 100,
-    box: tuple[float, float] = (0.2, 2.0),
-    rng: np.random.Generator | None = None,
-    h: float = 1e-4,
+    expr: KneeJerkExpr, samples: int = 100, rng: np.random.Generator | None = None
 ) -> ConvexityReport:
     """Probe concavity of ``log Z`` in ``x`` itself at random positive points.
 
     This is a property of special objectives (graph discriminants have it);
     sums of squares like ``x^2 + y^2`` fail it, which is this probe's
-    negative control.  Requires the largest eigenvalue of the Hessian of
+    negative control.  Samples ``x`` uniformly from ``[0.2, 2]`` per
+    coordinate and requires the largest eigenvalue of the Hessian of
     ``log Z`` in ``x`` to stay below ``1e-6 * (1 + ||H||)`` at every sample.
-    The x-gradient is ``g_i / x_i``; stencil steps are relative
-    (``h * x_i``) so points stay positive.
+    The x-gradient is ``g_i / x_i``.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if not isinstance(expr, KneeJerkExpr):
-        raise ValueError(f"expected an expression, got {expr!r}")
-    n = max(expr.n_vars, 1)
-    lo, hi = box
-    if lo <= 0.0:
-        raise ValueError(f"the sampling box must be positive, got {box!r}")
-
-    def xgrad(xv: np.ndarray) -> np.ndarray:
-        return eval_log(expr, xv).g / xv
-
-    passed = True
-    worst_margin = math.inf
-    worst_eig = -math.inf
-    worst_point = np.full(n, lo)
-    for _ in range(samples):
-        x = rng.uniform(lo, hi, n)
-        H = _central_hessian_from_grad(xgrad, x, h * x)
-        eigs = np.linalg.eigvalsh(H)
-        mx = float(eigs[-1])
-        norm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-        margin = _EIG_TOL * (1.0 + norm) - mx
-        if margin < 0.0:
-            passed = False
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_eig = mx
-            worst_point = x
-    return ConvexityReport(
-        samples=samples,
-        worst_eigenvalue=worst_eig,
-        worst_point=worst_point,
-        passed=passed,
+    n = _probed_size(expr)
+    return _curvature_probe(
+        lambda x: eval_log(expr, x).g / x, n, samples, rng, upper=True
     )

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import KneeJerkExpr, LogEval, _eval_log_raw
-from .simplex import BlockPoint, BlockStructure, i_divergence_blocks
-from .simplex import i_divergence  # noqa: F401  perfbench/tracing.py wraps mapping.i_divergence
+from .simplex import BlockPoint, BlockStructure, _block_divergence
+# perfbench/tracing.py wraps these two names in this module.
+from .simplex import i_divergence, i_divergence_blocks  # noqa: F401
 
 __all__ = [
     "StepResult",
@@ -106,9 +107,13 @@ class TraceRecord:
 
 @dataclass(eq=False)
 class Trace:
+    """The recorded steps, the stop reason, and the terminal point with the
+    gradient weights the last step already evaluated there."""
+
     records: list[TraceRecord]
     status: str  # "converged" | "max-iterations" | "degenerate"
     x_final: BlockPoint
+    gradient_final: np.ndarray
 
     @property
     def W_final(self) -> float:
@@ -156,20 +161,11 @@ def _support_residual(g: np.ndarray, x: np.ndarray, structure: BlockStructure) -
     return worst
 
 
-def knee_jerk_step(
-    expr: KneeJerkExpr, point: BlockPoint, *, start: LogEval | None = None
-) -> StepResult:
-    """Apply the multiplicative update once.
-
-    The input may touch the boundary: coordinates equal to zero have gradient
-    weight exactly zero and stay at zero.  The output is feasible by
-    construction (each block is renormalized by its actual weighted sum).
-    ``start`` is ``eval_log(expr, point.x)`` when the caller already has it,
-    e.g. the previous step's ``W_new`` and ``gradient_new``; it changes nothing.
-    """
+def _update(point: BlockPoint, g: np.ndarray) -> tuple[BlockPoint, np.ndarray, tuple[bool, ...]]:
+    """The update's new point, per-block masses ``m_i`` and degenerate flags,
+    from the gradient weights ``g`` at ``point``."""
     s = point.structure
     x = point.x
-    W, g = _checked_eval(expr, x) if start is None else (start.W, start.g)
     w = s.weights
     x_new = np.empty_like(x)
     masses = np.empty(s.k)
@@ -199,14 +195,33 @@ def knee_jerk_step(
             raw = gb / w[sl]
             total = float(np.sum(w[sl] * raw))
             x_new[sl] = raw / total
-    new_point = BlockPoint(x_new, s)
-    per_block = i_divergence_blocks(new_point.x, x, s)
+    return BlockPoint(x_new, s), masses, tuple(degenerate)
+
+
+def knee_jerk_step(
+    expr: KneeJerkExpr, point: BlockPoint, *, start: LogEval | None = None
+) -> StepResult:
+    """Apply the multiplicative update once.
+
+    The input may touch the boundary: coordinates equal to zero have gradient
+    weight exactly zero and stay at zero.  The output is feasible by
+    construction (each block is renormalized by its actual weighted sum).
+    ``start`` is ``eval_log(expr, point.x)`` when the caller already has it,
+    e.g. the previous step's ``W_new`` and ``gradient_new``; it changes nothing.
+    """
+    s = point.structure
+    x = point.x
+    W, g = _checked_eval(expr, x) if start is None else (start.W, start.g)
+    new_point, masses, degenerate = _update(point, g)
     bound = 0.0
     divergence = 0.0
-    for i in range(s.k):
+    for i, sl in enumerate(s.slices):
+        # Both points are feasible (BlockPoint checked them), so the
+        # divergence needs no further validation.
+        d = _block_divergence(new_point.x[sl], x[sl], s.weights[sl])
         if masses[i] > 0.0:
-            bound += float(masses[i]) * float(per_block[i])
-        divergence += float(per_block[i])
+            bound += float(masses[i]) * d
+        divergence += d
     W_new, g_new = _checked_eval(expr, new_point.x)
     return StepResult(
         x_new=new_point,
@@ -214,7 +229,7 @@ def knee_jerk_step(
         W_new=W_new,
         masses=masses,
         bound=bound,
-        degenerate=tuple(degenerate),
+        degenerate=degenerate,
         gradient=g,
         divergence=divergence,
         gradient_new=g_new,
@@ -269,4 +284,4 @@ def iterate(
             break
     if last is not None and not last_recorded:
         records.append(last)
-    return Trace(records=records, status=status, x_final=x)
+    return Trace(records=records, status=status, x_final=x, gradient_final=start.g)

@@ -21,6 +21,7 @@ from kneejerk import (
     run_verify,
     serialize_problem,
 )
+from kneejerk import cli, mapping
 
 INLINE_PROBLEM = """
 {
@@ -184,6 +185,20 @@ class TestRunOptimize:
         assert summary["residual"] <= 1e-8
         assert_allclose(summary["terminal_point"], [0.740847, 0.259153], atol=1e-5)
 
+    def test_one_evaluation_per_point(self, monkeypatch):
+        calls = []
+        for module in (mapping, cli):
+            real = module._eval_log_raw
+
+            def counted(e, x, real=real):
+                calls.append(1)
+                return real(e, x)
+
+            monkeypatch.setattr(module, "_eval_log_raw", counted)
+        trace, _ = run_optimize(parse_problem(GRAPH_PROBLEM))
+        assert trace.iterations > 1
+        assert len(calls) == trace.iterations + 1
+
     def test_linear_objective_converges_in_one_iteration(self):
         p = parse_problem(
             '{"expression": {"op": "sum", "terms": ['
@@ -217,6 +232,11 @@ class TestRunVerify:
         assert "log_concavity" not in base
         with_c = run_verify(p, samples=5, seed=0, include_concavity=True)
         assert with_c["log_concavity"]["pass"] is True
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            run_verify(parse_problem(GRAPH_PROBLEM), samples=samples)
 
     def test_injected_negative_control_fails_the_run(self):
         p = parse_problem(GRAPH_PROBLEM)
@@ -370,7 +390,18 @@ class TestMain:
         assert code == 1
         captured = capsys.readouterr()
         assert "FAILED" in captured.err
+        assert "negative_control" in captured.err
+        assert "argmax" not in captured.err
         assert json.loads(captured.out)["pass"] is False
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_verify_without_samples_exit_two(self, tmp_path, capsys, samples):
+        prob = self._write(tmp_path, "p.json", GRAPH_PROBLEM)
+        code = main(["verify", "--problem", prob, "--samples", samples])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "samples" in captured.err
+        assert captured.out == ""
 
     def test_discriminant_subcommand(self, tmp_path, capsys):
         graph = self._write(

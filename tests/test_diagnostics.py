@@ -19,11 +19,13 @@ from kneejerk import (
     eval_log,
     knee_jerk_step,
     polynomial_to_expression,
-    raw_u_function_for_tests,
     tangent_lower_bound,
     verify_argmax_property,
     verify_step_inequality,
 )
+from kneejerk import diagnostics, mapping
+from kneejerk import expr as expr_module
+from kneejerk.diagnostics import _curvature_probe
 from generators import (
     dlr_expression,
     discriminant_expression,
@@ -204,6 +206,20 @@ class TestArgmaxProperty:
                 Sum((Var(0), Var(1))), point, samples=10, rng=np.random.default_rng(0)
             )
 
+    def test_one_evaluation_per_call(self, monkeypatch):
+        calls = []
+        for module in (expr_module, mapping):
+            real = module._eval_log_raw
+
+            def counted(e, x, real=real):
+                calls.append(1)
+                return real(e, x)
+
+            monkeypatch.setattr(module, "_eval_log_raw", counted)
+        point = BlockPoint(np.array([0.5, 0.5]), BlockStructure((2,)))
+        verify_argmax_property(dlr_expression(), point, samples=20, rng=np.random.default_rng(2))
+        assert len(calls) == 1
+
     def test_json_keys(self):
         s = BlockStructure((2,))
         point = BlockPoint(np.array([0.5, 0.5]), s)
@@ -244,14 +260,36 @@ class TestConvexityProbe:
     def test_indefinite_raw_function_fails(self):
         # W(u) = u0^2 + u1^2 - 3 u0 u1 has Hessian eigenvalues (-1, 5):
         # convex along the diagonal, concave across it.
-        control = raw_u_function_for_tests(
-            2,
-            lambda u: u[0] ** 2 + u[1] ** 2 - 3.0 * u[0] * u[1],
-            lambda u: np.array([2.0 * u[0] - 3.0 * u[1], 2.0 * u[1] - 3.0 * u[0]]),
-        )
-        rep = check_log_log_convexity(control, samples=50)
+        def grad(u):
+            return np.array([2.0 * u[0] - 3.0 * u[1], 2.0 * u[1] - 3.0 * u[0]])
+
+        rep = _curvature_probe(grad, 2, 50, np.random.default_rng(0), upper=False)
         assert not rep.passed
         assert rep.worst_eigenvalue < -0.5
+
+    def test_rejects_non_expression(self):
+        with pytest.raises(ValueError, match="expected an expression"):
+            check_log_log_convexity(object())
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            check_log_log_convexity(dlr_expression(), samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            check_log_concavity(dlr_expression(), samples=samples)
+
+    def test_probe_reads_the_hessian_through_the_module_name(self, monkeypatch):
+        calls = []
+        real = diagnostics._central_hessian_from_grad
+
+        def counted(grad, u, h):
+            calls.append(1)
+            return real(grad, u, h)
+
+        monkeypatch.setattr(diagnostics, "_central_hessian_from_grad", counted)
+        check_log_log_convexity(dlr_expression(), samples=3)
+        check_log_concavity(dlr_expression(), samples=4)
+        assert len(calls) == 7
 
     def test_json_keys(self):
         d = check_log_log_convexity(dlr_expression(), samples=10).to_json_dict()
@@ -276,10 +314,6 @@ class TestConcavityProbe:
         rep = check_log_concavity(expr, samples=50)
         assert not rep.passed
         assert rep.worst_eigenvalue > 0.0
-
-    def test_rejects_nonpositive_box(self):
-        with pytest.raises(ValueError):
-            check_log_concavity(dlr_expression(), box=(-1.0, 1.0))
 
     def test_rejects_non_expression(self):
         with pytest.raises(ValueError):

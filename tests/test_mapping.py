@@ -21,6 +21,7 @@ from kneejerk import (
     criticality_residual,
     eval_log,
     i_divergence,
+    i_divergence_blocks,
     iterate,
     knee_jerk_step,
     polynomial_to_expression,
@@ -191,6 +192,12 @@ class TestStep:
                     a, b = a.x, b.x
                 assert np.array_equal(a, b), f.name
             assert own.divergence == i_divergence(own.x_new, x)
+            per_block = i_divergence_blocks(own.x_new, x)
+            bound = 0.0
+            for m, d in zip(own.masses, per_block):
+                if m > 0.0:
+                    bound += float(m) * float(d)
+            assert own.bound == bound
 
 
 class TestResidual:
@@ -278,6 +285,15 @@ class TestIterate:
         trace = iterate(discriminant_expression(triangle_graph()), x)
         assert trace.iterations > 1
         assert len(calls) == trace.iterations + 1
+
+    def test_trace_carries_the_terminal_gradient(self):
+        rng = np.random.default_rng(55)
+        for _ in range(10):
+            st = random_structure(rng)
+            expr = polynomial_to_expression(random_polynomial(rng, st.n))
+            trace = iterate(expr, interior_point(rng, st), IterationConfig(max_iters=20))
+            _, g = mapping._eval_log_raw(expr, trace.x_final.x)
+            assert np.array_equal(trace.gradient_final, g)
 
     def test_degenerate_status(self):
         s = BlockStructure((2,))

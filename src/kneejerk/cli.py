@@ -110,6 +110,11 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _is_number_list(value) -> bool:
+    """A JSON list of numbers: no booleans, strings or nested lists."""
+    return isinstance(value, list) and all(type(v) in (int, float) for v in value)
+
+
 def parse_problem(text: str) -> Problem:
     """Parse and validate a problem from JSON text.
 
@@ -158,7 +163,7 @@ def parse_problem(text: str) -> Problem:
     )
     weights = data.get("weights")
     if weights is not None:
-        _require(isinstance(weights, list), "weights: must be a list of positive numbers")
+        _require(_is_number_list(weights), "weights: must be a list of positive numbers")
     try:
         structure = BlockStructure(tuple(blocks), None if weights is None else np.asarray(weights, dtype=float))
     except (ValueError, TypeError) as err:
@@ -180,7 +185,7 @@ def parse_problem(text: str) -> Problem:
     if init == "barycenter":
         init_point = barycenter(structure)
     else:
-        _require(isinstance(init, list), "init: must be a coordinate list or \"barycenter\"")
+        _require(_is_number_list(init), "init: must be a list of numbers or \"barycenter\"")
         try:
             init_point = BlockPoint(np.asarray(init, dtype=float), structure)
         except ValueError as err:

@@ -96,7 +96,8 @@ class ArgmaxReport:
 
 @dataclass(eq=False)
 class ConvexityReport:
-    """Worst curvature sample from a convexity or concavity probe."""
+    """Worst curvature sample from a convexity or concavity probe; a
+    non-finite ``worst_eigenvalue`` is written to JSON as ``null``."""
 
     samples: int
     worst_eigenvalue: float
@@ -104,9 +105,10 @@ class ConvexityReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
+        eig = self.worst_eigenvalue
         return {
             "samples": self.samples,
-            "worst_eigenvalue": self.worst_eigenvalue,
+            "worst_eigenvalue": eig if math.isfinite(eig) else None,
             "worst_point": [float(v) for v in self.worst_point],
             "pass": self.passed,
         }
@@ -214,7 +216,8 @@ def _curvature_probe(
     ``x``: ``x`` is drawn from ``_X_BOX``, the steps are ``h * x_i`` so stencil
     points stay positive, and the largest eigenvalue must stay below
     ``1e-6 * (1 + ||H||)``.  ``grad`` takes points in the drawn coordinates;
-    the reported worst point is in ``x``.
+    the reported worst point is in ``x``.  A sample whose stencil has a NaN
+    or infinite entry fails the probe, reported with eigenvalue NaN.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
@@ -224,10 +227,15 @@ def _curvature_probe(
     worst = (math.inf, -math.inf if upper else math.inf, 0)  # margin, eigenvalue, index
     for k, v in enumerate(points):
         H = _central_hessian_from_grad(grad, v, _STENCIL_H * v if upper else _STENCIL_H)
-        eigs = np.linalg.eigvalsh(H)
-        eig = float(eigs[-1] if upper else eigs[0])
-        norm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-        margin = (-eig if upper else eig) + _EIG_TOL * (1.0 + norm)
+        if np.isfinite(H).all():
+            eigs = np.linalg.eigvalsh(H)
+            eig = float(eigs[-1] if upper else eigs[0])
+            norm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+            margin = (-eig if upper else eig) + _EIG_TOL * (1.0 + norm)
+        else:
+            # A NaN or infinite stencil has no trustworthy spectrum (eigvalsh
+            # may even return finite values), so it is the worst sample.
+            eig, margin = math.nan, -math.inf
         if margin < worst[0]:
             worst = (margin, eig, k)
     margin, eig, k = worst

@@ -6,19 +6,22 @@ increasing, and log-log-convex on the positive orthant, so every tree built
 from these constructors is a valid objective for the multiplicative update in
 :mod:`kneejerk.mapping` by construction.
 
-Evaluation works entirely in the log domain: one downward pass computes the
-log-value of every node, one upward pass accumulates softmax-weighted adjoints.
-This keeps objectives such as ``x**34 * y**38 * (1 + 2x)**125`` finite where a
-direct evaluation would overflow or underflow, and it returns the gradient
-weights ``g_i = x_i * dZ/dx_i / Z`` as exact nonnegative numbers (the tree
-contains no subtraction).
+Evaluation works entirely in the log domain, on a flat tape compiled once per
+expression: one forward pass computes the log-value of every node, one reverse
+pass accumulates softmax-weighted adjoints.  This keeps objectives such as
+``x**34 * y**38 * (1 + 2x)**125`` finite where a direct evaluation would
+overflow or underflow, and it returns the gradient weights
+``g_i = x_i * dZ/dx_i / Z`` as exact nonnegative numbers (the tree contains no
+subtraction).
 
 Expressions are immutable by convention: construct them, never mutate them.
-All functions here are pure, so sharing trees across threads is safe.
+Only the last expression's tape is cached, in one module-level tuple that each
+evaluation reads once and a compile replaces whole: threads never mix tapes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,8 +43,6 @@ __all__ = [
     "eval_log",
     "hessian_log_u",
 ]
-
-_NEG_INF = float("-inf")
 
 
 @dataclass
@@ -184,81 +185,110 @@ def _postorder(root: KneeJerkExpr) -> list[KneeJerkExpr]:
     return order
 
 
-def _eval_log_raw(expr: KneeJerkExpr, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Two-pass log-domain evaluation; assumes ``x`` is a validated
-    nonnegative 1-D array of sufficient length.
+_last_tape: tuple = (None, [], 0)  # (expression, tape, n) of the last compile
 
-    Zero coordinates are handled as limits: they carry log-value -inf, get
-    softmax weight exactly 0.0 at every sum node, and therefore contribute
-    exactly 0.0 to the gradient weights.  If the objective itself vanishes on
-    the support of ``x`` the returned W is -inf and g is meaningless; callers
-    must check W before using g.
-    """
+
+def _tape(expr: KneeJerkExpr) -> tuple[list[tuple[type, object]], int]:
+    """Flat tape of ``expr``: one ``(type, arg)`` per distinct node, children
+    before parents, where ``arg`` is the variable index, the log of the
+    constant, ``(base slot, exponent)`` or the tuple of child slots; and
+    1 + the largest variable index.  The last expression's tape is reused."""
+    global _last_tape
+    last, tape, n = _last_tape  # one read: concurrent callers never mix tapes
+    if last is expr:
+        return tape, n
     order = _postorder(expr)
-    with np.errstate(divide="ignore"):
-        u = np.log(x)
-
-    vals: dict[int, float] = {}
+    slot = {id(node): k for k, node in enumerate(order)}
+    tape = []
     for node in order:
         t = type(node)
         if t is Var:
-            if node.index >= x.size:
-                raise ValueError(
-                    f"expression references variable {node.index} but the point "
-                    f"has only {x.size} coordinates"
-                )
-            v = float(u[node.index])
+            arg = node.index
         elif t is Const:
-            v = math.log(node.value)
+            arg = math.log(node.value)
+        elif t is Pow:
+            arg = (slot[id(node.base)], node.exponent)
+        else:
+            arg = tuple(slot[id(c)] for c in node.children())
+        tape.append((t, arg))
+    n = max((arg + 1 for t, arg in tape if t is Var), default=0)
+    _last_tape = (expr, tape, n)
+    return tape, n
+
+
+def _lse_point(vs: list[float]) -> float:
+    """log(sum(exp(vs))), shifted by the largest term."""
+    m = max(vs)
+    if m == -math.inf:
+        return sum(vs)  # -inf, or NaN when a NaN term sat behind the max
+    acc = 0.0
+    for v in vs:
+        acc += math.exp(v - m)
+    return m + math.log(acc)
+
+
+def _forward(tape, u, lse) -> list:
+    """Log-values of every tape slot, from ``u = log x`` given as floats (one
+    point) or as arrays (one per variable, a batch)."""
+    vals: list = []
+    for t, arg in tape:
+        if t is Var:
+            v = u[arg]
         elif t is Prod:
             v = 0.0
-            for c in node.factors:
-                v += vals[id(c)]
+            for s in arg:
+                v += vals[s]
+        elif t is Const:
+            v = arg
         elif t is Pow:
-            v = node.exponent * vals[id(node.base)]
+            v = arg[1] * vals[arg[0]]
         else:  # Sum
-            m = _NEG_INF
-            for c in node.terms:
-                cv = vals[id(c)]
-                if cv > m:
-                    m = cv
-            if m == _NEG_INF:
-                v = _NEG_INF
-            else:
-                acc = 0.0
-                for c in node.terms:
-                    acc += math.exp(vals[id(c)] - m)
-                v = m + math.log(acc)
-        if math.isnan(v):
-            raise ValueError(f"evaluation produced NaN at node {node!r}")
-        vals[id(node)] = v
+            v = lse([vals[s] for s in arg])
+        vals.append(v)
+    return vals
 
-    root_id = id(order[-1])
-    W = vals[root_id]
-    g = np.zeros(x.size)
-    adj: dict[int, float] = {id(node): 0.0 for node in order}
-    adj[root_id] = 1.0
-    for node in reversed(order):
-        a = adj[id(node)]
+
+def _eval_log_raw(expr: KneeJerkExpr, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Forward and reverse pass over the tape at a validated nonnegative ``x``.
+
+    Zero coordinates are handled as limits: they carry log-value -inf, get
+    softmax weight exactly 0.0 at every sum node, and therefore contribute
+    exactly 0.0 to the gradient weights.  Raises ValueError when the objective
+    vanishes on the support of ``x`` (W = -inf) or evaluates to NaN.
+    """
+    tape, n = _tape(expr)
+    if n > x.size:
+        raise ValueError(
+            f"expression references variable {n - 1} but the point "
+            f"has only {x.size} coordinates"
+        )
+    with np.errstate(divide="ignore"):
+        vals = _forward(tape, np.log(x).tolist(), _lse_point)
+    W = vals[-1]
+    if not W > -math.inf:
+        raise ValueError(
+            f"objective vanishes or is NaN on the support of the given "
+            f"point (W = {W}); the update is undefined there"
+        )
+    g = [0.0] * x.size
+    adj = [0.0] * (len(tape) - 1) + [1.0]
+    for k in range(len(tape) - 1, -1, -1):
+        a = adj[k]
         if a == 0.0:
-            continue
-        t = type(node)
+            continue  # includes every dead (-inf) subtree
+        t, arg = tape[k]
         if t is Var:
-            g[node.index] += a
+            g[arg] += a
         elif t is Prod:
-            for c in node.factors:
-                adj[id(c)] += a
+            for s in arg:
+                adj[s] += a
         elif t is Pow:
-            adj[id(node.base)] += a * node.exponent
+            adj[arg[0]] += a * arg[1]
         elif t is Sum:
-            L = vals[id(node)]
-            if L == _NEG_INF:
-                continue  # dead subtree: every child weight is exactly zero
-            for c in node.terms:
-                cv = vals[id(c)]
-                if cv != _NEG_INF:
-                    adj[id(c)] += a * math.exp(cv - L)
-    return W, g
+            L = vals[k]
+            for s in arg:
+                adj[s] += a * math.exp(vals[s] - L)  # exactly 0.0 for a dead child
+    return W, np.array(g)
 
 
 def eval_log(expr: KneeJerkExpr, x) -> LogEval:
@@ -296,34 +326,13 @@ def eval_log(expr: KneeJerkExpr, x) -> LogEval:
 
 
 def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
-    """Vectorized log-values for a batch of nonnegative points (rows of X).
-
-    Values only, no gradients; zero coordinates produce -inf cleanly.  Used by
-    the exhaustive grid search in :mod:`kneejerk.cli`.
-    """
+    """Log-values, no gradients, for a batch of nonnegative points (rows of
+    X): one per row, even for a constant tree.  Used by the grid search in
+    :mod:`kneejerk.cli`."""
     with np.errstate(divide="ignore"):
         U = np.log(X)
-    npts = X.shape[0]
-    vals: dict[int, np.ndarray] = {}
-    order = _postorder(expr)
-    for node in order:
-        t = type(node)
-        if t is Var:
-            v = U[:, node.index]
-        elif t is Const:
-            v = np.full(npts, math.log(node.value))
-        elif t is Prod:
-            v = np.zeros(npts)
-            for c in node.factors:
-                v = v + vals[id(c)]
-        elif t is Pow:
-            v = node.exponent * vals[id(node.base)]
-        else:  # Sum
-            v = vals[id(node.terms[0])]
-            for c in node.terms[1:]:
-                v = np.logaddexp(v, vals[id(c)])
-        vals[id(node)] = v
-    return vals[id(order[-1])]
+    W = _forward(_tape(expr)[0], U.T, functools.partial(functools.reduce, np.logaddexp))[-1]
+    return np.full(len(X), W) if np.ndim(W) == 0 else W
 
 
 def _central_hessian_from_grad(

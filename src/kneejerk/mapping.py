@@ -23,6 +23,7 @@ points) and flags it degenerate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +83,15 @@ class IterationConfig:
     trace_stride: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if not isinstance(self.trace_stride, int) or self.trace_stride < 1:
-            raise ValueError(f"trace_stride must be a positive integer, got {self.trace_stride!r}")
+        for name in ("max_iters", "trace_stride"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
         for name in ("tol_div", "tol_w"):
-            v = float(getattr(self, name))
-            if math.isnan(v):
-                raise ValueError(f"{name} must be a number, got NaN")
-            setattr(self, name, v)
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or math.isnan(v):
+                raise ValueError(f"{name} must be a number, got {v!r}")
+            setattr(self, name, float(v))
 
 
 @dataclass
@@ -133,16 +134,6 @@ class Trace:
             )
         lines.append(f"# status={self.status}")
         return "\n".join(lines) + "\n"
-
-
-def _checked_eval(expr: KneeJerkExpr, x: np.ndarray) -> tuple[float, np.ndarray]:
-    W, g = _eval_log_raw(expr, x)
-    if W == -math.inf:
-        raise ValueError(
-            "objective vanishes on the support of the given point; "
-            "the update is undefined there"
-        )
-    return W, g
 
 
 def _support_residual(g: np.ndarray, x: np.ndarray, structure: BlockStructure) -> float:
@@ -211,7 +202,7 @@ def knee_jerk_step(
     """
     s = point.structure
     x = point.x
-    W, g = _checked_eval(expr, x) if start is None else (start.W, start.g)
+    W, g = _eval_log_raw(expr, x) if start is None else (start.W, start.g)
     new_point, masses, degenerate = _update(point, g)
     bound = 0.0
     divergence = 0.0
@@ -222,7 +213,7 @@ def knee_jerk_step(
         if masses[i] > 0.0:
             bound += float(masses[i]) * d
         divergence += d
-    W_new, g_new = _checked_eval(expr, new_point.x)
+    W_new, g_new = _eval_log_raw(expr, new_point.x)
     return StepResult(
         x_new=new_point,
         W=W,
@@ -244,7 +235,7 @@ def criticality_residual(expr: KneeJerkExpr, point: BlockPoint) -> float:
     """
     if not point.interior:
         raise ValueError("criticality residual requires an interior point")
-    _, g = _checked_eval(expr, point.x)
+    _, g = _eval_log_raw(expr, point.x)
     return _support_residual(g, point.x, point.structure)
 
 

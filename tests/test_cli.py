@@ -394,6 +394,29 @@ class TestMain:
         assert "argmax" not in captured.err
         assert json.loads(captured.out)["pass"] is False
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("config", {"max_iters": True}),
+            ("config", {"tol_div": "1e-3"}),
+            ("config", {"tol_w": True}),
+            ("weights", [True, 1, 1]),
+            ("weights", ["1", 1, 1]),
+            ("init", ["0.5", 0.25, 0.25]),
+        ],
+        ids=["max_iters-bool", "tol_div-str", "tol_w-bool", "weights-bool", "weights-str", "init-str"],
+    )
+    def test_booleans_and_numeric_strings_exit_two(self, tmp_path, capsys, field, value):
+        data = json.loads(GRAPH_PROBLEM)
+        data[field] = value
+        prob = self._write(tmp_path, "p.json", json.dumps(data))
+        code = main(["optimize", "--problem", prob])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}:")
+        if field == "config":
+            assert next(iter(value)) in err
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_verify_without_samples_exit_two(self, tmp_path, capsys, samples):
         prob = self._write(tmp_path, "p.json", GRAPH_PROBLEM)
@@ -431,7 +454,7 @@ class TestConsoleScript:
         if exe:
             cmd = [exe]
         else:
-            cmd = [sys.executable, "-m", "kneejerk.cli"]
+            cmd = [sys.executable, "-m", "kneejerk"]
         proc = subprocess.run(
             cmd + ["optimize", "--problem", str(problem_dir / "triangle.json")],
             capture_output=True,
@@ -439,5 +462,7 @@ class TestConsoleScript:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         summary = json.loads(proc.stdout)
         assert summary["status"] == "converged"
+

@@ -1,5 +1,7 @@
 """Tests for the certificate checks and curvature probes."""
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -266,6 +268,26 @@ class TestConvexityProbe:
         rep = _curvature_probe(grad, 2, 50, np.random.default_rng(0), upper=False)
         assert not rep.passed
         assert rep.worst_eigenvalue < -0.5
+
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("nan_at", ["every", "one"])
+    def test_nan_sample_fails_the_probe(self, upper, nan_at):
+        # Without the NaN the gradient is exactly convex (or concave), so the
+        # NaN sample alone must fail the probe, not pass it with +inf.
+        calls = itertools.count()
+
+        def grad(v):
+            sample = next(calls) // 4  # each 2-D stencil makes 4 calls
+            if nan_at == "every" or sample == 3:
+                return np.full(2, np.nan)
+            return -v if upper else v.copy()
+
+        rep = _curvature_probe(grad, 2, 20, np.random.default_rng(0), upper=upper)
+        assert not rep.passed
+        assert math.isnan(rep.worst_eigenvalue)
+        d = rep.to_json_dict()
+        assert d["worst_eigenvalue"] is None
+        json.dumps(d, allow_nan=False)
 
     def test_rejects_non_expression(self):
         with pytest.raises(ValueError, match="expected an expression"):

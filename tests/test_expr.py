@@ -1,6 +1,11 @@
 """Tests for expression trees, log-domain evaluation, and polynomial forms."""
 
+import copy
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from kneejerk import (
     hessian_log_u,
     polynomial_to_expression,
 )
+from kneejerk import expr as expr_module
 from generators import (
     dlr_expression,
     naive_poly_eval,
@@ -155,6 +161,149 @@ class TestEvalLog:
         ev = eval_log(expr, np.array([0.25, 0.75]))
         assert_allclose(ev.W, 0.0, atol=1e-14)
         assert_allclose(ev.g, [0.5, 1.5], rtol=1e-13)
+
+
+# Overflows to +inf at x0 = e^2 and to -inf at x1 = e^-2, so their product is NaN.
+_NAN_PROD = Prod((Pow(Var(0), 1e308), Pow(Var(1), 1e308)))
+
+
+class TestTape:
+    def test_repeated_evaluations_compile_once(self, monkeypatch):
+        calls = []
+        real = expr_module._postorder
+
+        def counted(root):
+            calls.append(root)
+            return real(root)
+
+        monkeypatch.setattr(expr_module, "_postorder", counted)
+        e = dlr_expression()
+        for x in ([0.5, 0.5], [0.2, 0.8], [0.9, 0.1]):
+            eval_log(e, np.array(x))
+        expr_module._eval_log_values(e, np.array([[0.5, 0.5], [0.0, 1.0]]))
+        expr_module._eval_log_raw(e, np.array([0.3, 0.7]))
+        assert calls == [e]
+
+    def test_shared_subtree_gets_one_slot(self):
+        shared = Sum((Var(0), Var(1)))
+        tape, n = expr_module._tape(Prod((shared, shared, Const(2.0))))
+        assert n == 2
+        assert [t for t, _ in tape].count(Sum) == 1
+        t, arg = tape[-1]
+        assert t is Prod and arg[0] == arg[1]
+
+    def test_alternating_expressions_match_fresh_evaluations(self):
+        rng = np.random.default_rng(21)
+        exprs = [random_expression(rng, 3, depth=4) for _ in range(3)]
+        exprs.append(polynomial_to_expression(random_polynomial(rng, 4)))
+        points = np.exp(rng.uniform(-1.0, 1.0, (4, 4)))
+        # A deep copy is a new object, so each reference evaluation compiles.
+        fresh = [[eval_log(copy.deepcopy(e), x) for x in points] for e in exprs]
+        for _ in range(2):
+            for j, x in enumerate(points):
+                for e, ref in zip(exprs, fresh):
+                    ev = eval_log(e, x)
+                    assert ev.W == ref[j].W
+                    assert np.array_equal(ev.g, ref[j].g)
+
+    def test_threads_sharing_the_cache_never_mix_tapes(self, monkeypatch):
+        # Two expressions, each evaluated by at least two threads, keep the
+        # one-entry cache changing hands; every compile yields the lock
+        # halfway, so other threads read the cache while it is being replaced.
+        real = expr_module._postorder
+
+        def yielding(root):
+            time.sleep(0)
+            return real(root)
+
+        monkeypatch.setattr(expr_module, "_postorder", yielding)
+        rng = np.random.default_rng(23)
+        exprs = [polynomial_to_expression(random_polynomial(rng, 3)) for _ in range(2)]
+        x = np.array([0.2, 0.3, 0.5])
+        refs = [eval_log(copy.deepcopy(e), x) for e in exprs]
+        wrong = []
+        workers = max(min((os.cpu_count() or 1) + 1, 16), 4)
+        start = threading.Barrier(workers)
+
+        def work(e, ref):
+            start.wait(timeout=60)
+            for _ in range(2000):
+                ev = eval_log(e, x)
+                if ev.W != ref.W or not np.array_equal(ev.g, ref.g):
+                    wrong.append(e)
+
+        threads = [
+            threading.Thread(target=work, args=(exprs[i % 2], refs[i % 2]))
+            for i in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_variable_range_belongs_to_each_expression(self):
+        small, big = Sum((Var(0), Var(1))), Prod((Var(0), Var(3)))
+        eval_log(big, np.ones(4))
+        assert eval_log(small, np.array([0.5, 0.5])).W == 0.0
+        with pytest.raises(ValueError, match="variable 3"):
+            eval_log(big, np.array([0.5, 0.5]))
+
+    def test_batch_rows_match_point_evaluations(self):
+        rng = np.random.default_rng(22)
+        for i in range(200):
+            n = int(rng.integers(1, 5))
+            if i % 2:
+                e = random_expression(rng, n, depth=4)
+            else:
+                e = polynomial_to_expression(random_polynomial(rng, n, max_degree=6))
+            X = rng.uniform(0.0, 2.0, (6, n))
+            X[rng.random((6, n)) < 0.3] = 0.0
+            W = expr_module._eval_log_values(e, X)
+            assert W.shape == (6,)
+            for x, w in zip(X, W):
+                if w == -math.inf:
+                    with pytest.raises(ValueError, match="vanishes"):
+                        expr_module._eval_log_raw(e, x)
+                else:
+                    W_point = expr_module._eval_log_raw(e, x)[0]
+                    assert_allclose(W_point, w, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("x", [[1.0, 0.0], [0.0, 0.0]])
+    def test_raw_evaluation_raises_on_vanishing_objective(self, x):
+        with pytest.raises(ValueError, match="vanishes"):
+            expr_module._eval_log_raw(Prod((Var(0), Var(1))), np.array(x))
+
+    @pytest.mark.parametrize(
+        "e, x2",
+        [
+            (_NAN_PROD, 1.0),
+            (Sum((_NAN_PROD, Var(2))), 1.0),
+            # The NaN sits behind a -inf maximum, inside a live sum.
+            (Sum((Sum((Var(2), _NAN_PROD)), Var(0))), 0.0),
+        ],
+        ids=["prod", "live-sum", "behind-dead-max"],
+    )
+    def test_raw_evaluation_raises_on_nan(self, e, x2):
+        x = np.array([math.exp(2.0), math.exp(-2.0), x2])
+        with pytest.raises(ValueError, match="W = nan"):
+            expr_module._eval_log_raw(e, x)
+
+    @pytest.mark.parametrize(
+        "e",
+        [Const(2.0), Sum((Const(2.0), Const(3.0))), Prod((Const(2.0), Pow(Const(3.0), 2.0)))],
+        ids=["const", "sum", "prod"],
+    )
+    def test_constant_tree_gives_one_value_per_row(self, e):
+        W = expr_module._eval_log_values(e, np.full((5, 2), 0.5))
+        assert W.shape == (5,)
+        assert_allclose(W, eval_log(e, np.array([0.5, 0.5])).W, rtol=1e-15)
 
 
 class TestHessian:

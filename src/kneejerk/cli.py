@@ -471,7 +471,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_discriminant(args) -> int:
-    data = json.loads(Path(args.graph).read_text())
+    try:
+        data = json.loads(Path(args.graph).read_text())
+    except RecursionError:
+        raise ValueError("graph: nested too deeply to parse") from None
     graph = Graph.from_json_dict(data)
     poly = discriminant_polynomial(graph)
     text = _dumps(poly.to_json_dict())

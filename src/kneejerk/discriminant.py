@@ -116,7 +116,7 @@ class Graph:
         if not isinstance(edges, list):
             raise ValueError(f"{path}.edges: expected a list of [u, v] pairs")
         try:
-            return cls(data["vertices"], tuple(tuple(e) for e in edges))
+            return cls(data["vertices"], tuple(tuple(e) if isinstance(e, list) else e for e in edges))
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
 

@@ -6,17 +6,34 @@ increasing, and log-log-convex on the positive orthant, so every tree built
 from these constructors is a valid objective for the multiplicative update in
 :mod:`kneejerk.mapping` by construction.
 
-Evaluation works entirely in the log domain, on a flat tape compiled once per
-expression: one forward pass computes the log-value of every node, one reverse
-pass accumulates softmax-weighted adjoints.  This keeps objectives such as
-``x**34 * y**38 * (1 + 2x)**125`` finite where a direct evaluation would
-overflow or underflow, and it returns the gradient weights
-``g_i = x_i * dZ/dx_i / Z`` as exact nonnegative numbers (the tree contains no
-subtraction).
+Evaluation works entirely in the log domain, on a form compiled once per
+expression.  The tree's shape picks one of two forms:
+
+* A sum of monomials (the root is a sum of terms, or a single term, and each
+  term is a constant, a variable, a variable raised to a power, or a product
+  of those) compiles to an exponent matrix ``E`` (terms x variables) and the
+  vector ``log c`` of its coefficients.  With ``u = log x`` and
+  ``z = E u + log c``, ``W = logsumexp(z)`` and ``g = softmax(z) @ E``: two
+  matrix-vector products and no per-node loop.  This covers every polynomial
+  and graph discriminant.
+* Every other tree compiles to a flat slot tape: one forward pass computes the
+  log-value of every node, one reverse pass accumulates softmax-weighted
+  adjoints.
+
+Both keep objectives such as ``x**34 * y**38 * (1 + 2x)**125`` finite where a
+direct evaluation would overflow or underflow, and both return the gradient
+weights ``g_i = x_i * dZ/dx_i / Z`` as exact nonnegative numbers (the tree
+contains no subtraction).  The matrix form is taken only when no term can
+overflow: every positive finite double has ``|log x| <= 745``, so a term
+whose exponents sum to ``e`` stays within ``745 e + |log c|``.  A sum of
+monomials whose bound reaches 1e300 keeps the slot tape, which carries
+overflow through as ``inf`` or NaN where a matrix product could silently
+drop the term.
 
 Expressions are immutable by convention: construct them, never mutate them.
-Only the last expression's tape is cached, in one module-level tuple that each
-evaluation reads once and a compile replaces whole: threads never mix tapes.
+Only the last expression's compiled form is cached, in one module-level tuple
+that each evaluation reads once and a compile replaces whole: threads never
+mix forms.
 """
 
 from __future__ import annotations
@@ -185,35 +202,85 @@ def _postorder(root: KneeJerkExpr) -> list[KneeJerkExpr]:
     return order
 
 
-_last_tape: tuple = (None, [], 0)  # (expression, tape, n) of the last compile
+_last_tape: tuple = (None, [], 0)  # (expression, form, n) of the last compile
+
+_LOG_RANGE = 745.0  # |log x| <= 745 for every positive finite double
+_BATCH_TERMS = 2**16  # term values (512 KB) per chunk of a batch: stays in cache
 
 
-def _tape(expr: KneeJerkExpr) -> tuple[list[tuple[type, object]], int]:
-    """Flat tape of ``expr``: one ``(type, arg)`` per distinct node, children
-    before parents, where ``arg`` is the variable index, the log of the
-    constant, ``(base slot, exponent)`` or the tuple of child slots; and
-    1 + the largest variable index.  The last expression's tape is reused."""
+def _tape(expr: KneeJerkExpr) -> tuple[tuple | list, int]:
+    """Compiled form of ``expr`` and 1 + its largest variable index.
+
+    The form is ``(E, log c)`` for a sum of monomials (see
+    :func:`_monomials`), else a flat slot tape: one ``(type, arg)`` per
+    distinct node, children before parents, where ``arg`` is the variable
+    index, the log of the constant, ``(base slot, exponent)`` or the tuple of
+    child slots.  The last expression's form is reused."""
     global _last_tape
-    last, tape, n = _last_tape  # one read: concurrent callers never mix tapes
+    last, tape, n = _last_tape  # one read: concurrent callers never mix forms
     if last is expr:
         return tape, n
-    order = _postorder(expr)
-    slot = {id(node): k for k, node in enumerate(order)}
-    tape = []
-    for node in order:
-        t = type(node)
-        if t is Var:
-            arg = node.index
-        elif t is Const:
-            arg = math.log(node.value)
-        elif t is Pow:
-            arg = (slot[id(node.base)], node.exponent)
-        else:
-            arg = tuple(slot[id(c)] for c in node.children())
-        tape.append((t, arg))
-    n = max((arg + 1 for t, arg in tape if t is Var), default=0)
+    tape = _monomials(expr)
+    if tape is not None:
+        n = tape[0].shape[1]
+    else:
+        order = _postorder(expr)
+        slot = {id(node): k for k, node in enumerate(order)}
+        tape = []
+        for node in order:
+            t = type(node)
+            if t is Var:
+                arg = node.index
+            elif t is Const:
+                arg = math.log(node.value)
+            elif t is Pow:
+                arg = (slot[id(node.base)], node.exponent)
+            else:
+                arg = tuple(slot[id(c)] for c in node.children())
+            tape.append((t, arg))
+        n = max((arg + 1 for t, arg in tape if t is Var), default=0)
     _last_tape = (expr, tape, n)
     return tape, n
+
+
+def _monomials(expr: KneeJerkExpr) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(E, log c)`` of a sum of monomials, or None for any other tree.
+
+    Row ``r`` of ``E`` holds term ``r``'s exponents (a repeated variable adds
+    up) and ``log c[r]`` the sum of the logs of its constant factors.  None
+    also when a term could overflow (see the module docstring), or when the
+    dense ``E`` would hold far more entries than the tree has factors (a
+    stray large variable index)."""
+    terms = expr.terms if type(expr) is Sum else (expr,)
+    rows: list[int] = []
+    cols: list[int] = []
+    exps: list[float] = []
+    log_c = [0.0] * len(terms)
+    for r, term in enumerate(terms):
+        for f in term.factors if type(term) is Prod else (term,):
+            t = type(f)
+            if t is Var:
+                rows.append(r)
+                cols.append(f.index)
+                exps.append(1.0)
+            elif t is Pow and type(f.base) is Var:
+                rows.append(r)
+                cols.append(f.base.index)
+                exps.append(f.exponent)
+            elif t is Const:
+                log_c[r] += math.log(f.value)
+            else:
+                return None
+    n = max(cols, default=-1) + 1
+    if len(terms) * n > 16 * len(exps) + 2**16:
+        return None
+    E = np.zeros((len(terms), n))
+    log_c = np.array(log_c)
+    with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
+        np.add.at(E, (rows, cols), exps)
+        if not E.sum(axis=1).max() * _LOG_RANGE + np.abs(log_c).max() < 1e300:
+            return None
+    return E, log_c
 
 
 def _lse_point(vs: list[float]) -> float:
@@ -249,10 +316,13 @@ def _forward(tape, u, lse) -> list:
 
 
 def _eval_log_raw(expr: KneeJerkExpr, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Forward and reverse pass over the tape at a validated nonnegative ``x``.
+    """``W`` and ``g`` at a validated nonnegative ``x``: two matrix-vector
+    products for a sum of monomials, else a forward and a reverse pass over
+    the slot tape.
 
     Zero coordinates are handled as limits: they carry log-value -inf, get
-    softmax weight exactly 0.0 at every sum node, and therefore contribute
+    softmax weight exactly 0.0 at every sum node (in the matrix form, every
+    term with a positive exponent on them is -inf), and therefore contribute
     exactly 0.0 to the gradient weights.  Raises ValueError when the objective
     vanishes on the support of ``x`` (W = -inf) or evaluates to NaN.
     """
@@ -262,14 +332,29 @@ def _eval_log_raw(expr: KneeJerkExpr, x: np.ndarray) -> tuple[float, np.ndarray]
             f"expression references variable {n - 1} but the point "
             f"has only {x.size} coordinates"
         )
+    if type(tape) is tuple:
+        E, log_c = tape
+        xs = x[:n]
+        if all(xs.tolist()):  # faster than ndarray.all() on short vectors
+            z = E @ np.log(xs) + log_c
+        else:  # log 0 = -inf would meet exponent 0 as NaN: kill its terms instead
+            zero = xs == 0.0
+            z = E @ np.log(np.where(zero, 1.0, xs)) + log_c
+            z[E[:, zero].any(axis=1)] = -math.inf
+        m = z.max()
+        if m == -math.inf:
+            _raise_vanishes(m)
+        p = np.exp(z - m)
+        s = p.sum()
+        g = p @ E / s
+        if n < x.size:
+            g = np.concatenate((g, np.zeros(x.size - n)))
+        return float(m + math.log(s)), g
     with np.errstate(divide="ignore"):
         vals = _forward(tape, np.log(x).tolist(), _lse_point)
     W = vals[-1]
     if not W > -math.inf:
-        raise ValueError(
-            f"objective vanishes or is NaN on the support of the given "
-            f"point (W = {W}); the update is undefined there"
-        )
+        _raise_vanishes(W)
     g = [0.0] * x.size
     adj = [0.0] * (len(tape) - 1) + [1.0]
     for k in range(len(tape) - 1, -1, -1):
@@ -289,6 +374,13 @@ def _eval_log_raw(expr: KneeJerkExpr, x: np.ndarray) -> tuple[float, np.ndarray]
             for s in arg:
                 adj[s] += a * math.exp(vals[s] - L)  # exactly 0.0 for a dead child
     return W, np.array(g)
+
+
+def _raise_vanishes(W: float):
+    raise ValueError(
+        f"objective vanishes or is NaN on the support of the given "
+        f"point (W = {W}); the update is undefined there"
+    )
 
 
 def eval_log(expr: KneeJerkExpr, x) -> LogEval:
@@ -328,10 +420,28 @@ def eval_log(expr: KneeJerkExpr, x) -> LogEval:
 def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
     """Log-values, no gradients, for a batch of nonnegative points (rows of
     X): one per row, even for a constant tree.  Used by the grid search in
-    :mod:`kneejerk.cli`."""
+    :mod:`kneejerk.cli`.  A sum of monomials is evaluated in chunks of rows,
+    so its memory does not grow with the batch."""
+    tape, n = _tape(expr)
+    if type(tape) is tuple:
+        E, log_c = tape
+        W = np.empty(len(X))
+        step = max(1, _BATCH_TERMS // len(E))
+        with np.errstate(divide="ignore"):
+            for i in range(0, len(X), step):
+                Xc = X[i : i + step, :n]
+                zero = Xc == 0.0
+                Z = np.log(np.where(zero, 1.0, Xc)) @ E.T
+                Z += log_c
+                Z[zero @ E.T > 0.0] = -math.inf  # a float product: BLAS, unlike bool
+                m = Z.max(axis=1)
+                m[m == -math.inf] = 0.0  # a dead row: exp(-inf - 0) sums to 0, log to -inf
+                Z -= m[:, None]
+                W[i : i + step] = m + np.log(np.exp(Z, out=Z).sum(axis=1))
+        return W
     with np.errstate(divide="ignore"):
         U = np.log(X)
-    W = _forward(_tape(expr)[0], U.T, functools.partial(functools.reduce, np.logaddexp))[-1]
+    W = _forward(tape, U.T, functools.partial(functools.reduce, np.logaddexp))[-1]
     return np.full(len(X), W) if np.ndim(W) == 0 else W
 
 

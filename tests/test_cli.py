@@ -437,6 +437,32 @@ class TestMain:
         assert len(poly["terms"]) == 3
         assert json.loads((tmp_path / "d" / "discriminant.json").read_text()) == poly
 
+    @pytest.mark.parametrize("command", ["optimize", "discriminant"])
+    @pytest.mark.parametrize(
+        "edges, bad",
+        [([1, 2], 0), ([None], 0), ([[0, 1], 5], 1)],
+        ids=["ints", "null", "pair-then-int"],
+    )
+    def test_edge_that_is_not_a_list_exits_two(self, tmp_path, capsys, command, edges, bad):
+        graph = {"vertices": 3, "edges": edges}
+        if command == "optimize":
+            problem = {"expression": {"graph": graph}, "blocks": [len(edges)], "init": "barycenter"}
+            args = ["--problem", self._write(tmp_path, "p.json", json.dumps(problem))]
+            path = "expression.graph"
+        else:
+            args = ["--graph", self._write(tmp_path, "g.json", json.dumps(graph))]
+            path = "graph"
+        assert main([command] + args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: edge {bad} ")
+
+    def test_over_deep_graph_file_exit_two(self, tmp_path, capsys):
+        depth = 100_000
+        graph = self._write(
+            tmp_path, "g.json", '{"vertices": 3, "edges": ' + "[" * depth + "]" * depth + "}"
+        )
+        assert main(["discriminant", "--graph", graph]) == 2
+        assert capsys.readouterr().err == "error: graph: nested too deeply to parse\n"
+
     def test_oracle_subcommand(self, tmp_path, capsys):
         prob = self._write(tmp_path, "p.json", GRAPH_PROBLEM)
         code = main(

@@ -4,8 +4,10 @@ import copy
 import math
 import os
 import sys
+import itertools
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from kneejerk import (
     polynomial_to_expression,
 )
 from kneejerk import expr as expr_module
+from kneejerk.discriminant import Graph
 from generators import (
+    discriminant_expression,
     dlr_expression,
     naive_poly_eval,
     random_expression,
@@ -210,13 +214,14 @@ class TestTape:
         # Two expressions, each evaluated by at least two threads, keep the
         # one-entry cache changing hands; every compile yields the lock
         # halfway, so other threads read the cache while it is being replaced.
-        real = expr_module._postorder
+        for name in ("_postorder", "_monomials"):  # the tree and the polynomial compile
+            real = getattr(expr_module, name)
 
-        def yielding(root):
-            time.sleep(0)
-            return real(root)
+            def yielding(root, real=real):
+                time.sleep(0)
+                return real(root)
 
-        monkeypatch.setattr(expr_module, "_postorder", yielding)
+            monkeypatch.setattr(expr_module, name, yielding)
         rng = np.random.default_rng(23)
         exprs = [polynomial_to_expression(random_polynomial(rng, 3)) for _ in range(2)]
         x = np.array([0.2, 0.3, 0.5])
@@ -304,6 +309,139 @@ class TestTape:
         W = expr_module._eval_log_values(e, np.full((5, 2), 0.5))
         assert W.shape == (5,)
         assert_allclose(W, eval_log(e, np.array([0.5, 0.5])).W, rtol=1e-15)
+
+
+def _assert_matches_tape(e, x):
+    """The monomial form of ``e`` against the slot tape of ``Pow(e, 1.0)``, the
+    same value in a shape the monomial form does not take: both raise, or
+    both agree within 1e-12 relative."""
+    ref = Pow(e, 1.0)
+    try:
+        W_ref, g_ref = expr_module._eval_log_raw(ref, x)
+    except ValueError:
+        with pytest.raises(ValueError, match="vanishes"):
+            expr_module._eval_log_raw(e, x)
+        return
+    W, g = expr_module._eval_log_raw(e, x)
+    assert type(W) is float
+    assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12)
+    assert g.shape == (x.size,)
+    assert_allclose(g, g_ref, rtol=1e-12, atol=1e-12)
+    assert np.all(g[e.n_vars :] == 0.0)
+
+
+def _k6_expression():
+    return discriminant_expression(Graph(6, tuple(itertools.combinations(range(6), 2))))
+
+
+class TestMonomialForm:
+    @staticmethod
+    def _is_monomial_form(e):
+        return type(expr_module._tape(e)[0]) is tuple
+
+    def test_polynomials_take_the_matrix_form_and_other_trees_the_tape(self):
+        poly = polynomial_to_expression(random_polynomial(np.random.default_rng(30), 3))
+        assert self._is_monomial_form(poly)
+        assert self._is_monomial_form(_k6_expression())
+        assert not self._is_monomial_form(Pow(poly, 1.0))
+        assert not self._is_monomial_form(dlr_expression())
+        assert not self._is_monomial_form(Sum((Sum((Var(0), Var(1))), Var(2))))
+        assert not self._is_monomial_form(Prod((Var(0), Prod((Var(1), Var(2))))))
+        assert not self._is_monomial_form(Pow(Const(2.0), 3.0))
+
+    def test_random_polynomials_match_the_tape(self):
+        rng = np.random.default_rng(31)
+        for i in range(300):
+            n = int(rng.integers(1, 6))
+            e = polynomial_to_expression(random_polynomial(rng, n, max_degree=6, max_terms=12))
+            x = rng.uniform(0.0, 2.0, n + int(rng.integers(0, 3)))  # surplus coordinates
+            if i % 3 == 0:
+                x[rng.random(x.size) < 0.4] = 0.0
+            _assert_matches_tape(e, x)
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            Prod((Var(0), Var(0))),
+            Pow(Var(1), 0.5),
+            Sum((Const(2.0), Prod((Const(3.0), Var(0), Pow(Var(2), 2.5))))),
+            Sum((Prod((Const(2.0), Var(0), Const(0.5), Var(0), Pow(Var(0), 1.5))), Var(1))),
+            Sum((Var(0), Var(0), Var(2))),
+            Var(1),
+            Const(2.0),
+            Sum((Const(2.0), Const(3.0))),
+            Pow(Var(0), 1e296),  # just inside the overflow guard
+        ],
+        ids=["repeated-var", "fractional-pow", "const-term", "const-factors", "repeated-term",
+             "bare-var", "const", "const-sum", "huge-exponent"],
+    )
+    def test_monomial_shapes_match_the_tape(self, e):
+        assert self._is_monomial_form(e)
+        for x in ([0.5, 0.25, 2.0], [0.0, 0.7, 1.5], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0],
+                  [1.2, 0.8, 0.4, 0.9, 0.0]):
+            _assert_matches_tape(e, np.array(x))
+
+    @pytest.mark.parametrize(
+        "e",
+        [Sum((Pow(Var(0), 1e300), Var(1))), Prod((Var(0), Pow(Var(0), 1.5e297))), _NAN_PROD],
+        ids=["exponent", "exponent-sum", "nan-prod"],
+    )
+    def test_exponents_past_the_guard_keep_the_tape(self, e):
+        assert not self._is_monomial_form(e)
+
+    def test_large_variable_index_keeps_the_tape(self):
+        e = Prod((Var(0), Var(10**9)))
+        assert not self._is_monomial_form(e)
+        with pytest.raises(ValueError, match="variable 1000000000"):
+            eval_log(e, np.ones(3))
+
+    def test_repeated_evaluations_compile_once(self, monkeypatch):
+        calls = {"_monomials": [], "_postorder": []}
+        for name, log in calls.items():
+            real = getattr(expr_module, name)
+
+            def counted(root, real=real, log=log):
+                log.append(root)
+                return real(root)
+
+            monkeypatch.setattr(expr_module, name, counted)
+        e = _k6_expression()
+        for seed in range(3):
+            eval_log(e, np.random.default_rng(seed).uniform(0.1, 1.0, 15))
+        expr_module._eval_log_values(e, np.full((4, 15), 0.5))
+        expr_module._eval_log_raw(e, np.full(15, 0.2))
+        assert calls == {"_monomials": [e], "_postorder": []}
+
+    def test_batch_rows_match_the_tape(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            e = polynomial_to_expression(random_polynomial(rng, n, max_degree=6, max_terms=12))
+            X = rng.uniform(0.0, 2.0, (7, n + 1))
+            X[rng.random(X.shape) < 0.3] = 0.0
+            W = expr_module._eval_log_values(e, X)
+            W_ref = expr_module._eval_log_values(Pow(e, 1.0), X)
+            assert np.array_equal(W == -math.inf, W_ref == -math.inf)
+            live = W_ref > -math.inf
+            assert_allclose(W[live], W_ref[live], rtol=1e-12, atol=1e-12)
+
+    def test_batch_memory_does_not_grow_with_the_batch(self):
+        e = _k6_expression()
+        rng = np.random.default_rng(33)
+        expr_module._eval_log_values(e, np.full((1, 15), 0.5))  # compile outside the trace
+        peaks = []
+        for rows in (5000, 20000):
+            X = rng.uniform(0.0, 1.0, (rows, 15))
+            tracemalloc.start()
+            try:
+                W = expr_module._eval_log_values(e, X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert W.shape == (rows,)
+        # Only the output grows (8 bytes per row); the parent's slot arrays
+        # grew by 1296 terms x 8 bytes per row.
+        assert peaks[1] - peaks[0] < 2**20
 
 
 class TestHessian:

@@ -27,6 +27,7 @@ reached, 2 input error (including an expression nested too deeply to parse),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -67,6 +68,7 @@ __all__ = [
 ]
 
 _ORACLE_POINT_GUARD = 10**8
+_ORACLE_BATCH = 2**16  # grid points scored per _eval_log_values call
 _TOO_DEEP = "expression: nested too deeply to parse"
 _ARGMAX_COMPETITORS = 1000
 
@@ -313,27 +315,76 @@ def run_verify(
     return report
 
 
-def _compositions(total: int, k: int):
-    """Nonnegative integer k-tuples summing to total, lexicographic."""
-    if k == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, k - 1):
-            yield (head,) + rest
+def _simplex_counts(total: int, k: int) -> np.ndarray:
+    """Nonnegative integer k-vectors summing to total, lexicographic, one per
+    row: stars and bars, whose bar positions ``itertools.combinations`` lists
+    in the same order."""
+    m = math.comb(total + k - 1, k - 1)
+    bars = itertools.chain.from_iterable(itertools.combinations(range(total + k - 1), k - 1))
+    bars = np.fromiter(bars, np.int64, m * (k - 1)).reshape(m, k - 1)
+    counts = np.diff(bars, axis=1, prepend=-1, append=total + k - 1)
+    counts -= 1
+    return counts
 
 
-def _grid_points(structure: BlockStructure, resolution: int):
-    """Lazy product of per-block compositions, as flat count tuples."""
+def _simplex_chunks(total: int, k: int, rows: int):
+    """The rows of ``_simplex_counts(total, k)`` in order, at most ``rows`` at
+    a time, never building a larger table: a grid too big is split on its
+    leading coordinate."""
+    if math.comb(total + k - 1, k - 1) <= rows:
+        yield _simplex_counts(total, k)
+    elif k == 2:
+        for lo in range(0, total + 1, rows):
+            head = np.arange(lo, min(lo + rows, total + 1))
+            yield np.column_stack((head, total - head))
+    else:
+        for head in range(total + 1):
+            for rest in _simplex_chunks(total - head, k - 1, rows):
+                yield np.column_stack((np.full(len(rest), head), rest))
 
-    def rec(i: int, prefix: tuple):
-        if i == len(structure.blocks):
-            yield prefix
-            return
-        for c in _compositions(resolution, structure.blocks[i]):
-            yield from rec(i + 1, prefix + c)
 
-    yield from rec(0, ())
+def _product(tables) -> np.ndarray:
+    """Rows of the product of count tables, the first table varying slowest,
+    each table written once into the output by broadcasting."""
+    tables = list(tables)
+    out = np.empty((math.prod(map(len, tables)), sum(t.shape[1] for t in tables)), np.int64)
+    outer, col = 1, 0
+    for t in tables:
+        m, w = t.shape
+        out.reshape(outer, m, -1, out.shape[1])[..., col : col + w] = t[:, None, :]
+        outer, col = outer * m, col + w
+    return out
+
+
+def _grid_batches(structure: BlockStructure, resolution: int):
+    """The oracle grid as int64 count arrays of shape ``(rows, n)``, in
+    lexicographic order (within each block, blocks in order), every array
+    ``_ORACLE_BATCH`` rows but the last.
+
+    The trailing blocks whose grid fits one batch (the tail) are built once.
+    The block before them is cut into chunks that, times the tail, fit one
+    batch, and the blocks before that are walked one prefix at a time: each
+    prefix is followed by more than a batch of points, so a grid under the
+    guard has fewer than ``_ORACLE_POINT_GUARD / _ORACLE_BATCH`` of them.
+    Memory stays within a few batches for any grid under the guard."""
+    blocks = structure.blocks
+    sizes = [math.comb(resolution + b - 1, b - 1) for b in blocks]
+    lead = len(blocks) - 1
+    while lead and math.prod(sizes[lead:]) <= _ORACLE_BATCH:
+        lead -= 1
+    tail = _product(_simplex_counts(resolution, b) for b in blocks[lead + 1 :])
+    prefixes = _product(_simplex_counts(resolution, b) for b in blocks[:lead])
+    pending, rows = [], 0
+    for prefix in prefixes:
+        for chunk in _simplex_chunks(resolution, blocks[lead], _ORACLE_BATCH // len(tail)):
+            pending.append(_product((prefix[None], chunk, tail)))
+            rows += len(pending[-1])
+            if rows >= _ORACLE_BATCH:  # each piece is at most one batch
+                counts = np.concatenate(pending)
+                yield counts[:_ORACLE_BATCH]
+                pending, rows = [counts[_ORACLE_BATCH:]], rows - _ORACLE_BATCH
+    if rows:
+        yield np.concatenate(pending) if len(pending) > 1 else pending[0]
 
 
 def _grid_size(structure: BlockStructure, resolution: int) -> int:
@@ -353,7 +404,7 @@ def _lipschitz_estimate(g: np.ndarray, x: np.ndarray) -> float:
 def run_oracle(problem: Problem, resolution: int) -> OracleResult:
     """Exhaustively score the uniform grid of the given resolution (plus the
     exact barycenter) and compare against the iteration's terminal value."""
-    if not isinstance(resolution, int) or resolution < 1:
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
         raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
     s = problem.structure
     size = _grid_size(s, resolution)
@@ -366,25 +417,13 @@ def run_oracle(problem: Problem, resolution: int) -> OracleResult:
     inv = 1.0 / (resolution * s.weights)  # count -> coordinate scaling
     best_W = -math.inf
     best_point = None
-    batch: list[tuple] = []
-
-    def flush():
-        nonlocal best_W, best_point
-        if not batch:
-            return
-        X = np.asarray(batch, dtype=float) * inv
+    for counts in _grid_batches(s, resolution):
+        X = counts * inv
         W = _eval_log_values(problem.expression, X)
         i = int(np.argmax(W))
-        if W[i] > best_W:
+        if W[i] > best_W:  # the first best grid point wins a tie
             best_W = float(W[i])
             best_point = X[i].copy()
-        batch.clear()
-
-    for counts in _grid_points(s, resolution):
-        batch.append(counts)
-        if len(batch) >= 65536:
-            flush()
-    flush()
 
     # The exact barycenter need not lie on the grid (resolution not divisible
     # by a block size); include it so the oracle never scores below it.

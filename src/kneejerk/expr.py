@@ -420,12 +420,13 @@ def eval_log(expr: KneeJerkExpr, x) -> LogEval:
 def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
     """Log-values, no gradients, for a batch of nonnegative points (rows of
     X): one per row, even for a constant tree.  Used by the grid search in
-    :mod:`kneejerk.cli`.  A sum of monomials is evaluated in chunks of rows,
-    so its memory does not grow with the batch."""
+    :mod:`kneejerk.cli`.  The rows are evaluated in chunks of about
+    ``_BATCH_TERMS`` term (or slot) values, or 256 rows of a slot tape if
+    that is more, so memory does not grow with the batch."""
     tape, n = _tape(expr)
+    W = np.empty(len(X))
     if type(tape) is tuple:
         E, log_c = tape
-        W = np.empty(len(X))
         step = max(1, _BATCH_TERMS // len(E))
         with np.errstate(divide="ignore"):
             for i in range(0, len(X), step):
@@ -439,10 +440,14 @@ def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
                 Z -= m[:, None]
                 W[i : i + step] = m + np.log(np.exp(Z, out=Z).sum(axis=1))
         return W
+    # At least 256 rows per pass: each pass takes one Python step per slot,
+    # which dominates on a tree of thousands of slots when passes are short.
+    step = max(256, _BATCH_TERMS // len(tape))
+    lse = functools.partial(functools.reduce, np.logaddexp)
     with np.errstate(divide="ignore"):
-        U = np.log(X)
-    W = _forward(tape, U.T, functools.partial(functools.reduce, np.logaddexp))[-1]
-    return np.full(len(X), W) if np.ndim(W) == 0 else W
+        for i in range(0, len(X), step):
+            W[i : i + step] = _forward(tape, np.log(X[i : i + step]).T, lse)[-1]
+    return W
 
 
 def _central_hessian_from_grad(

@@ -1,15 +1,18 @@
 """Tests for problem files, the runner functions, and the CLI."""
 
+import itertools
 import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from kneejerk import (
+    BlockStructure,
     IterationConfig,
     Pow,
     Prod,
@@ -287,6 +290,12 @@ class TestRunOracle:
         res = run_oracle(p, 200)
         assert np.max(np.abs(np.asarray(res.best_point) - 1 / 3)) <= 1 / 200
 
+    def test_ties_go_to_the_first_grid_point(self):
+        # Every point ties, across two batches, and the barycenter ties too.
+        res = run_oracle(parse_problem(CONSTANT_PROBLEM), 70000)
+        assert res.best_W == np.log(3.0)
+        assert res.best_point.tolist() == [0.0, 1.0]
+
     def test_grid_guard(self):
         p = parse_problem(GRAPH_PROBLEM)
         with pytest.raises(ValueError, match="guard"):
@@ -294,8 +303,57 @@ class TestRunOracle:
 
     def test_rejects_bad_resolution(self):
         p = parse_problem(GRAPH_PROBLEM)
-        with pytest.raises(ValueError):
-            run_oracle(p, 0)
+        for bad in (0, True):
+            with pytest.raises(ValueError, match="resolution"):
+                run_oracle(p, bad)
+
+
+def _grid_reference(blocks, resolution):
+    """The oracle grid by the definition: per block, the compositions of
+    ``resolution`` with the leading coordinate outermost (lexicographic);
+    across blocks, their product with the first block outermost."""
+
+    def compositions(total, k):
+        if k == 1:
+            return [(total,)]
+        return [(h,) + c for h in range(total + 1) for c in compositions(total - h, k - 1)]
+
+    per_block = [compositions(resolution, b) for b in blocks]
+    return np.array([sum(p, ()) for p in itertools.product(*per_block)])
+
+
+class TestGridBatches:
+    # A batch of 7 rows sends small grids through every path of the
+    # generator: the prefix walk, the chunked block and its leading split.
+    @pytest.mark.parametrize("batch", [2**16, 7])
+    @pytest.mark.parametrize("blocks", [[1], [2], [1, 4, 2], [3, 1, 2], [2, 2, 2], [10]])
+    def test_matches_the_lexicographic_reference(self, blocks, batch, monkeypatch):
+        monkeypatch.setattr(cli, "_ORACLE_BATCH", batch)
+        batches = list(cli._grid_batches(BlockStructure(blocks), 9))
+        assert all(b.dtype == np.int64 for b in batches)
+        assert [len(b) for b in batches[:-1]] == [batch] * (len(batches) - 1)
+        assert np.array_equal(np.concatenate(batches), _grid_reference(blocks, 9))
+
+    @pytest.mark.parametrize("resolution", [65534, 65535, 65536])
+    def test_every_batch_but_the_last_is_full(self, resolution):
+        batches = list(cli._grid_batches(BlockStructure([2]), resolution))
+        assert [len(b) for b in batches[:-1]] == [65536] * (len(batches) - 1)
+        assert 1 <= len(batches[-1]) <= 65536
+        head = np.arange(resolution + 1)
+        assert np.array_equal(np.concatenate(batches), np.column_stack((head, resolution - head)))
+
+    def test_first_batch_is_built_lazily(self):
+        s = BlockStructure([3])
+        assert cli._grid_size(s, 14000) < cli._ORACLE_POINT_GUARD  # about 98M points
+        tracemalloc.start()
+        try:
+            first = next(cli._grid_batches(s, 14000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first[:3], [[0, 0, 14000], [0, 1, 13999], [0, 2, 13998]])
+        assert first.shape == (65536, 3)
+        assert peak < 16 * 2**20  # the whole grid would take 2.4 GB
 
 
 class TestMain:

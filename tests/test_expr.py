@@ -425,12 +425,13 @@ class TestMonomialForm:
             live = W_ref > -math.inf
             assert_allclose(W[live], W_ref[live], rtol=1e-12, atol=1e-12)
 
-    def test_batch_memory_does_not_grow_with_the_batch(self):
-        e = _k6_expression()
-        rng = np.random.default_rng(33)
+    @staticmethod
+    def _batch_peaks(e, row_counts, seed):
+        """tracemalloc peak of ``_eval_log_values`` over each row count."""
+        rng = np.random.default_rng(seed)
         expr_module._eval_log_values(e, np.full((1, 15), 0.5))  # compile outside the trace
         peaks = []
-        for rows in (5000, 20000):
+        for rows in row_counts:
             X = rng.uniform(0.0, 1.0, (rows, 15))
             tracemalloc.start()
             try:
@@ -439,9 +440,20 @@ class TestMonomialForm:
             finally:
                 tracemalloc.stop()
             assert W.shape == (rows,)
-        # Only the output grows (8 bytes per row); the parent's slot arrays
-        # grew by 1296 terms x 8 bytes per row.
+        return peaks, X, W
+
+    def test_batch_memory_does_not_grow_with_the_batch(self):
+        peaks, _, _ = self._batch_peaks(_k6_expression(), (5000, 20000), 33)
+        # Only the output grows (8 bytes per row); unchunked, the term
+        # values would grow by 1296 terms x 8 bytes per row.
         assert peaks[1] - peaks[0] < 2**20
+
+    def test_tree_batch_memory_does_not_grow_with_the_batch(self):
+        e = Pow(_k6_expression(), 1.0)  # not a sum of monomials: the slot tape
+        peaks, X, W = self._batch_peaks(e, (1024, 4096), 34)
+        # Unchunked, the 1296 product slots would grow by 32 MB over 3072 rows.
+        assert peaks[1] - peaks[0] < 2**20
+        assert_allclose(W, expr_module._eval_log_values(_k6_expression(), X), rtol=1e-12)
 
 
 class TestHessian:

@@ -32,7 +32,7 @@ from .expr import (
     eval_log,
 )
 from .mapping import _update, knee_jerk_step
-from .simplex import BlockPoint
+from .simplex import BlockPoint, _dirichlet_rows
 
 __all__ = [
     "InequalityReport",
@@ -159,23 +159,16 @@ def verify_argmax_property(
     The update maximizes the tangent-plane bound over the feasible set, so
     ``tangent_lower_bound(expr, x, x')`` must be at least the bound at every
     competitor (within 1e-9).  Competitors are drawn Dirichlet-style per
-    block and rescaled
-    by the weights.
+    block and rescaled by the weights.
     """
     if not point.interior:
         raise ValueError("the argmax check needs an interior base point")
-    s = point.structure
     x = point.x
     g = eval_log(expr, x).g
     log_x = np.log(x)
 
     # bound(y) = g . (log y - log x); evaluate all competitors in one matmul.
-    competitors = np.empty((samples, s.n))
-    for b, sl in zip(s.blocks, s.slices):
-        p = rng.dirichlet(np.full(b, 1.0), size=samples)
-        p = np.clip(p, 1e-300, None)
-        p = p / p.sum(axis=1, keepdims=True)
-        competitors[:, sl] = p / s.weights[sl]
+    competitors = _dirichlet_rows(point.structure, rng, samples)
     with np.errstate(divide="ignore"):
         log_c = np.log(competitors)
     bounds = (log_c - log_x) @ g

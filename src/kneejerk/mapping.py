@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import KneeJerkExpr, LogEval, _eval_log_raw
-from .simplex import BlockPoint, BlockStructure, _block_divergence
+from .simplex import BlockPoint, BlockStructure, _divergences
 # perfbench/tracing.py wraps these two names in this module.
 from .simplex import i_divergence, i_divergence_blocks  # noqa: F401
 
@@ -139,17 +139,10 @@ class Trace:
 def _support_residual(g: np.ndarray, x: np.ndarray, structure: BlockStructure) -> float:
     """max_i max_j |g_j/(a_j x_j) - m_i| / (m_i + 1) over coordinates with
     x_j > 0.  Agrees with criticality_residual on interior points."""
-    w = structure.weights
-    worst = 0.0
-    for sl in structure.slices:
-        gb = g[sl]
-        xb = x[sl]
-        m = float(np.sum(gb))
-        pos = xb > 0.0
-        dev = np.abs(gb[pos] / (w[sl][pos] * xb[pos]) - m)
-        r = float(np.max(dev)) / (m + 1.0) if dev.size else 0.0
-        worst = max(worst, r)
-    return worst
+    m = structure.sums(g)[structure.index]
+    pos = x > 0.0
+    dev = np.abs(g[pos] / (structure.weights[pos] * x[pos]) - m[pos]) / (m[pos] + 1.0)
+    return float(dev.max(initial=0.0))
 
 
 def _update(point: BlockPoint, g: np.ndarray) -> tuple[BlockPoint, np.ndarray, tuple[bool, ...]]:
@@ -158,35 +151,22 @@ def _update(point: BlockPoint, g: np.ndarray) -> tuple[BlockPoint, np.ndarray, t
     s = point.structure
     x = point.x
     w = s.weights
-    x_new = np.empty_like(x)
-    masses = np.empty(s.k)
-    degenerate = []
-    for i, sl in enumerate(s.slices):
-        gb = g[sl]
-        m = float(np.sum(gb))
-        masses[i] = m
-        if m <= 0.0:
-            # No gradient signal in this block: renormalize and flag.  On a
-            # feasible input the weighted sum is 1, so this is the identity.
-            degenerate.append(True)
-            total = float(np.sum(w[sl] * x[sl]))
-            x_new[sl] = x[sl] / total
-        elif sl.stop - sl.start == 1:
-            # A single-coordinate block admits exactly one feasible point,
-            # so the update is the identity; copying avoids renormalization
-            # round-off on a point that cannot move.
-            degenerate.append(False)
-            x_new[sl] = x[sl]
-        else:
-            degenerate.append(False)
-            # Scale weights below 1/2 up by an exact power of two: subnormal
-            # ones would lose bits in the weighted sum and miss the
-            # normalization.  Without subnormals the quotient is unchanged.
-            gb = np.ldexp(gb, -min(np.frexp(gb.max())[1], 0))
-            raw = gb / w[sl]
-            total = float(np.sum(w[sl] * raw))
-            x_new[sl] = raw / total
-    return BlockPoint(x_new, s), masses, tuple(degenerate)
+    masses = s.sums(g)
+    # A block with no gradient signal is renormalized and flagged.  On a
+    # feasible input its weighted sum is 1, so this is the identity.
+    degenerate = masses <= 0.0
+    # Scale each block's weights below 1/2 up by an exact power of two:
+    # subnormal ones would lose bits in the weighted sum and miss the
+    # normalization.  Without subnormals the quotient is unchanged.
+    shift = -np.minimum(np.frexp(np.maximum.reduceat(g, s.starts))[1], 0)
+    raw = np.where(degenerate[s.index], x, np.ldexp(g, shift[s.index]) / w)
+    x_new = raw / s.sums(w * raw)[s.index]
+    # A single-coordinate block admits exactly one feasible point, so the
+    # update is the identity; copying avoids renormalization round-off on a
+    # point that cannot move.
+    keep = (np.array(s.blocks) == 1) & ~degenerate
+    x_new = np.where(keep[s.index], x, x_new)
+    return BlockPoint(x_new, s), masses, tuple(degenerate.tolist())
 
 
 def knee_jerk_step(
@@ -200,19 +180,14 @@ def knee_jerk_step(
     ``start`` is ``eval_log(expr, point.x)`` when the caller already has it,
     e.g. the previous step's ``W_new`` and ``gradient_new``; it changes nothing.
     """
-    s = point.structure
-    x = point.x
-    W, g = _eval_log_raw(expr, x) if start is None else (start.W, start.g)
+    W, g = _eval_log_raw(expr, point.x) if start is None else (start.W, start.g)
     new_point, masses, degenerate = _update(point, g)
-    bound = 0.0
-    divergence = 0.0
-    for i, sl in enumerate(s.slices):
-        # Both points are feasible (BlockPoint checked them), so the
-        # divergence needs no further validation.
-        d = _block_divergence(new_point.x[sl], x[sl], s.weights[sl])
-        if masses[i] > 0.0:
-            bound += float(masses[i]) * d
-        divergence += d
+    # Both points are feasible (BlockPoint checked them), so the divergence
+    # needs no further validation.
+    d = _divergences(new_point.x, point.x, point.structure)
+    live = masses > 0.0
+    bound = float((masses[live] * d[live]).sum())
+    divergence = float(d.sum())
     W_new, g_new = _eval_log_raw(expr, new_point.x)
     return StepResult(
         x_new=new_point,

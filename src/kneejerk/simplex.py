@@ -5,11 +5,18 @@ A ``BlockStructure`` splits ``n`` coordinates into contiguous blocks and
 attaches a positive weight to every coordinate.  Feasibility means each block
 satisfies ``sum_j a_j x_j = 1`` with nonnegative coordinates; the plain
 probability simplex is the single-block, unit-weight case.
+
+Every per-block quantity is one reduction over the whole vector.  A structure
+carries ``index``, the block of each coordinate, and ``starts``, the first
+coordinate of each block; ``BlockStructure.sums`` adds a vector up block by
+block with ``np.bincount``.  That sums each block in coordinate order, so on a
+block of fewer than 8 coordinates it equals ``np.sum`` of the block bit for
+bit; on longer blocks it may differ from ``np.sum``'s pairwise order in the
+last place.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +39,17 @@ _POINT_TOL = 1e-12
 
 @dataclass(eq=False)
 class BlockStructure:
-    """Block sizes plus per-coordinate positive weights (default all ones)."""
+    """Block sizes plus per-coordinate positive weights (default all ones).
+
+    ``index[j]`` is the block of coordinate ``j`` and ``starts[i]`` the first
+    coordinate of block ``i``.
+    """
 
     blocks: tuple[int, ...]
     weights: np.ndarray | None = None
     slices: tuple[slice, ...] = field(init=False, repr=False)
+    index: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.blocks = tuple(self.blocks)
@@ -55,12 +68,11 @@ class BlockStructure:
             if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
                 raise ValueError("weights must be finite and strictly positive")
             self.weights = w
-        out = []
-        start = 0
-        for b in self.blocks:
-            out.append(slice(start, start + b))
-            start += b
-        self.slices = tuple(out)
+        sizes = np.array(self.blocks)
+        ends = np.cumsum(sizes)
+        self.starts = ends - sizes
+        self.index = np.repeat(np.arange(len(sizes)), sizes)
+        self.slices = tuple(map(slice, self.starts.tolist(), ends.tolist()))
 
     @property
     def n(self) -> int:
@@ -69,6 +81,10 @@ class BlockStructure:
     @property
     def k(self) -> int:
         return len(self.blocks)
+
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-block sums of a length-``n`` vector, each in coordinate order."""
+        return np.bincount(self.index, weights=v, minlength=self.k)
 
     def __eq__(self, other):
         if not isinstance(other, BlockStructure):
@@ -97,18 +113,19 @@ class BlockPoint:
         s = self.structure
         if x.shape != (s.n,):
             raise ValueError(f"point must have length {s.n}, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("point coordinates must be finite")
-        if np.any(x < 0.0):
+        if (x < 0.0).any():
             i = int(np.where(x < 0.0)[0][0])
             raise ValueError(f"point coordinates must be nonnegative; x[{i}] = {x[i]}")
-        for i, sl in enumerate(s.slices):
-            total = float(np.sum(s.weights[sl] * x[sl]))
-            if abs(total - 1.0) > _POINT_TOL:
-                raise ValueError(
-                    f"block {i} weighted sum is {total!r}, violates normalization "
-                    f"beyond {_POINT_TOL}"
-                )
+        totals = s.sums(s.weights * x)
+        dev = np.abs(totals - 1.0)
+        if dev.max() > _POINT_TOL:
+            i = int(np.argmax(dev > _POINT_TOL))
+            raise ValueError(
+                f"block {i} weighted sum is {float(totals[i])!r}, violates normalization "
+                f"beyond {_POINT_TOL}"
+            )
         self.x = x
 
     @property
@@ -118,10 +135,8 @@ class BlockPoint:
 
 def barycenter(structure: BlockStructure) -> BlockPoint:
     """Center of the feasible set: ``x_j = 1 / (block_size * a_j)``."""
-    x = np.empty(structure.n)
-    for b, sl in zip(structure.blocks, structure.slices):
-        x[sl] = 1.0 / (b * structure.weights[sl])
-    return BlockPoint(x, structure)
+    sizes = np.array(structure.blocks)
+    return BlockPoint(1.0 / (sizes[structure.index] * structure.weights), structure)
 
 
 def normalize(raw, structure: BlockStructure) -> BlockPoint:
@@ -138,22 +153,25 @@ def normalize(raw, structure: BlockStructure) -> BlockPoint:
     if np.any(raw < 0.0):
         i = int(np.where(raw < 0.0)[0][0])
         raise ValueError(f"cannot normalize negative coordinates; raw[{i}] = {raw[i]}")
-    x = np.empty_like(raw)
-    for i, sl in enumerate(structure.slices):
-        total = float(np.sum(structure.weights[sl] * raw[sl]))
-        if total <= 0.0:
-            raise ValueError(f"block {i} sums to zero, cannot normalize")
-        x[sl] = raw[sl] / total
-    return BlockPoint(x, structure)
+    totals = structure.sums(structure.weights * raw)
+    empty = totals <= 0.0
+    if empty.any():
+        raise ValueError(f"block {int(np.argmax(empty))} sums to zero, cannot normalize")
+    return BlockPoint(raw / totals[structure.index], structure)
 
 
-def _block_divergence(y: np.ndarray, x: np.ndarray, w: np.ndarray) -> float:
-    # Conventions: 0*log 0 = 0; support of y outside support of x gives +inf.
+def _divergences(y: np.ndarray, x: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """Per-block ``sum_j a_j y_j log(y_j / x_j)`` of two feasible vectors.
+
+    Conventions: ``0 log 0 = 0``; ``y`` putting mass where ``x`` has none
+    makes that block's divergence ``+inf``.
+    """
     pos = y > 0.0
-    if np.any(pos & (x == 0.0)):
-        return math.inf
     yp = y[pos]
-    return float(np.sum(w[pos] * yp * np.log(yp / x[pos])))
+    terms = np.zeros(y.shape)
+    with np.errstate(divide="ignore"):
+        terms[pos] = structure.weights[pos] * yp * np.log(yp / x[pos])
+    return structure.sums(terms)
 
 
 def _unwrap_points(y, x, structure):
@@ -194,18 +212,16 @@ def i_divergence_blocks(y, x, structure: BlockStructure | None = None) -> np.nda
         raise ValueError("first argument must be finite and nonnegative")
     if np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("second argument must be finite and nonnegative")
-    w = structure.weights
-    for i, sl in enumerate(structure.slices):
-        sy = float(np.sum(w[sl] * y[sl]))
-        sx = float(np.sum(w[sl] * x[sl]))
-        if abs(sy - 1.0) > _SUM_TOL or abs(sx - 1.0) > _SUM_TOL:
-            raise ValueError(
-                f"block {i} is not normalized (weighted sums {sy!r} and {sx!r}); "
-                "divergence is only defined on the weighted simplex"
-            )
-    return np.array(
-        [_block_divergence(y[sl], x[sl], w[sl]) for sl in structure.slices]
-    )
+    sy = structure.sums(structure.weights * y)
+    sx = structure.sums(structure.weights * x)
+    bad = (np.abs(sy - 1.0) > _SUM_TOL) | (np.abs(sx - 1.0) > _SUM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"block {i} is not normalized (weighted sums {float(sy[i])!r} and "
+            f"{float(sx[i])!r}); divergence is only defined on the weighted simplex"
+        )
+    return _divergences(y, x, structure)
 
 
 def i_divergence(y, x, structure: BlockStructure | None = None) -> float:
@@ -222,22 +238,24 @@ def i_divergence(y, x, structure: BlockStructure | None = None) -> float:
     y = np.asarray(y, dtype=float)
     if structure is None:
         structure = BlockStructure((int(y.size),))
-    total = 0.0
-    for v in i_divergence_blocks(y, x, structure):
-        total += float(v)
-    return total
+    return float(np.sum(i_divergence_blocks(y, x, structure)))
 
 
-def random_interior(
-    structure: BlockStructure, rng: np.random.Generator, alpha: float = 1.0
-) -> BlockPoint:
-    """Draw an interior feasible point, Dirichlet per block, rescaled by the
-    weights so each block's weighted sum is exactly one."""
-    x = np.empty(structure.n)
+def _dirichlet_rows(structure: BlockStructure, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` interior feasible points, uniform (Dirichlet) per block and
+    rescaled by the weights.  Each block is drawn for all rows at once, in
+    block order."""
+    out = np.empty((rows, structure.n))
     for b, sl in zip(structure.blocks, structure.slices):
-        p = rng.dirichlet(np.full(b, alpha))
+        p = rng.dirichlet(np.ones(b), size=rows)
         # Guard against exact zeros from gamma underflow in extreme draws.
         p = np.clip(p, 1e-300, None)
-        p = p / p.sum()
-        x[sl] = p / structure.weights[sl]
-    return BlockPoint(x, structure)
+        p = p / p.sum(axis=1, keepdims=True)
+        out[:, sl] = p / structure.weights[sl]
+    return out
+
+
+def random_interior(structure: BlockStructure, rng: np.random.Generator) -> BlockPoint:
+    """Draw an interior feasible point, Dirichlet per block, rescaled by the
+    weights so each block's weighted sum is exactly one."""
+    return BlockPoint(_dirichlet_rows(structure, rng, 1)[0], structure)

@@ -14,6 +14,7 @@ from kneejerk import (
     IterationConfig,
     Pow,
     Prod,
+    SparsePolynomial,
     StepResult,
     Sum,
     Var,
@@ -24,6 +25,7 @@ from kneejerk import (
     i_divergence_blocks,
     iterate,
     knee_jerk_step,
+    normalize,
     polynomial_to_expression,
 )
 from kneejerk import mapping
@@ -175,6 +177,16 @@ class TestStep:
         assert res.degenerate == (False,)
         assert res.x_new.x[0] == 0.0
         assert abs(weight * res.x_new.x[1] - 1.0) <= 1e-15
+        # The same block after one with normal gradient mass: the rescale is
+        # per block, so the other block's larger maximum must not mask it.
+        s = BlockStructure((2, 2), [1.0, 1.0, 1.0, weight])
+        x = BlockPoint(np.array([0.5, 0.5, 0.5, 0.5 / weight]), s)
+        tail = Sum((Const(1.0), Prod((Const(3e-316), Var(3)))))
+        res = knee_jerk_step(Prod((Var(0), tail)), x)
+        assert res.degenerate == (False, False)
+        assert res.masses[0] == 1.0 and 0.0 < res.masses[1] < 1e-300
+        assert res.x_new.x.tolist()[:3] == [1.0, 0.0, 0.0]
+        assert abs(weight * res.x_new.x[3] - 1.0) <= 1e-15
 
     def test_given_start_evaluation_changes_nothing(self):
         rng = np.random.default_rng(54)
@@ -366,6 +378,99 @@ class TestIterate:
             if r < 1e-10:
                 n_small += 1
         assert n_small >= 3  # the manufactured fixed points actually count
+
+
+def _loop_divergence(y, x, w):
+    """One block's divergence, as the per-block loops computed it."""
+    pos = y > 0.0
+    if np.any(pos & (x == 0.0)):
+        return math.inf
+    yp = y[pos]
+    return float(np.sum(w[pos] * yp * np.log(yp / x[pos])))
+
+
+def _loop_step(x, g, structure):
+    """The update, its certificate and the residual at ``x``, block by block
+    with ``np.sum``: the formulation the segment sums replaced."""
+    w = structure.weights
+    x_new = np.empty_like(x)
+    masses = np.empty(structure.k)
+    degenerate = []
+    for i, sl in enumerate(structure.slices):
+        gb = g[sl]
+        m = float(np.sum(gb))
+        masses[i] = m
+        if m <= 0.0:
+            degenerate.append(True)
+            x_new[sl] = x[sl] / float(np.sum(w[sl] * x[sl]))
+        elif sl.stop - sl.start == 1:
+            degenerate.append(False)
+            x_new[sl] = x[sl]
+        else:
+            degenerate.append(False)
+            gb = np.ldexp(gb, -min(np.frexp(gb.max())[1], 0))
+            raw = gb / w[sl]
+            x_new[sl] = raw / float(np.sum(w[sl] * raw))
+    bound = 0.0
+    divergence = 0.0
+    residual = 0.0
+    for i, sl in enumerate(structure.slices):
+        d = _loop_divergence(x_new[sl], x[sl], w[sl])
+        if masses[i] > 0.0:
+            bound += float(masses[i]) * d
+        divergence += d
+        pos = x[sl] > 0.0
+        dev = np.abs(g[sl][pos] / (w[sl][pos] * x[sl][pos]) - masses[i])
+        if dev.size:
+            residual = max(residual, float(np.max(dev)) / (masses[i] + 1.0))
+    return x_new, masses, tuple(degenerate), bound, divergence, residual
+
+
+class TestSegmentSumsMatchBlockLoops:
+    def _cases(self, rng, count):
+        """Random structures (some with blocks of 8 or more coordinates),
+        polynomials with a constant term so the objective never vanishes,
+        optionally no dependence on one block (a zero-gradient block) and
+        boundary zeros in the point."""
+        for c in range(count):
+            st = random_structure(rng, max_n=6 if c % 2 else 20, max_blocks=4)
+            x = interior_point(rng, st).x
+            if c % 3 == 0:
+                x = x * (rng.random(st.n) < 0.7)
+                for sl in st.slices:
+                    if not np.any(x[sl]):
+                        x[sl.start] = 1.0
+                x = normalize(x, st).x
+            terms = list(random_polynomial(rng, st.n, max_terms=10).terms)
+            if c % 4 == 1:
+                sl = st.slices[int(rng.integers(st.k))]
+                terms = [t for t in terms if not any(t[1][sl])]
+            terms.append((1.0, (0,) * st.n))
+            poly = SparsePolynomial(st.n, tuple(terms))
+            yield st, polynomial_to_expression(poly), BlockPoint(x, st)
+
+    def test_bit_equal_below_8_coordinates_and_within_1e_15_otherwise(self):
+        rng = np.random.default_rng(707)
+        seen = {"singleton": 0, "degenerate": 0, "boundary": 0, "long": 0, "short": 0}
+        for st, expr, x in self._cases(rng, 200):
+            res = knee_jerk_step(expr, x)
+            got = (
+                res.x_new.x, res.masses, res.degenerate, res.bound, res.divergence,
+                mapping._support_residual(res.gradient, x.x, st),
+            )
+            ref = _loop_step(x.x, res.gradient, st)
+            short = max(st.blocks) < 8
+            assert got[2] == ref[2]
+            for a, b in zip(got[:2] + got[3:], ref[:2] + ref[3:]):
+                if short:
+                    assert np.array_equal(a, b)
+                else:
+                    assert_allclose(a, b, rtol=1e-15, atol=0)
+            seen["singleton"] += 1 in st.blocks
+            seen["degenerate"] += any(res.degenerate)
+            seen["boundary"] += not x.interior
+            seen["long" if not short else "short"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestTrace:

@@ -25,6 +25,21 @@ class TestBlockStructure:
         assert s.k == 2
         assert s.slices == (slice(0, 2), slice(2, 5))
         assert np.array_equal(s.weights, np.ones(5))
+        assert s.index.tolist() == [0, 0, 1, 1, 1]
+        assert s.starts.tolist() == [0, 2]
+
+    def test_sums_match_np_sum_on_short_blocks(self):
+        # bincount adds each block in coordinate order, which is np.sum's
+        # order below 8 terms.
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            s = random_structure(rng, max_n=12, max_blocks=4)
+            v = rng.uniform(0.0, 1.0, s.n) * 10.0 ** rng.integers(-8, 8, s.n)
+            expected = [np.sum(v[sl]) for sl in s.slices]
+            if max(s.blocks) < 8:
+                assert s.sums(v).tolist() == expected
+            else:
+                assert_allclose(s.sums(v), expected, rtol=1e-15, atol=0)
 
     def test_rejects_empty_or_nonpositive_blocks(self):
         with pytest.raises(ValueError):
@@ -81,6 +96,27 @@ class TestBlockPoint:
         with pytest.raises(ValueError):
             # total mass 2 but unevenly split across blocks
             BlockPoint(np.array([0.7, 0.5, 0.3, 0.5]), s)
+
+
+class TestFirstBadBlockIsNamed:
+    # Blocks 1 and 2 are both bad; the message names block 1.
+    S = BlockStructure((2, 3, 2))
+
+    def test_block_point(self):
+        with pytest.raises(ValueError, match="block 1 weighted sum"):
+            BlockPoint(np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.2, 0.2]), self.S)
+
+    def test_normalize(self):
+        with pytest.raises(ValueError, match="block 1 sums to zero"):
+            normalize(np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]), self.S)
+
+    def test_i_divergence_blocks(self):
+        x = barycenter(self.S).x
+        y = np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.2, 0.2])
+        with pytest.raises(ValueError, match="block 1 is not normalized"):
+            i_divergence_blocks(y, x, self.S)
+        with pytest.raises(ValueError, match="block 1 is not normalized"):
+            i_divergence_blocks(x, y, self.S)
 
 
 class TestBarycenter:

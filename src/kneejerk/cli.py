@@ -27,7 +27,6 @@ reached, 2 input error (including an expression nested too deeply to parse),
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -163,6 +162,12 @@ def parse_problem(text: str) -> Problem:
         isinstance(blocks, list) and blocks,
         "blocks: must be a nonempty list of positive integers",
     )
+    if declared_n is not None and all(type(b) is int and b > 0 for b in blocks):
+        # Before BlockStructure allocates per-coordinate arrays of that size.
+        _require(
+            sum(blocks) == declared_n,
+            f"blocks: sum to {sum(blocks)} but the objective declares {declared_n} variables",
+        )
     weights = data.get("weights")
     if weights is not None:
         _require(_is_number_list(weights), "weights: must be a list of positive numbers")
@@ -172,12 +177,7 @@ def parse_problem(text: str) -> Problem:
         raise ValueError(f"blocks/weights: {err}") from None
 
     n = structure.n
-    if declared_n is not None:
-        _require(
-            declared_n == n,
-            f"blocks: sum to {n} but the objective declares {declared_n} variables",
-        )
-    else:
+    if declared_n is None:
         _require(
             expr.n_vars <= n,
             f"blocks: sum to {n} but the expression references variable {expr.n_vars - 1}",
@@ -220,14 +220,14 @@ def run_optimize(problem: Problem, out_dir: Path | None = None) -> tuple[Trace, 
     """Iterate from the problem's init point; return the trace and summary,
     optionally writing ``trace.csv`` and ``summary.json``."""
     trace = iterate(problem.expression, problem.init, problem.config)
+    s = problem.structure
+    g = trace.gradient_final
     summary = {
         "status": trace.status,
         "iterations": trace.iterations,
         "W": float(trace.W_final),
         "terminal_point": [float(v) for v in trace.x_final.x],
-        "residual": float(
-            _support_residual(trace.gradient_final, trace.x_final.x, problem.structure)
-        ),
+        "residual": float(_support_residual(g, trace.x_final.x, s, s.sums(g))),
     }
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -315,45 +315,27 @@ def run_verify(
     return report
 
 
-def _simplex_counts(total: int, k: int) -> np.ndarray:
-    """Nonnegative integer k-vectors summing to total, lexicographic, one per
-    row: stars and bars, whose bar positions ``itertools.combinations`` lists
-    in the same order."""
-    m = math.comb(total + k - 1, k - 1)
-    bars = itertools.chain.from_iterable(itertools.combinations(range(total + k - 1), k - 1))
-    bars = np.fromiter(bars, np.int64, m * (k - 1)).reshape(m, k - 1)
-    counts = np.diff(bars, axis=1, prepend=-1, append=total + k - 1)
-    counts -= 1
-    return counts
+def _compositions(r: np.ndarray, total: int, tables, out: np.ndarray) -> None:
+    """Write into each row of ``out`` the composition of ``total`` into
+    ``out.shape[1]`` parts whose rank in lexicographic order is that row's
+    entry of ``r``.
 
-
-def _simplex_chunks(total: int, k: int, rows: int):
-    """The rows of ``_simplex_counts(total, k)`` in order, at most ``rows`` at
-    a time, never building a larger table: a grid too big is split on its
-    leading coordinate."""
-    if math.comb(total + k - 1, k - 1) <= rows:
-        yield _simplex_counts(total, k)
-    elif k == 2:
-        for lo in range(0, total + 1, rows):
-            head = np.arange(lo, min(lo + rows, total + 1))
-            yield np.column_stack((head, total - head))
-    else:
-        for head in range(total + 1):
-            for rest in _simplex_chunks(total - head, k - 1, rows):
-                yield np.column_stack((np.full(len(rest), head), rest))
-
-
-def _product(tables) -> np.ndarray:
-    """Rows of the product of count tables, the first table varying slowest,
-    each table written once into the output by broadcasting."""
-    tables = list(tables)
-    out = np.empty((math.prod(map(len, tables)), sum(t.shape[1] for t in tables)), np.int64)
-    outer, col = 1, 0
-    for t in tables:
-        m, w = t.shape
-        out.reshape(outer, m, -1, out.shape[1])[..., col : col + w] = t[:, None, :]
-        outer, col = outer * m, col + w
-    return out
+    ``tables[m][s]`` counts the compositions of ``s`` into ``m`` parts, for
+    ``m`` of 3 up to the width of ``out``.  With ``t`` left over ``m`` parts,
+    a leading part ``h`` is preceded by the ``tables[m][t] - tables[m][t - h]``
+    compositions with a smaller one; the last two parts split in closed form.
+    """
+    t = total
+    width = out.shape[1]
+    for j in range(width - 2):
+        table = tables[width - j]
+        s = np.searchsorted(table, table[t] - r)
+        r = r - (table[t] - table[s])
+        out[:, j] = t - s
+        t = s
+    if width > 1:
+        out[:, -2] = r
+    out[:, -1] = t - r
 
 
 def _grid_batches(structure: BlockStructure, resolution: int):
@@ -361,30 +343,27 @@ def _grid_batches(structure: BlockStructure, resolution: int):
     lexicographic order (within each block, blocks in order), every array
     ``_ORACLE_BATCH`` rows but the last.
 
-    The trailing blocks whose grid fits one batch (the tail) are built once.
-    The block before them is cut into chunks that, times the tail, fit one
-    batch, and the blocks before that are walked one prefix at a time: each
-    prefix is followed by more than a batch of points, so a grid under the
-    guard has fewer than ``_ORACLE_POINT_GUARD / _ORACLE_BATCH`` of them.
-    Memory stays within a few batches for any grid under the guard."""
+    Each batch is computed from its ranks: a rank splits by ``divmod`` into
+    one index per block, the first block varying slowest, and each index
+    maps to its composition by ``_compositions``.  Memory is one batch plus
+    the count tables, which are built only for blocks of 3 or more
+    coordinates; their entries stay at or below the grid size, so under the
+    guard the int64 arithmetic is exact."""
     blocks = structure.blocks
     sizes = [math.comb(resolution + b - 1, b - 1) for b in blocks]
-    lead = len(blocks) - 1
-    while lead and math.prod(sizes[lead:]) <= _ORACLE_BATCH:
-        lead -= 1
-    tail = _product(_simplex_counts(resolution, b) for b in blocks[lead + 1 :])
-    prefixes = _product(_simplex_counts(resolution, b) for b in blocks[:lead])
-    pending, rows = [], 0
-    for prefix in prefixes:
-        for chunk in _simplex_chunks(resolution, blocks[lead], _ORACLE_BATCH // len(tail)):
-            pending.append(_product((prefix[None], chunk, tail)))
-            rows += len(pending[-1])
-            if rows >= _ORACLE_BATCH:  # each piece is at most one batch
-                counts = np.concatenate(pending)
-                yield counts[:_ORACLE_BATCH]
-                pending, rows = [counts[_ORACLE_BATCH:]], rows - _ORACLE_BATCH
-    if rows:
-        yield np.concatenate(pending) if len(pending) > 1 else pending[0]
+    tables = {}
+    if max(blocks) > 2:
+        tables[3] = np.cumsum(np.arange(1, resolution + 2, dtype=np.int64))
+        for m in range(4, max(blocks) + 1):
+            tables[m] = np.cumsum(tables[m - 1])
+    size = math.prod(sizes)
+    for lo in range(0, size, _ORACLE_BATCH):
+        rank = np.arange(lo, min(lo + _ORACLE_BATCH, size), dtype=np.int64)
+        counts = np.empty((len(rank), structure.n), np.int64)
+        for sl, block_size in zip(structure.slices[::-1], sizes[::-1]):
+            rank, r = np.divmod(rank, block_size)
+            _compositions(r, resolution, tables, counts[:, sl])
+        yield counts
 
 
 def _grid_size(structure: BlockStructure, resolution: int) -> int:

@@ -159,8 +159,10 @@ def verify_argmax_property(
     The update maximizes the tangent-plane bound over the feasible set, so
     ``tangent_lower_bound(expr, x, x')`` must be at least the bound at every
     competitor (within 1e-9).  Competitors are drawn Dirichlet-style per
-    block and rescaled by the weights.
+    block and rescaled by the weights.  ``samples`` must be at least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if not point.interior:
         raise ValueError("the argmax check needs an interior base point")
     x = point.x

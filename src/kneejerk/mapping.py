@@ -136,10 +136,13 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _support_residual(g: np.ndarray, x: np.ndarray, structure: BlockStructure) -> float:
+def _support_residual(
+    g: np.ndarray, x: np.ndarray, structure: BlockStructure, masses: np.ndarray
+) -> float:
     """max_i max_j |g_j/(a_j x_j) - m_i| / (m_i + 1) over coordinates with
-    x_j > 0.  Agrees with criticality_residual on interior points."""
-    m = structure.sums(g)[structure.index]
+    x_j > 0, given the block masses ``m = structure.sums(g)``.  Agrees with
+    criticality_residual on interior points."""
+    m = masses[structure.index]
     pos = x > 0.0
     dev = np.abs(g[pos] / (structure.weights[pos] * x[pos]) - m[pos]) / (m[pos] + 1.0)
     return float(dev.max(initial=0.0))
@@ -211,7 +214,8 @@ def criticality_residual(expr: KneeJerkExpr, point: BlockPoint) -> float:
     if not point.interior:
         raise ValueError("criticality residual requires an interior point")
     _, g = _eval_log_raw(expr, point.x)
-    return _support_residual(g, point.x, point.structure)
+    s = point.structure
+    return _support_residual(g, point.x, s, s.sums(g))
 
 
 def iterate(
@@ -235,7 +239,7 @@ def iterate(
     start = None
     for k in range(1, cfg.max_iters + 1):
         res = knee_jerk_step(expr, x, start=start)
-        r0 = _support_residual(res.gradient, x.x, s)
+        r0 = _support_residual(res.gradient, x.x, s, res.masses)
         last = TraceRecord(k, res.W_new, res.bound, res.divergence, r0)
         last_recorded = k % cfg.trace_stride == 0
         if last_recorded:

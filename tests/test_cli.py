@@ -323,10 +323,14 @@ def _grid_reference(blocks, resolution):
 
 
 class TestGridBatches:
-    # A batch of 7 rows sends small grids through every path of the
-    # generator: the prefix walk, the chunked block and its leading split.
+    # Every batch is unranked on its own: a batch of 7 rows puts batch
+    # boundaries inside blocks of every width, so the rank split across
+    # blocks, the count-table search of blocks of 3 or more coordinates and
+    # the closed-form split of the last two must all resume mid-block.
     @pytest.mark.parametrize("batch", [2**16, 7])
-    @pytest.mark.parametrize("blocks", [[1], [2], [1, 4, 2], [3, 1, 2], [2, 2, 2], [10]])
+    @pytest.mark.parametrize(
+        "blocks", [[1], [2], [1, 4, 2], [3, 1, 2], [2, 2, 2], [10], [3, 3], [4, 3]]
+    )
     def test_matches_the_lexicographic_reference(self, blocks, batch, monkeypatch):
         monkeypatch.setattr(cli, "_ORACLE_BATCH", batch)
         batches = list(cli._grid_batches(BlockStructure(blocks), 9))
@@ -342,18 +346,22 @@ class TestGridBatches:
         head = np.arange(resolution + 1)
         assert np.array_equal(np.concatenate(batches), np.column_stack((head, resolution - head)))
 
-    def test_first_batch_is_built_lazily(self):
-        s = BlockStructure([3])
-        assert cli._grid_size(s, 14000) < cli._ORACLE_POINT_GUARD  # about 98M points
+    # Grids at the guard: a 3-coordinate block at 14000 (about 98M points) and
+    # the largest 2-coordinate grid under it, at 99 999 999 (1e8 points).
+    @pytest.mark.parametrize("blocks, resolution", [([3], 14000), ([2], 99_999_999)])
+    def test_first_batch_is_built_lazily(self, blocks, resolution):
+        s = BlockStructure(blocks)
+        assert cli._grid_size(s, resolution) <= cli._ORACLE_POINT_GUARD
         tracemalloc.start()
         try:
-            first = next(cli._grid_batches(s, 14000))
+            first = next(cli._grid_batches(s, resolution))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(first[:3], [[0, 0, 14000], [0, 1, 13999], [0, 2, 13998]])
-        assert first.shape == (65536, 3)
-        assert peak < 16 * 2**20  # the whole grid would take 2.4 GB
+        lead = [0] * (s.n - 2)
+        assert first[:3].tolist() == [lead + [i, resolution - i] for i in range(3)]
+        assert first.shape == (65536, s.n)
+        assert peak < 16 * 2**20  # the whole grid would take 1.6 GB or more
 
 
 class TestMain:
@@ -394,6 +402,17 @@ class TestMain:
         code = main(["optimize", "--problem", prob])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_oversized_blocks_exit_two_before_allocating(self, tmp_path, capsys):
+        # 10^15 coordinates would need petabytes: the count is checked first.
+        text = (
+            '{"expression": {"polynomial": {"n": 2, "terms": [{"c": 1.0, "e": [1, 1]}]}},'
+            ' "blocks": [1000000000000000], "init": "barycenter"}'
+        )
+        code = main(["optimize", "--problem", self._write(tmp_path, "p.json", text)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "blocks: sum to 1000000000000000 but the objective declares 2 variables" in err
 
     def test_over_deep_expression_exit_two(self, tmp_path, capsys):
         depth = 1000

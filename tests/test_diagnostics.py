@@ -208,6 +208,12 @@ class TestArgmaxProperty:
                 Sum((Var(0), Var(1))), point, samples=10, rng=np.random.default_rng(0)
             )
 
+    def test_rejects_zero_competitors(self):
+        point = BlockPoint(np.array([0.5, 0.5]), BlockStructure((2,)))
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="samples"):
+                verify_argmax_property(dlr_expression(), point, bad, np.random.default_rng(0))
+
     def test_one_evaluation_per_call(self, monkeypatch):
         calls = []
         for module in (expr_module, mapping):

@@ -298,6 +298,28 @@ class TestIterate:
         assert trace.iterations > 1
         assert len(calls) == trace.iterations + 1
 
+    def test_residual_reuses_the_step_masses(self, monkeypatch):
+        # The trace's residual takes the block masses the step computed, so
+        # iterating adds no block sums to those of the steps themselves.
+        x = barycenter(BlockStructure((2, 3)))
+        expr = polynomial_to_expression(
+            SparsePolynomial(5, ((1.0, (1, 0, 1, 0, 0)), (2.0, (0, 1, 0, 1, 1))))
+        )
+        calls = []
+        real = BlockStructure.sums
+
+        def counted(self, v):
+            calls.append(1)
+            return real(self, v)
+
+        monkeypatch.setattr(BlockStructure, "sums", counted)
+        knee_jerk_step(expr, x)
+        per_step = len(calls)
+        calls.clear()
+        trace = iterate(expr, x, IterationConfig(max_iters=4, tol_div=0.0, tol_w=-1.0))
+        assert trace.iterations == 4
+        assert len(calls) == 4 * per_step
+
     def test_trace_carries_the_terminal_gradient(self):
         rng = np.random.default_rng(55)
         for _ in range(10):
@@ -456,7 +478,7 @@ class TestSegmentSumsMatchBlockLoops:
             res = knee_jerk_step(expr, x)
             got = (
                 res.x_new.x, res.masses, res.degenerate, res.bound, res.divergence,
-                mapping._support_residual(res.gradient, x.x, st),
+                mapping._support_residual(res.gradient, x.x, st, res.masses),
             )
             ref = _loop_step(x.x, res.gradient, st)
             short = max(st.blocks) < 8

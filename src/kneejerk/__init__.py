@@ -6,6 +6,7 @@ from .expr import (
     Const,
     KneeJerkExpr,
     LogEval,
+    MatrixPolynomial,
     Pow,
     Prod,
     SparsePolynomial,
@@ -66,7 +67,7 @@ from .cli import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KneeJerkExpr", "Var", "Const", "Sum", "Prod", "Pow", "LogEval",
+    "KneeJerkExpr", "Var", "Const", "Sum", "Prod", "Pow", "MatrixPolynomial", "LogEval",
     "SparsePolynomial", "construct_expression", "expression_to_json_dict",
     "polynomial_to_expression", "eval_log", "hessian_log_u",
     "BlockStructure", "BlockPoint", "barycenter", "normalize",

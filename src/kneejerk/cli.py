@@ -42,9 +42,10 @@ from .diagnostics import (
     verify_argmax_property,
     verify_step_inequality,
 )
-from .discriminant import Graph, discriminant_polynomial
+from .discriminant import Graph, _tree_monomials, discriminant_polynomial
 from .expr import (
     KneeJerkExpr,
+    MatrixPolynomial,
     SparsePolynomial,
     construct_expression,
     expression_to_json_dict,
@@ -69,6 +70,7 @@ __all__ = [
 _ORACLE_POINT_GUARD = 10**8
 _ORACLE_BATCH = 2**16  # grid points scored per _eval_log_values call
 _TOO_DEEP = "expression: nested too deeply to parse"
+_TOO_MANY = "blocks: sum to {} coordinates, too many to allocate"
 _ARGMAX_COMPETITORS = 1000
 
 
@@ -116,10 +118,21 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(type(v) in (int, float) for v in value)
 
 
+def _matrix_form(exponents, coefficients, tree) -> KneeJerkExpr:
+    """The objective as a :class:`MatrixPolynomial`, or as the tree that
+    ``tree()`` builds when its exponents are too large for the matrix form."""
+    try:
+        return MatrixPolynomial(exponents, coefficients)
+    except (ValueError, OverflowError):  # the inputs are valid: only the guards fail
+        return tree()
+
+
 def parse_problem(text: str) -> Problem:
     """Parse and validate a problem from JSON text.
 
-    Raises ValueError naming the offending field on any schema violation.
+    Polynomial and graph sources become a :class:`MatrixPolynomial` (an
+    expression tree if their exponents are too large for it).  Raises
+    ValueError naming the offending field on any schema violation.
     """
     try:
         data = json.loads(text)
@@ -145,12 +158,19 @@ def parse_problem(text: str) -> Problem:
         _require(set(src) == {"polynomial"}, "expression: 'polynomial' must be the only key")
         poly = SparsePolynomial.from_json_dict(src["polynomial"], path="expression.polynomial")
         declared_n = poly.n
-        expr = polynomial_to_expression(poly)
+        expr = _matrix_form(
+            [e for _, e in poly.terms],
+            [c for c, _ in poly.terms],
+            lambda: polynomial_to_expression(poly),
+        )
     elif "graph" in src:
         _require(set(src) == {"graph"}, "expression: 'graph' must be the only key")
         graph = Graph.from_json_dict(src["graph"], path="expression.graph")
         declared_n = graph.n_vars
-        expr = polynomial_to_expression(discriminant_polynomial(graph))
+        expr = _matrix_form(
+            *_tree_monomials(graph),
+            lambda: polynomial_to_expression(discriminant_polynomial(graph)),
+        )
     else:
         raise ValueError(
             "expression: must be an inline tree ({'op': ...}), {'polynomial': ...}, "
@@ -175,6 +195,8 @@ def parse_problem(text: str) -> Problem:
         structure = BlockStructure(tuple(blocks), None if weights is None else np.asarray(weights, dtype=float))
     except (ValueError, TypeError) as err:
         raise ValueError(f"blocks/weights: {err}") from None
+    except MemoryError:
+        raise ValueError(_TOO_MANY.format(sum(blocks))) from None
 
     n = structure.n
     if declared_n is None:
@@ -185,7 +207,10 @@ def parse_problem(text: str) -> Problem:
 
     init = data["init"]
     if init == "barycenter":
-        init_point = barycenter(structure)
+        try:
+            init_point = barycenter(structure)
+        except MemoryError:
+            raise ValueError(_TOO_MANY.format(n)) from None
     else:
         _require(_is_number_list(init), "init: must be a list of numbers or \"barycenter\"")
         try:
@@ -207,9 +232,17 @@ def parse_problem(text: str) -> Problem:
 
 def serialize_problem(problem: Problem) -> dict:
     """JSON form of a problem; parsing it back reproduces the problem
-    structurally (graph/polynomial sources are resolved to the expression)."""
+    structurally.  A :class:`MatrixPolynomial` (what a polynomial or graph
+    source parses to) is written as ``{"polynomial": ...}`` over all
+    ``structure.n`` variables, so a graph source comes back as its
+    discriminant polynomial; any other objective as its expression tree."""
+    e = problem.expression
+    if type(e) is MatrixPolynomial:
+        expression = {"polynomial": e.to_polynomial(problem.structure.n).to_json_dict()}
+    else:
+        expression = expression_to_json_dict(e)
     return {
-        "expression": expression_to_json_dict(problem.expression),
+        "expression": expression,
         **problem.structure.to_json_dict(),
         "init": [float(v) for v in problem.init.x],
         "config": asdict(problem.config),

@@ -9,11 +9,17 @@ Two independent evaluation routes are kept deliberately separate so they can
 cross-check each other: explicit enumeration of spanning trees (exponential,
 guarded) and the weighted-Laplacian cofactor (matrix-tree), which for integer
 weights uses exact fraction-free elimination.
+
+Enumeration works on integer arrays.  The (V-1)-edge subsets are unranked in
+lexicographic order, a fixed number per chunk, and each chunk is tested for
+cycles by a vectorized union-find that relabels components edge by edge; the
+surviving subsets are the spanning trees.  :func:`_tree_monomials` turns them
+into the discriminant's exponent rows, which :func:`kneejerk.cli.parse_problem`
+hands straight to :class:`kneejerk.expr.MatrixPolynomial`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +38,8 @@ __all__ = [
 # Enumeration is Theta(C(E, V-1)); past this many edges callers should use the
 # matrix-tree route instead.
 _MAX_ENUM_EDGES = 24
+# Edge subsets tested per chunk: at most a few MB of working arrays.
+_SUBSET_CHUNK = 2**14
 
 
 @dataclass(eq=False)
@@ -124,6 +132,65 @@ class Graph:
         return {"vertices": self.vertices, "edges": [list(e) for e in self.edges]}
 
 
+def _subsets(m: int, k: int):
+    """The k-subsets of ``range(m)`` as int64 arrays of shape ``(rows, k)``,
+    in lexicographic order, every array ``_SUBSET_CHUNK`` rows but the last.
+
+    Each chunk is computed from its ranks.  ``below[j, a]`` counts the ways
+    to fill positions ``j`` to ``k - 1`` with increasing elements, the first
+    one below ``a``.  After element ``p`` at position ``j - 1``, the
+    completions are ranked from ``below[j, p + 1]`` on, so element ``j`` is
+    the largest ``a`` with ``below[j, a] <= r + below[j, p + 1]``, where ``r``
+    is the rank left within the prefix."""
+    below = np.zeros((k, m + 1), np.int64)
+    for j in range(k):
+        below[j, 1:] = np.cumsum([math.comb(m - 1 - a, k - 1 - j) for a in range(m)])
+    total = math.comb(m, k)
+    for lo in range(0, total, _SUBSET_CHUNK):
+        r = np.arange(lo, min(lo + _SUBSET_CHUNK, total), dtype=np.int64)
+        out = np.empty((len(r), k), np.int64)
+        first = np.zeros(len(r), np.int64)  # smallest element allowed next
+        for j in range(k):
+            r += below[j, first]
+            out[:, j] = np.searchsorted(below[j], r, side="right") - 1
+            r -= below[j, out[:, j]]
+            first = out[:, j] + 1
+        yield out
+
+
+def _acyclic(ends: np.ndarray, vertices: int, subsets: np.ndarray) -> np.ndarray:
+    """The rows of ``subsets`` (edge positions) whose edges close no cycle.
+
+    Union-find on integer arrays: row ``i`` of ``comp`` labels the component
+    of each vertex.  Edge by edge, a row whose edge joins two vertices with
+    the same label fails, and every row relabels one endpoint's component to
+    the other's.  Labels are vertices, at most 25 under the edge guard."""
+    comp = np.tile(np.arange(vertices, dtype=np.int8), (len(subsets), 1))
+    flat = comp.reshape(-1)
+    base = np.arange(len(subsets)) * vertices
+    ok = np.ones(len(subsets), dtype=bool)
+    for col in subsets.T:
+        cu = flat[base + ends[col, 0]]
+        cv = flat[base + ends[col, 1]]
+        ok &= cu != cv
+        np.copyto(comp, cu[:, None], where=comp == cv[:, None])
+    return subsets[ok]
+
+
+def _spanning_tree_array(graph: Graph) -> np.ndarray:
+    """Every spanning tree as a row of sorted edge positions (int64, shape
+    ``(trees, V - 1)``), in lexicographic order."""
+    m = len(graph.edges)
+    if m > _MAX_ENUM_EDGES:
+        raise ValueError(
+            f"enumeration over {m} edges is intractable (limit {_MAX_ENUM_EDGES}); "
+            "use eval_matrix_tree for large graphs"
+        )
+    ends = np.array(graph.edges, dtype=np.int64)
+    V = graph.vertices
+    return np.concatenate([_acyclic(ends, V, s) for s in _subsets(m, V - 1)])
+
+
 def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:
     """All spanning trees, as sorted tuples of edge positions.
 
@@ -131,37 +198,24 @@ def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:
     to at most 24 edges - beyond that use :func:`eval_matrix_tree`, which
     computes the same total weight without enumeration.
     """
-    m = len(graph.edges)
-    if m > _MAX_ENUM_EDGES:
-        raise ValueError(
-            f"enumeration over {m} edges is intractable (limit {_MAX_ENUM_EDGES}); "
-            "use eval_matrix_tree for large graphs"
-        )
-    V = graph.vertices
-    need = V - 1
-    trees = []
-    for combo in itertools.combinations(range(m), need):
-        parent = list(range(V))
+    return list(map(tuple, _spanning_tree_array(graph).tolist()))
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
 
-        merges = 0
-        ok = True
-        for ei in combo:
-            u, v = graph.edges[ei]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False  # cycle
-                break
-            parent[ru] = rv
-            merges += 1
-        if ok and merges == need:
-            trees.append(combo)
-    return trees
+def _tree_monomials(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The discriminant as int64 exponent rows (trees x ``graph.n_vars``) and
+    float coefficients, in :class:`SparsePolynomial`'s canonical order: rows
+    sorted lexicographically, trees with the same monomial merged into one
+    row whose coefficient counts them."""
+    trees = _spanning_tree_array(graph)
+    t, n = len(trees), graph.n_vars
+    var = np.asarray(graph.var_indices)[trees]
+    flat = (np.arange(t)[:, None] * n + var).ravel()
+    exps = np.bincount(flat, minlength=t * n).reshape(t, n)
+    exps = exps[np.lexsort(exps.T[::-1])]
+    new = np.ones(t, dtype=bool)
+    new[1:] = (exps[1:] != exps[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return exps[starts], np.diff(starts, append=t).astype(float)
 
 
 def discriminant_polynomial(graph: Graph) -> SparsePolynomial:
@@ -171,15 +225,8 @@ def discriminant_polynomial(graph: Graph) -> SparsePolynomial:
     coefficient is 1 unless edges sharing a variable index let distinct trees
     produce the same monomial.
     """
-    trees = enumerate_spanning_trees(graph)
-    n = graph.n_vars
-    terms = []
-    for tree in trees:
-        exps = [0] * n
-        for ei in tree:
-            exps[graph.var_indices[ei]] += 1
-        terms.append((1.0, tuple(exps)))
-    return SparsePolynomial(n, tuple(terms))
+    exps, coeffs = _tree_monomials(graph)
+    return SparsePolynomial(graph.n_vars, tuple(zip(coeffs.tolist(), map(tuple, exps.tolist()))))
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:

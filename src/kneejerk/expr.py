@@ -6,16 +6,18 @@ increasing, and log-log-convex on the positive orthant, so every tree built
 from these constructors is a valid objective for the multiplicative update in
 :mod:`kneejerk.mapping` by construction.
 
-Evaluation works entirely in the log domain, on a form compiled once per
-expression.  The tree's shape picks one of two forms:
+Evaluation works entirely in the log domain, in one of two forms:
 
-* A sum of monomials (the root is a sum of terms, or a single term, and each
-  term is a constant, a variable, a variable raised to a power, or a product
-  of those) compiles to an exponent matrix ``E`` (terms x variables) and the
-  vector ``log c`` of its coefficients.  With ``u = log x`` and
-  ``z = E u + log c``, ``W = logsumexp(z)`` and ``g = softmax(z) @ E``: two
-  matrix-vector products and no per-node loop.  This covers every polynomial
-  and graph discriminant.
+* The matrix form of a sum of monomials: an exponent matrix ``E`` (terms x
+  variables) and the vector ``log c`` of its coefficients.  With
+  ``u = log x`` and ``z = E u + log c``, ``W = logsumexp(z)`` and
+  ``g = softmax(z) @ E``: two matrix-vector products and no per-node loop.
+  There are two ways into it.  A :class:`MatrixPolynomial` holds it from
+  construction; :func:`kneejerk.cli.parse_problem` builds one straight from
+  every polynomial and graph source, with no tree in between.  A tree whose
+  root is a sum of terms (or a single term), each a constant, a variable, a
+  variable raised to a power, or a product of those, is compiled to it on
+  first evaluation.
 * Every other tree compiles to a flat slot tape: one forward pass computes the
   log-value of every node, one reverse pass accumulates softmax-weighted
   adjoints.
@@ -28,19 +30,19 @@ overflow: every positive finite double has ``|log x| <= 745``, so a term
 whose exponents sum to ``e`` stays within ``745 e + |log c|``.  A sum of
 monomials whose bound reaches 1e300 keeps the slot tape, which carries
 overflow through as ``inf`` or NaN where a matrix product could silently
-drop the term.
+drop the term; :class:`MatrixPolynomial` refuses it.
 
-Expressions are immutable by convention: construct them, never mutate them.
-Only the last expression's compiled form is cached, in one module-level tuple
-that each evaluation reads once and a compile replaces whole: threads never
-mix forms.
+Expressions are immutable by convention: construct them, never mutate them
+(a :class:`MatrixPolynomial`'s arrays are read-only).  Only the last tree's
+compiled form is cached, in one module-level tuple that each evaluation reads
+once and a compile replaces whole: threads never mix forms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -52,6 +54,7 @@ __all__ = [
     "Sum",
     "Prod",
     "Pow",
+    "MatrixPolynomial",
     "LogEval",
     "SparsePolynomial",
     "construct_expression",
@@ -119,8 +122,7 @@ class Sum(KneeJerkExpr):
         if not self.terms:
             raise ValueError("sum node requires at least one term")
         for t in self.terms:
-            if not isinstance(t, KneeJerkExpr):
-                raise ValueError(f"sum term must be an expression node, got {t!r}")
+            _require_child(t, "sum term")
 
     def children(self):
         return self.terms
@@ -137,8 +139,7 @@ class Prod(KneeJerkExpr):
         if not self.factors:
             raise ValueError("product node requires at least one factor")
         for f in self.factors:
-            if not isinstance(f, KneeJerkExpr):
-                raise ValueError(f"product factor must be an expression node, got {f!r}")
+            _require_child(f, "product factor")
 
     def children(self):
         return self.factors
@@ -152,8 +153,7 @@ class Pow(KneeJerkExpr):
     exponent: float
 
     def __post_init__(self):
-        if not isinstance(self.base, KneeJerkExpr):
-            raise ValueError(f"power base must be an expression node, got {self.base!r}")
+        _require_child(self.base, "power base")
         p = self.exponent
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise ValueError(f"power exponent must be a number, got {p!r}")
@@ -164,6 +164,84 @@ class Pow(KneeJerkExpr):
 
     def children(self):
         return (self.base,)
+
+
+@dataclass(eq=False)
+class MatrixPolynomial(KneeJerkExpr):
+    """A positive polynomial ``sum_r c[r] prod_i x_i ** E[r, i]`` held in the
+    matrix form it is evaluated in, with no tree.
+
+    ``E`` (terms x variables, nonnegative integer exponents) and ``c``
+    (positive coefficients) are stored as read-only float64 arrays, with
+    ``log_c`` the log of each coefficient.  Trailing variables with
+    exponent 0 in every term are dropped, so ``n_vars`` and the arrays equal
+    those :func:`polynomial_to_expression` and the tree compile give for the
+    same terms.  Raises ValueError for a polynomial whose terms could
+    overflow, or whose ``E`` would hold far more entries than nonzero
+    exponents: those keep the tree and its slot tape.
+
+    It is a leaf (no children), equality compares the arrays, and a
+    ``Sum``, ``Prod`` or ``Pow`` refuses it as a child.
+    """
+
+    E: np.ndarray
+    c: np.ndarray
+    log_c: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        E = np.array(self.E, dtype=float)
+        c = np.array(self.c, dtype=float)
+        if E.ndim != 2 or c.shape != (len(E),) or not len(E):
+            raise ValueError(
+                f"expected a (terms, variables) exponent matrix and one coefficient per "
+                f"term, got shapes {E.shape} and {c.shape}"
+            )
+        # floor(e) == |e| exactly for a nonnegative integer e, never for NaN;
+        # an infinite entry fails the guards below.
+        if (np.floor(E) != np.abs(E)).any():
+            raise ValueError("exponents must be nonnegative integers")
+        if not c.min() > 0.0:
+            raise ValueError("coefficients must be positive")
+        used = E.any(axis=0).tolist()
+        while used and not used[-1]:
+            used.pop()
+        E = np.ascontiguousarray(E[:, : len(used)])
+        log_c = np.array([math.log(v) for v in c.tolist()])
+        if not _dense_enough(E.shape, np.count_nonzero(E)) or not _overflow_safe(E, log_c):
+            raise ValueError(
+                "polynomial is too sparse or its terms could overflow the matrix form; "
+                "use polynomial_to_expression"
+            )
+        for a in (E, c, log_c):
+            a.setflags(write=False)
+        self.E, self.c, self.log_c = E, c, log_c
+
+    @property
+    def n_vars(self) -> int:
+        return self.E.shape[1]
+
+    def __eq__(self, other):
+        if type(other) is not MatrixPolynomial:
+            return NotImplemented
+        return np.array_equal(self.E, other.E) and np.array_equal(self.c, other.c)
+
+    def to_polynomial(self, n: int) -> "SparsePolynomial":
+        """The same polynomial as a :class:`SparsePolynomial` in ``n >= n_vars``
+        variables."""
+        pad = (0,) * (n - self.n_vars)
+        return SparsePolynomial(
+            n, tuple((c, tuple(map(int, e)) + pad) for c, e in zip(self.c.tolist(), self.E.tolist()))
+        )
+
+
+def _require_child(node, what: str) -> None:
+    if not isinstance(node, KneeJerkExpr):
+        raise ValueError(f"{what} must be an expression node, got {node!r}")
+    if type(node) is MatrixPolynomial:
+        raise ValueError(
+            f"{what} cannot be a MatrixPolynomial; build the polynomial as a tree "
+            "with polynomial_to_expression to nest it"
+        )
 
 
 @dataclass(eq=False)
@@ -211,12 +289,15 @@ _BATCH_TERMS = 2**16  # term values (512 KB) per chunk of a batch: stays in cach
 def _tape(expr: KneeJerkExpr) -> tuple[tuple | list, int]:
     """Compiled form of ``expr`` and 1 + its largest variable index.
 
-    The form is ``(E, log c)`` for a sum of monomials (see
-    :func:`_monomials`), else a flat slot tape: one ``(type, arg)`` per
-    distinct node, children before parents, where ``arg`` is the variable
-    index, the log of the constant, ``(base slot, exponent)`` or the tuple of
-    child slots.  The last expression's form is reused."""
+    The form is ``(E, log c)`` for a :class:`MatrixPolynomial` (its own
+    arrays, not cached) or a sum of monomials (see :func:`_monomials`), else
+    a flat slot tape: one ``(type, arg)`` per distinct node, children before
+    parents, where ``arg`` is the variable index, the log of the constant,
+    ``(base slot, exponent)`` or the tuple of child slots.  The last tree's
+    form is reused."""
     global _last_tape
+    if type(expr) is MatrixPolynomial:
+        return (expr.E, expr.log_c), expr.E.shape[1]
     last, tape, n = _last_tape  # one read: concurrent callers never mix forms
     if last is expr:
         return tape, n
@@ -272,15 +353,25 @@ def _monomials(expr: KneeJerkExpr) -> tuple[np.ndarray, np.ndarray] | None:
             else:
                 return None
     n = max(cols, default=-1) + 1
-    if len(terms) * n > 16 * len(exps) + 2**16:
+    if not _dense_enough((len(terms), n), len(exps)):
         return None
     E = np.zeros((len(terms), n))
     log_c = np.array(log_c)
     with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
         np.add.at(E, (rows, cols), exps)
-        if not E.sum(axis=1).max() * _LOG_RANGE + np.abs(log_c).max() < 1e300:
-            return None
-    return E, log_c
+    return (E, log_c) if _overflow_safe(E, log_c) else None
+
+
+def _dense_enough(shape: tuple[int, int], entries: int) -> bool:
+    """Whether a dense ``E`` of this shape holds at most about 16 times the
+    tree's ``entries`` exponents (a stray large variable index fails)."""
+    return shape[0] * shape[1] <= 16 * entries + 2**16
+
+
+def _overflow_safe(E: np.ndarray, log_c: np.ndarray) -> bool:
+    """Whether no term of ``(E, log c)`` can overflow (module docstring)."""
+    with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
+        return bool(E.sum(axis=1).max() * _LOG_RANGE + np.abs(log_c).max() < 1e300)
 
 
 def _lse_point(vs: list[float]) -> float:

@@ -102,6 +102,60 @@ def random_connected_graph(rng, min_v=2, max_v=6):
     return Graph(V, tuple(edges))
 
 
+def random_multigraph(rng, max_v=6, max_edges=12):
+    """Random connected multigraph (parallel edges likely) whose edges share
+    variable indices at random, so trees can merge into one monomial."""
+    V = int(rng.integers(2, max_v + 1))
+    edges = [(int(rng.integers(v)), v) for v in range(1, V)]
+    while len(edges) < int(rng.integers(V - 1, max_edges + 1)):
+        u, v = sorted(rng.choice(V, 2, replace=False).tolist())
+        edges.append((u, v))
+    order = rng.permutation(len(edges))
+    edges = [edges[k] for k in order]
+    var_indices = tuple(int(k) for k in rng.integers(0, len(edges), len(edges)))
+    return Graph(V, tuple(edges), var_indices=var_indices)
+
+
+def reference_spanning_trees(graph):
+    """Every spanning tree as a sorted tuple of edge positions, in
+    lexicographic order: each (V-1)-edge subset from itertools.combinations,
+    kept unless a union-find over its edges meets a cycle."""
+    import itertools
+
+    V = graph.vertices
+    trees = []
+    for combo in itertools.combinations(range(len(graph.edges)), V - 1):
+        parent = list(range(V))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for ei in combo:
+            u, v = graph.edges[ei]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                break  # cycle
+            parent[ru] = rv
+        else:
+            trees.append(combo)
+    return trees
+
+
+def reference_discriminant(graph):
+    """The spanning-tree polynomial summed tree by tree from the reference
+    enumeration; SparsePolynomial merges and orders the terms."""
+    terms = []
+    for tree in reference_spanning_trees(graph):
+        exps = [0] * graph.n_vars
+        for ei in tree:
+            exps[graph.var_indices[ei]] += 1
+        terms.append((1.0, tuple(exps)))
+    return SparsePolynomial(graph.n_vars, tuple(terms))
+
+
 def dlr_expression():
     """The worked two-variable example: x^34 * y^38 * (1 + 2x)^125."""
     return Prod(

@@ -24,7 +24,11 @@ from kneejerk import (
     run_verify,
     serialize_problem,
 )
+from kneejerk import MatrixPolynomial, SparsePolynomial, Sum, eval_log, polynomial_to_expression
 from kneejerk import cli, mapping
+from kneejerk import expr as expr_module
+from kneejerk.discriminant import Graph, discriminant_polynomial
+from generators import random_multigraph, random_polynomial
 
 INLINE_PROBLEM = """
 {
@@ -161,6 +165,70 @@ class TestParseProblem:
             assert p.structure == q.structure
             assert np.array_equal(p.init.x, q.init.x)
             assert p.config == q.config
+
+
+def _problem_text(source, n):
+    return json.dumps({"expression": source, "blocks": [n], "init": "barycenter"})
+
+
+def _assert_parses_to_the_tree_matrix_form(text, poly):
+    """parse_problem's objective against the tree route it replaced:
+    ``_monomials(polynomial_to_expression(poly))`` bit for bit, and the same
+    ``eval_log`` at random points."""
+    e = parse_problem(text).expression
+    tree = polynomial_to_expression(poly)
+    E, log_c = expr_module._monomials(tree)
+    assert type(e) is MatrixPolynomial
+    assert e.E.dtype == E.dtype and e.E.shape == E.shape
+    assert np.array_equal(e.E, E) and np.array_equal(e.log_c, log_c)
+    assert e.n_vars == tree.n_vars
+    rng = np.random.default_rng(len(poly.terms))
+    for x in rng.uniform(0.05, 1.0, (3, poly.n)):
+        a, b = eval_log(e, x), eval_log(tree, x)
+        assert a.W == b.W and np.array_equal(a.g, b.g)
+
+
+class TestMatrixFormParse:
+    """Polynomial and graph sources parse straight to a MatrixPolynomial."""
+
+    def test_graph_sources_match_the_tree_route(self):
+        rng = np.random.default_rng(40)
+        graphs = [Graph(v, tuple(itertools.combinations(range(v), 2))) for v in (2, 3, 4, 5, 6)]
+        graphs += [random_multigraph(rng) for _ in range(20)]
+        for g in graphs:
+            g = Graph(g.vertices, g.edges)  # a problem file gives each edge its own variable
+            _assert_parses_to_the_tree_matrix_form(
+                _problem_text({"graph": g.to_json_dict()}, g.n_vars), discriminant_polynomial(g))
+
+    def test_polynomial_sources_match_the_tree_route(self):
+        rng = np.random.default_rng(41)
+        polys = [random_polynomial(rng, n, max_degree=6, max_terms=12) for n in (1, 2, 3, 5, 8) * 6]
+        polys += [
+            SparsePolynomial(4, ((2.0, (1, 0, 0, 0)), (1.0, (0, 1, 0, 0)))),  # unused trailing variables
+            SparsePolynomial(3, ((3.0, (0, 0, 0)),)),  # constant
+            SparsePolynomial(3, ((0.5, (2, 0, 7)),)),  # single term
+            SparsePolynomial(2, ((1.0, (1, 1)), (1.5, (1, 1)))),  # merged duplicates
+            SparsePolynomial(2, ((1.0, (10**296, 0)), (1.0, (0, 1)))),  # just inside the guard
+        ]
+        for poly in polys:
+            source = {"polynomial": poly.to_json_dict()}
+            _assert_parses_to_the_tree_matrix_form(_problem_text(source, poly.n), poly)
+
+    def test_exponents_past_the_guard_keep_the_tree(self):
+        poly = SparsePolynomial(2, ((1.0, (10**298, 0)), (1.0, (0, 1))))
+        e = parse_problem(_problem_text({"polynomial": poly.to_json_dict()}, 2)).expression
+        assert e == polynomial_to_expression(poly)
+        assert type(expr_module._tape(e)[0]) is list  # the slot tape
+
+    def test_solves_never_compile(self, monkeypatch):
+        p = parse_problem(GRAPH_PROBLEM)
+        q = parse_problem(POLY_PROBLEM)
+        for name in ("_monomials", "_postorder"):
+            monkeypatch.setattr(expr_module, name, None)  # any compile would raise
+        last = expr_module._last_tape
+        for problem in (p, q, p):
+            run_optimize(problem)
+        assert expr_module._last_tape is last
 
 
 class TestRunOptimize:
@@ -413,6 +481,18 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "blocks: sum to 1000000000000000 but the objective declares 2 variables" in err
+
+    def test_unallocatable_inline_blocks_exit_two(self, tmp_path, capsys):
+        # An inline tree declares no variable count, so nothing bounds the
+        # allocation before it is tried; its failure is an input error.
+        text = (
+            '{"expression": {"op": "var", "index": 0},'
+            ' "blocks": [1000000000000000], "init": "barycenter"}'
+        )
+        code = main(["optimize", "--problem", self._write(tmp_path, "p.json", text)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "blocks: sum to 1000000000000000 coordinates, too many to allocate" in err
 
     def test_over_deep_expression_exit_two(self, tmp_path, capsys):
         depth = 1000

@@ -21,8 +21,12 @@ from generators import (
     naive_poly_eval,
     naive_poly_eval_int,
     random_connected_graph,
+    random_multigraph,
+    reference_discriminant,
+    reference_spanning_trees,
     triangle_graph,
 )
+from kneejerk import discriminant as discriminant_module
 
 
 class TestGraphValidation:
@@ -100,6 +104,54 @@ class TestEnumeration:
         g = Graph(2, tuple((0, 1) for _ in range(25)))
         with pytest.raises(ValueError, match="eval_matrix_tree"):
             enumerate_spanning_trees(g)
+
+
+def _reference_cases():
+    """Graphs the array enumerator is checked on against the reference."""
+    cases = [Graph(v, tuple(itertools.combinations(range(v), 2))) for v in range(2, 8)]
+    cases += [Graph(v, tuple((i, (i + 1) % v) for i in range(v))) for v in range(3, 9)]
+    cases.append(Graph(2, ((0, 1), (0, 1))))
+    cases.append(Graph(3, ((0, 1), (1, 2), (0, 1), (1, 2), (0, 2)), var_indices=(0, 0, 1, 1, 2)))
+    rng = np.random.default_rng(85)
+    cases += [random_multigraph(rng) for _ in range(40)]
+    return cases
+
+
+class TestArrayEnumeration:
+    """The chunked array enumerator against the itertools + union-find
+    reference: the same trees, in the same order."""
+
+    def test_matches_the_reference(self):
+        for g in _reference_cases():
+            assert enumerate_spanning_trees(g) == reference_spanning_trees(g)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_matches_the_reference_across_chunk_boundaries(self, monkeypatch, chunk):
+        monkeypatch.setattr(discriminant_module, "_SUBSET_CHUNK", chunk)
+        for g in _reference_cases():
+            if math.comb(len(g.edges), g.vertices - 1) > 50 * chunk:
+                continue  # keep the chunk count, and the test, small
+            assert enumerate_spanning_trees(g) == reference_spanning_trees(g)
+
+    def test_trees_are_python_int_tuples(self):
+        trees = enumerate_spanning_trees(k4_graph())
+        assert all(type(t) is tuple and all(type(e) is int for e in t) for t in trees)
+
+    def test_subsets_are_every_combination_in_order(self, monkeypatch):
+        monkeypatch.setattr(discriminant_module, "_SUBSET_CHUNK", 5)
+        for m, k in ((1, 1), (4, 1), (5, 5), (7, 3), (9, 4)):
+            chunks = list(discriminant_module._subsets(m, k))
+            assert all(len(c) == 5 for c in chunks[:-1])
+            got = [tuple(r) for c in chunks for r in c.tolist()]
+            assert got == list(itertools.combinations(range(m), k))
+
+    def test_discriminant_matches_the_reference(self):
+        for g in _reference_cases():
+            assert discriminant_polynomial(g) == reference_discriminant(g)
+
+    def test_guard_keeps_24_edges(self):
+        g = Graph(2, tuple((0, 1) for _ in range(24)))
+        assert enumerate_spanning_trees(g) == [(k,) for k in range(24)]
 
 
 class TestDiscriminantPolynomial:

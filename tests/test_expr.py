@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from kneejerk import (
     Const,
+    MatrixPolynomial,
     Pow,
     Prod,
     SparsePolynomial,
@@ -332,6 +333,76 @@ def _assert_matches_tape(e, x):
 
 def _k6_expression():
     return discriminant_expression(Graph(6, tuple(itertools.combinations(range(6), 2))))
+
+
+class TestMatrixPolynomial:
+    def test_arrays_and_variable_count(self):
+        e = MatrixPolynomial([[1, 0, 2, 0, 0], [0, 0, 1, 0, 0]], [2.0, 1.0])
+        assert e.E.dtype == np.float64 and e.E.flags.c_contiguous
+        assert e.E.tolist() == [[1.0, 0.0, 2.0], [0.0, 0.0, 1.0]]
+        assert e.log_c.tolist() == [math.log(2.0), 0.0]
+        assert e.n_vars == 3 and e.children() == ()
+        assert not (e.E.flags.writeable or e.c.flags.writeable or e.log_c.flags.writeable)
+        assert MatrixPolynomial([[0, 0]], [3.0]).n_vars == 0
+
+    def test_equality_compares_the_arrays(self):
+        a = MatrixPolynomial([[1, 1]], [2.0])
+        assert a == MatrixPolynomial([[1, 1, 0]], [2.0])
+        assert a != MatrixPolynomial([[1, 1]], [3.0])
+        assert a != MatrixPolynomial([[1, 2]], [2.0])
+        assert a != Prod((Const(2.0), Var(0), Var(1)))
+
+    @pytest.mark.parametrize(
+        "E, c, match",
+        [
+            ([1, 2], [1.0], "exponent matrix"),
+            ([[1, 2]], [1.0, 2.0], "exponent matrix"),
+            (np.zeros((0, 2)), [], "exponent matrix"),
+            ([[1, -1]], [1.0], "nonnegative integers"),
+            ([[0.5, 1]], [1.0], "nonnegative integers"),
+            ([[math.nan, 1]], [1.0], "nonnegative integers"),
+            ([[1, 1]], [0.0], "positive"),
+            ([[1, 1]], [math.nan], "positive"),
+            ([[1e300, 1]], [1.0], "overflow"),
+            ([[math.inf, 1]], [1.0], "overflow"),
+            ([[1, 1]], [math.inf], "overflow"),
+        ],
+    )
+    def test_rejects(self, E, c, match):
+        with pytest.raises(ValueError, match=match):
+            MatrixPolynomial(E, c)
+
+    def test_cannot_be_nested(self):
+        e = MatrixPolynomial([[1, 1]], [2.0])
+        for build in (lambda: Sum((e, Var(0))), lambda: Prod((Var(0), e)), lambda: Pow(e, 2.0)):
+            with pytest.raises(ValueError, match="cannot be a MatrixPolynomial"):
+                build()
+
+    def test_evaluates_like_its_tree_without_touching_the_cache(self):
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            poly = random_polynomial(rng, 4, max_degree=6, max_terms=12)
+            e = MatrixPolynomial([t for _, t in poly.terms], [c for c, _ in poly.terms])
+            tree = polynomial_to_expression(poly)
+            last = expr_module._last_tape
+            x = rng.uniform(0.0, 1.0, 5)
+            X = rng.uniform(0.0, 1.0, (6, 5))
+            try:
+                ev = expr_module._eval_log_raw(e, x)
+            except ValueError:
+                with pytest.raises(ValueError, match="vanishes"):
+                    expr_module._eval_log_raw(tree, x)
+            else:
+                ref = expr_module._eval_log_raw(tree, x)
+                assert ev[0] == ref[0] and np.array_equal(ev[1], ref[1])
+            assert np.array_equal(expr_module._eval_log_values(e, X), expr_module._eval_log_values(tree, X))
+            assert expr_module._tape(e)[0][0] is e.E
+
+    def test_to_polynomial(self):
+        poly = SparsePolynomial(4, ((3.0, (0, 2, 0, 0)), (1.5, (1, 0, 1, 0))))
+        e = MatrixPolynomial([t for _, t in poly.terms], [c for c, _ in poly.terms])
+        assert e.to_polynomial(4) == poly
+        assert e.to_polynomial(3).n == 3
 
 
 class TestMonomialForm:

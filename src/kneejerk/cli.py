@@ -118,21 +118,13 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(type(v) in (int, float) for v in value)
 
 
-def _matrix_form(exponents, coefficients, tree) -> KneeJerkExpr:
-    """The objective as a :class:`MatrixPolynomial`, or as the tree that
-    ``tree()`` builds when its exponents are too large for the matrix form."""
-    try:
-        return MatrixPolynomial(exponents, coefficients)
-    except (ValueError, OverflowError):  # the inputs are valid: only the guards fail
-        return tree()
-
-
 def parse_problem(text: str) -> Problem:
     """Parse and validate a problem from JSON text.
 
-    Polynomial and graph sources become a :class:`MatrixPolynomial` (an
-    expression tree if their exponents are too large for it).  Raises
-    ValueError naming the offending field on any schema violation.
+    Polynomial and graph sources become a :class:`MatrixPolynomial`, except
+    a polynomial whose terms could overflow it, which becomes an expression
+    tree.  Raises ValueError naming the offending field on any schema
+    violation.
     """
     try:
         data = json.loads(text)
@@ -158,19 +150,19 @@ def parse_problem(text: str) -> Problem:
         _require(set(src) == {"polynomial"}, "expression: 'polynomial' must be the only key")
         poly = SparsePolynomial.from_json_dict(src["polynomial"], path="expression.polynomial")
         declared_n = poly.n
-        expr = _matrix_form(
-            [e for _, e in poly.terms],
-            [c for c, _ in poly.terms],
-            lambda: polynomial_to_expression(poly),
-        )
+        try:
+            expr = MatrixPolynomial([e for _, e in poly.terms], [c for c, _ in poly.terms])
+        except (ValueError, OverflowError):
+            # The terms are valid, so only the guards failed: keep the tree
+            # and its slot tape.
+            expr = polynomial_to_expression(poly)
     elif "graph" in src:
         _require(set(src) == {"graph"}, "expression: 'graph' must be the only key")
         graph = Graph.from_json_dict(src["graph"], path="expression.graph")
         declared_n = graph.n_vars
-        expr = _matrix_form(
-            *_tree_monomials(graph),
-            lambda: polynomial_to_expression(discriminant_polynomial(graph)),
-        )
+        # Always within the guards: each term is a product of V - 1 distinct
+        # edge variables (at most 24), with coefficient 1.
+        expr = MatrixPolynomial(*_tree_monomials(graph))
     else:
         raise ValueError(
             "expression: must be an inline tree ({'op': ...}), {'polynomial': ...}, "

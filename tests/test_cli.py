@@ -24,7 +24,7 @@ from kneejerk import (
     run_verify,
     serialize_problem,
 )
-from kneejerk import MatrixPolynomial, SparsePolynomial, Sum, eval_log, polynomial_to_expression
+from kneejerk import MatrixPolynomial, SparsePolynomial, eval_log, polynomial_to_expression
 from kneejerk import cli, mapping
 from kneejerk import expr as expr_module
 from kneejerk.discriminant import Graph, discriminant_polynomial

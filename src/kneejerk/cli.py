@@ -155,7 +155,10 @@ def parse_problem(text: str) -> Problem:
         except (ValueError, OverflowError):
             # The terms are valid, so only the guards failed: keep the tree
             # and its slot tape.
-            expr = polynomial_to_expression(poly)
+            try:
+                expr = polynomial_to_expression(poly)
+            except ValueError as err:  # an exponent too large for a float
+                raise ValueError(f"expression.polynomial: {err}") from None
     elif "graph" in src:
         _require(set(src) == {"graph"}, "expression: 'graph' must be the only key")
         graph = Graph.from_json_dict(src["graph"], path="expression.graph")
@@ -185,7 +188,7 @@ def parse_problem(text: str) -> Problem:
         _require(_is_number_list(weights), "weights: must be a list of positive numbers")
     try:
         structure = BlockStructure(tuple(blocks), None if weights is None else np.asarray(weights, dtype=float))
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, OverflowError) as err:
         raise ValueError(f"blocks/weights: {err}") from None
     except MemoryError:
         raise ValueError(_TOO_MANY.format(sum(blocks))) from None
@@ -207,7 +210,7 @@ def parse_problem(text: str) -> Problem:
         _require(_is_number_list(init), "init: must be a list of numbers or \"barycenter\"")
         try:
             init_point = BlockPoint(np.asarray(init, dtype=float), structure)
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:
             raise ValueError(f"init: {err}") from None
 
     cfg_data = data.get("config", {})
@@ -392,10 +395,7 @@ def _grid_batches(structure: BlockStructure, resolution: int):
 
 
 def _grid_size(structure: BlockStructure, resolution: int) -> int:
-    size = 1
-    for b in structure.blocks:
-        size *= math.comb(resolution + b - 1, b - 1)
-    return size
+    return math.prod(math.comb(resolution + b - 1, b - 1) for b in structure.blocks)
 
 
 def _lipschitz_estimate(g: np.ndarray, x: np.ndarray) -> float:
@@ -466,15 +466,19 @@ def _load_problem(path: str) -> Problem:
     return parse_problem(Path(path).read_text())
 
 
+def _emit(text: str, out: str | None, name: str) -> None:
+    """Print ``text`` and, given an ``--out`` directory, also write it there
+    as ``name``."""
+    sys.stdout.write(text)
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        (Path(out) / name).write_text(text)
+
+
 def _cmd_optimize(args) -> int:
     problem = _load_problem(args.problem)
-    overrides = {}
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    if args.tol_div is not None:
-        overrides["tol_div"] = args.tol_div
-    if args.tol_w is not None:
-        overrides["tol_w"] = args.tol_w
+    flags = {k: getattr(args, k) for k in ("max_iters", "tol_div", "tol_w")}
+    overrides = {k: v for k, v in flags.items() if v is not None}
     if overrides:
         problem.config = replace(problem.config, **overrides)
     _, summary = run_optimize(problem, Path(args.out) if args.out else None)
@@ -500,12 +504,7 @@ def _cmd_verify(args) -> int:
         include_concavity=args.concavity,
         inject_negative=args.inject_negative,
     )
-    text = _dumps(report)
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "verify.json").write_text(text)
+    _emit(_dumps(report), args.out, "verify.json")
     if not report["pass"]:
         failed = [k for k, v in report.items() if isinstance(v, dict) and not v["pass"]]
         sys.stderr.write(f"verification FAILED: {', '.join(failed)}\n")
@@ -520,24 +519,14 @@ def _cmd_discriminant(args) -> int:
         raise ValueError("graph: nested too deeply to parse") from None
     graph = Graph.from_json_dict(data)
     poly = discriminant_polynomial(graph)
-    text = _dumps(poly.to_json_dict())
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "discriminant.json").write_text(text)
+    _emit(_dumps(poly.to_json_dict()), args.out, "discriminant.json")
     return 0
 
 
 def _cmd_oracle(args) -> int:
     problem = _load_problem(args.problem)
     result = run_oracle(problem, args.resolution)
-    text = _dumps(result.to_json_dict())
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "oracle.json").write_text(text)
+    _emit(_dumps(result.to_json_dict()), args.out, "oracle.json")
     return 0
 
 

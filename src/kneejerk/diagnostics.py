@@ -31,7 +31,7 @@ from .expr import (
     _central_hessian_from_grad,
     eval_log,
 )
-from .mapping import _update, knee_jerk_step
+from .mapping import _certified_update, knee_jerk_step
 from .simplex import BlockPoint, _dirichlet_rows
 
 __all__ = [
@@ -175,7 +175,7 @@ def verify_argmax_property(
         log_c = np.log(competitors)
     bounds = (log_c - log_x) @ g
 
-    x_new = _update(point, g)[0].x
+    x_new = _certified_update(point, g)[0].x
     live = g > 0.0
     b_star = float(np.sum(g[live] * (np.log(x_new[live]) - log_x[live])))
 

@@ -95,6 +95,20 @@ class Var(KneeJerkExpr):
             )
 
 
+def _positive(v, what: str) -> float:
+    """``v`` as a finite positive float, else a ValueError naming ``what``
+    (also for an integer too large for a float)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    try:
+        f = float(v)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer too large for a float") from None
+    if not math.isfinite(f) or f <= 0.0:
+        raise ValueError(f"{what} must be finite and positive, got {f!r}")
+    return f
+
+
 @dataclass
 class Const(KneeJerkExpr):
     """A positive constant."""
@@ -102,13 +116,7 @@ class Const(KneeJerkExpr):
     value: float
 
     def __post_init__(self):
-        v = self.value
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"constant value must be a number, got {v!r}")
-        v = float(v)
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"constant must be finite and positive, got {v!r}")
-        self.value = v
+        self.value = _positive(self.value, "constant")
 
 
 @dataclass
@@ -154,13 +162,7 @@ class Pow(KneeJerkExpr):
 
     def __post_init__(self):
         _require_child(self.base, "power base")
-        p = self.exponent
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise ValueError(f"power exponent must be a number, got {p!r}")
-        p = float(p)
-        if not math.isfinite(p) or p <= 0.0:
-            raise ValueError(f"power exponent must be finite and positive, got {p!r}")
-        self.exponent = p
+        self.exponent = _positive(self.exponent, "power exponent")
 
     def children(self):
         return (self.base,)
@@ -609,11 +611,7 @@ class SparsePolynomial:
                 c, e = item
             except (TypeError, ValueError):
                 raise ValueError(f"polynomial term must be a (coefficient, exponents) pair, got {item!r}") from None
-            if isinstance(c, bool) or not isinstance(c, (int, float)):
-                raise ValueError(f"coefficient must be a number, got {c!r}")
-            c = float(c)
-            if not math.isfinite(c) or c <= 0.0:
-                raise ValueError(f"coefficient must be finite and positive, got {c!r}")
+            c = _positive(c, "coefficient")
             e = tuple(e)
             if len(e) != self.n:
                 raise ValueError(

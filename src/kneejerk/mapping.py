@@ -22,7 +22,6 @@ points) and flags it degenerate.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -53,7 +52,8 @@ class StepResult:
     ``masses`` holds the per-block gradient masses ``m_i``; ``degenerate``
     flags blocks that fell back to renormalization.  ``gradient`` and
     ``gradient_new`` are the gradient-weight vectors at the starting point
-    and at ``x_new``.
+    and at ``x_new``.  ``residual`` is the criticality residual at the
+    starting point, taken over its positive coordinates.
     """
 
     x_new: BlockPoint
@@ -65,6 +65,7 @@ class StepResult:
     gradient: np.ndarray
     divergence: float
     gradient_new: np.ndarray
+    residual: float
 
 
 @dataclass
@@ -89,9 +90,12 @@ class IterationConfig:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         for name in ("tol_div", "tol_w"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or math.isnan(v):
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or v != v:
                 raise ValueError(f"{name} must be a number, got {v!r}")
-            setattr(self, name, float(v))
+            try:
+                setattr(self, name, float(v))
+            except OverflowError:
+                raise ValueError(f"{name} is an integer too large for a float") from None
 
 
 @dataclass
@@ -140,17 +144,21 @@ def _support_residual(
     g: np.ndarray, x: np.ndarray, structure: BlockStructure, masses: np.ndarray
 ) -> float:
     """max_i max_j |g_j/(a_j x_j) - m_i| / (m_i + 1) over coordinates with
-    x_j > 0, given the block masses ``m = structure.sums(g)``.  Agrees with
-    criticality_residual on interior points."""
+    x_j > 0 (each block of a feasible ``x`` has one), given the block masses
+    ``m = structure.sums(g)``; equal to criticality_residual at interior points."""
     m = masses[structure.index]
-    pos = x > 0.0
-    dev = np.abs(g[pos] / (structure.weights[pos] * x[pos]) - m[pos]) / (m[pos] + 1.0)
-    return float(dev.max(initial=0.0))
+    w = structure.weights
+    if not x[x.argmin()] > 0.0:
+        pos = x > 0.0
+        g, x, w, m = g[pos], x[pos], w[pos], m[pos]
+    dev = np.abs(g / (w * x) - m) / (m + 1.0)
+    return float(dev[dev.argmax()])
 
 
-def _update(point: BlockPoint, g: np.ndarray) -> tuple[BlockPoint, np.ndarray, tuple[bool, ...]]:
-    """The update's new point, per-block masses ``m_i`` and degenerate flags,
-    from the gradient weights ``g`` at ``point``."""
+def _certified_update(point: BlockPoint, g: np.ndarray):
+    """The update from the gradient weights ``g`` at ``point`` and its
+    certificate: the new point, the block masses ``m_i``, the degenerate
+    flags, ``sum_i m_i I_i``, ``sum_i I_i`` and the residual at ``point``."""
     s = point.structure
     x = point.x
     w = s.weights
@@ -167,9 +175,17 @@ def _update(point: BlockPoint, g: np.ndarray) -> tuple[BlockPoint, np.ndarray, t
     # A single-coordinate block admits exactly one feasible point, so the
     # update is the identity; copying avoids renormalization round-off on a
     # point that cannot move.
-    keep = (np.array(s.blocks) == 1) & ~degenerate
-    x_new = np.where(keep[s.index], x, x_new)
-    return BlockPoint(x_new, s), masses, tuple(degenerate.tolist())
+    if 1 in s.blocks:
+        keep = (np.array(s.blocks) == 1) & ~degenerate
+        x_new = np.where(keep[s.index], x, x_new)
+    new_point = BlockPoint(x_new, s)
+    # Both points are feasible (BlockPoint checked them), so the divergence
+    # needs no further validation.
+    d = _divergences(new_point.x, x, s)
+    live = masses > 0.0
+    bound = float((masses[live] * d[live]).sum())
+    residual = _support_residual(g, x, s, masses)
+    return new_point, masses, tuple(degenerate.tolist()), bound, float(d.sum()), residual
 
 
 def knee_jerk_step(
@@ -184,13 +200,7 @@ def knee_jerk_step(
     e.g. the previous step's ``W_new`` and ``gradient_new``; it changes nothing.
     """
     W, g = _eval_log_raw(expr, point.x) if start is None else (start.W, start.g)
-    new_point, masses, degenerate = _update(point, g)
-    # Both points are feasible (BlockPoint checked them), so the divergence
-    # needs no further validation.
-    d = _divergences(new_point.x, point.x, point.structure)
-    live = masses > 0.0
-    bound = float((masses[live] * d[live]).sum())
-    divergence = float(d.sum())
+    new_point, masses, degenerate, bound, divergence, residual = _certified_update(point, g)
     W_new, g_new = _eval_log_raw(expr, new_point.x)
     return StepResult(
         x_new=new_point,
@@ -202,6 +212,7 @@ def knee_jerk_step(
         gradient=g,
         divergence=divergence,
         gradient_new=g_new,
+        residual=residual,
     )
 
 
@@ -230,7 +241,6 @@ def iterate(
     the cap.  The objective column of the trace is nondecreasing.
     """
     cfg = config if config is not None else IterationConfig()
-    s = x0.structure
     records: list[TraceRecord] = []
     x = x0
     status = "max-iterations"
@@ -239,8 +249,7 @@ def iterate(
     start = None
     for k in range(1, cfg.max_iters + 1):
         res = knee_jerk_step(expr, x, start=start)
-        r0 = _support_residual(res.gradient, x.x, s, res.masses)
-        last = TraceRecord(k, res.W_new, res.bound, res.divergence, r0)
+        last = TraceRecord(k, res.W_new, res.bound, res.divergence, res.residual)
         last_recorded = k % cfg.trace_stride == 0
         if last_recorded:
             records.append(last)

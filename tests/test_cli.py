@@ -73,6 +73,9 @@ WEIGHTED_PROBLEM = """
 }
 """
 
+# 401 digits: an integer past the largest float.
+HUGE = 10**400
+
 CONSTANT_PROBLEM = """
 {
   "expression": {"op": "const", "value": 3.0},
@@ -573,6 +576,34 @@ class TestMain:
         assert err.startswith(f"error: {field}:")
         if field == "config":
             assert next(iter(value)) in err
+
+    @pytest.mark.parametrize(
+        "source, field, named",
+        [
+            ({"polynomial": {"n": 2, "terms": [{"c": 1.0, "e": [HUGE, 1]}]}}, None, "expression.polynomial"),
+            ({"polynomial": {"n": 2, "terms": [{"c": HUGE, "e": [1, 1]}]}}, None, "expression.polynomial"),
+            ({"op": "pow", "base": {"op": "var", "index": 0}, "exponent": HUGE}, None, "expression"),
+            (
+                {"op": "sum", "terms": [{"op": "var", "index": 1}, {"op": "const", "value": HUGE}]},
+                None,
+                "expression.terms[1]",
+            ),
+            (None, ("weights", [HUGE, 1]), "blocks/weights"),
+            (None, ("init", [HUGE, 0.5]), "init"),
+            (None, ("config", {"tol_w": HUGE}), "config: tol_w"),
+        ],
+        ids=["polynomial-e", "polynomial-c", "pow-exponent", "const-value", "weights", "init", "tol_w"],
+    )
+    def test_integer_too_large_for_a_float_exit_two(self, tmp_path, capsys, source, field, named):
+        data = {"expression": source or {"op": "var", "index": 0}, "blocks": [2], "init": "barycenter"}
+        if field is not None:
+            data[field[0]] = field[1]
+        prob = self._write(tmp_path, "p.json", json.dumps(data))
+        code = main(["optimize", "--problem", prob])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}")
+        assert "too large" in err
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_verify_without_samples_exit_two(self, tmp_path, capsys, samples):

@@ -12,6 +12,7 @@ from kneejerk import (
     BlockStructure,
     Const,
     IterationConfig,
+    LogEval,
     Pow,
     Prod,
     SparsePolynomial,
@@ -448,37 +449,37 @@ def _loop_step(x, g, structure):
     return x_new, masses, tuple(degenerate), bound, divergence, residual
 
 
-class TestSegmentSumsMatchBlockLoops:
-    def _cases(self, rng, count):
-        """Random structures (some with blocks of 8 or more coordinates),
-        polynomials with a constant term so the objective never vanishes,
-        optionally no dependence on one block (a zero-gradient block) and
-        boundary zeros in the point."""
-        for c in range(count):
-            st = random_structure(rng, max_n=6 if c % 2 else 20, max_blocks=4)
-            x = interior_point(rng, st).x
-            if c % 3 == 0:
-                x = x * (rng.random(st.n) < 0.7)
-                for sl in st.slices:
-                    if not np.any(x[sl]):
-                        x[sl.start] = 1.0
-                x = normalize(x, st).x
-            terms = list(random_polynomial(rng, st.n, max_terms=10).terms)
-            if c % 4 == 1:
-                sl = st.slices[int(rng.integers(st.k))]
-                terms = [t for t in terms if not any(t[1][sl])]
-            terms.append((1.0, (0,) * st.n))
-            poly = SparsePolynomial(st.n, tuple(terms))
-            yield st, polynomial_to_expression(poly), BlockPoint(x, st)
+def _step_cases(rng, count):
+    """Random structures (some with blocks of 8 or more coordinates),
+    polynomials with a constant term so the objective never vanishes,
+    optionally no dependence on one block (a zero-gradient block) and
+    boundary zeros in the point."""
+    for c in range(count):
+        st = random_structure(rng, max_n=6 if c % 2 else 20, max_blocks=4)
+        x = interior_point(rng, st).x
+        if c % 3 == 0:
+            x = x * (rng.random(st.n) < 0.7)
+            for sl in st.slices:
+                if not np.any(x[sl]):
+                    x[sl.start] = 1.0
+            x = normalize(x, st).x
+        terms = list(random_polynomial(rng, st.n, max_terms=10).terms)
+        if c % 4 == 1:
+            sl = st.slices[int(rng.integers(st.k))]
+            terms = [t for t in terms if not any(t[1][sl])]
+        terms.append((1.0, (0,) * st.n))
+        poly = SparsePolynomial(st.n, tuple(terms))
+        yield st, polynomial_to_expression(poly), BlockPoint(x, st)
 
+
+class TestSegmentSumsMatchBlockLoops:
     def test_bit_equal_below_8_coordinates_and_within_1e_15_otherwise(self):
         rng = np.random.default_rng(707)
         seen = {"singleton": 0, "degenerate": 0, "boundary": 0, "long": 0, "short": 0}
-        for st, expr, x in self._cases(rng, 200):
+        for st, expr, x in _step_cases(rng, 200):
             res = knee_jerk_step(expr, x)
             got = (
-                res.x_new.x, res.masses, res.degenerate, res.bound, res.divergence,
-                mapping._support_residual(res.gradient, x.x, st, res.masses),
+                res.x_new.x, res.masses, res.degenerate, res.bound, res.divergence, res.residual,
             )
             ref = _loop_step(x.x, res.gradient, st)
             short = max(st.blocks) < 8
@@ -493,6 +494,77 @@ class TestSegmentSumsMatchBlockLoops:
             seen["boundary"] += not x.interior
             seen["long" if not short else "short"] += 1
         assert min(seen.values()) >= 20, seen
+
+
+def _reference_step(x, g, structure):
+    """The update and its certificate from the public pieces: ``normalize``
+    for the new point, ``i_divergence_blocks`` for the per-block divergence,
+    and the residual over the positive coordinates of ``x`` with masks."""
+    w = structure.weights
+    masses = structure.sums(g)
+    degenerate = masses <= 0.0
+    raw = np.where(degenerate[structure.index], x, g / w)
+    x_new = normalize(raw, structure).x
+    keep = (np.array(structure.blocks) == 1) & ~degenerate
+    x_new = np.where(keep[structure.index], x, x_new)
+    d = i_divergence_blocks(x_new, x, structure)
+    live = masses > 0.0
+    bound = float((masses[live] * d[live]).sum())
+    pos = x > 0.0
+    m = masses[structure.index][pos]
+    residual = float((np.abs(g[pos] / (w[pos] * x[pos]) - m) / (m + 1.0)).max(initial=0.0))
+    return x_new, masses, tuple(degenerate.tolist()), bound, float(d.sum()), residual
+
+
+def _masked_divergences(y, x, structure):
+    """Per-block divergence with every term masked to ``y > 0``."""
+    pos = y > 0.0
+    terms = np.zeros(y.shape)
+    with np.errstate(divide="ignore"):
+        terms[pos] = structure.weights[pos] * y[pos] * np.log(y[pos] / x[pos])
+    return structure.sums(terms)
+
+
+class TestCertifiedUpdate:
+    def test_bit_equal_to_the_reference_on_and_off_the_boundary(self):
+        rng = np.random.default_rng(1010)
+        seen = {"singleton": 0, "degenerate": 0, "interior": 0, "new boundary": 0, "boundary": 0}
+        for st, expr, x in _step_cases(rng, 200):
+            res = knee_jerk_step(expr, x)
+            got = (
+                res.x_new.x, res.masses, res.degenerate, res.bound, res.divergence, res.residual,
+            )
+            ref = _reference_step(x.x, res.gradient, st)
+            names = ("x_new", "masses", "degenerate", "bound", "divergence", "residual")
+            for name, a, b in zip(names, got, ref):
+                assert np.array_equal(a, b), name
+            assert np.array_equal(
+                i_divergence_blocks(res.x_new, x), _masked_divergences(res.x_new.x, x.x, st)
+            )
+            if x.interior:
+                assert res.residual == criticality_residual(expr, x)
+            seen["singleton"] += 1 in st.blocks
+            seen["degenerate"] += any(res.degenerate)
+            seen["interior"] += x.interior and res.x_new.interior
+            seen["new boundary"] += x.interior and not res.x_new.interior
+            seen["boundary"] += not x.interior
+        assert min(seen.values()) >= 20, seen
+
+
+class TestPointGuard:
+    S = BlockStructure((2, 3), np.array([1.0, 2.0, 0.5, 1.0, 1.5]))
+    EXPR = Prod((Var(0), Sum((Var(2), Var(3), Var(4)))))
+
+    @pytest.mark.parametrize(
+        "bad, message", [(math.nan, "finite"), (math.inf, "finite"), (-0.5, "nonnegative")]
+    )
+    def test_bad_gradient_weight_makes_the_step_raise(self, bad, message):
+        x = barycenter(self.S)
+        start = eval_log(self.EXPR, x.x)
+        g_bad = start.g.copy()
+        g_bad[3] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            knee_jerk_step(self.EXPR, x, start=LogEval(start.W, g_bad))
 
 
 class TestTrace:

@@ -1,6 +1,7 @@
 """Tests for block structures, feasible points, and the divergence measure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,27 @@ class TestBlockPoint:
         with pytest.raises(ValueError):
             # total mass 2 but unevenly split across blocks
             BlockPoint(np.array([0.7, 0.5, 0.3, 0.5]), s)
+
+
+class TestPointGuardMessages:
+    # Each kind of bad coordinate, put in block 1, keeps its own message.
+    S = BlockStructure((2, 3), np.array([1.0, 2.0, 0.5, 1.0, 1.5]))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (math.nan, "coordinates must be finite"),
+            (math.inf, "coordinates must be finite"),
+            (-math.inf, "coordinates must be finite"),
+            (-0.25, r"must be nonnegative; x\[3\] = -0.25"),
+            (0.5, r"block 1 weighted sum is .* violates normalization"),
+        ],
+    )
+    def test_message_names_the_fault(self, bad, message):
+        x = barycenter(self.S).x.copy()
+        x[3] = bad
+        with pytest.raises(ValueError, match=message):
+            BlockPoint(x, self.S)
 
 
 class TestFirstBadBlockIsNamed:
@@ -246,6 +268,18 @@ class TestIDivergence:
         x = BlockPoint(np.array([0.25, 0.5]), s)
         expected = 2 * 0.3 * math.log(0.3 / 0.25) + 0.4 * math.log(0.4 / 0.5)
         assert_allclose(i_divergence(y, x), expected, rtol=1e-14)
+
+    def test_ratio_underflow_at_positive_points_warns_nothing(self):
+        # A weight just above 1/2 lets x_0 = 2 (a_0 x_0 is 1 within the point
+        # tolerance); the smallest subnormal y_0 keeps a_0 y_0 > 0, but
+        # y_0 / x_0 rounds to 0.  Both points are positive, yet log sees a 0.
+        s = BlockStructure((2,), np.array([0.5 * (1.0 + 2.0**-44), 1.0]))
+        y = BlockPoint(np.array([5e-324, 1.0]), s)
+        x = BlockPoint(np.array([2.0, 1e-300]), s)
+        assert y.x[0] / x.x[0] == 0.0 and s.weights[0] * y.x[0] > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert i_divergence_blocks(y, x)[0] == -math.inf
 
     def test_structure_mismatch_rejected(self):
         s2 = BlockStructure((2,))

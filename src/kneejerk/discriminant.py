@@ -89,7 +89,11 @@ class Graph:
                 if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < m:
                     raise ValueError(f"edge variable index {k!r} is not in [0, {m})")
             self.var_indices = vi
-        # Connectivity: union-find over the edge list.
+        # Connectivity: each edge joins at most two components, so fewer than
+        # vertices - 1 edges cannot connect the graph (checked before the
+        # union-find allocates one entry per vertex).
+        if self.vertices > m + 1:
+            raise ValueError("graph is not connected; the discriminant is zero")
         parent = list(range(self.vertices))
 
         def find(a: int) -> int:

@@ -32,6 +32,18 @@ monomials whose bound reaches 1e300 keeps the slot tape, which carries
 overflow through as ``inf`` or NaN where a matrix product could silently
 drop the term; :class:`MatrixPolynomial` refuses it.
 
+A batch of points (the oracle's grid) is scored terms-major: ``Z = E U^T +
+log c`` holds one column per point, so the max and the sum of each point
+reduce across contiguous lanes.  With ``B = 745 max_r rowsum(E) + max |log
+c|``, every live term has ``|z| <= B``, and ``log 0`` is replaced by the
+finite ``S = -(2B + 746) / e_min``, ``e_min`` the smallest positive
+exponent.  A term with a zero coordinate then lies at least 746 below its
+point's largest live term, and a point with no live term has its max below
+``-B``: no second product is needed to find dead terms, and no ``0 * -inf``
+NaN can arise.  ``exp`` runs only on lanes above -745.2, below which it is
+exactly 0.0 anyway.  A sum of monomials whose ``S`` would not be finite (an
+exponent near the smallest double) keeps the slot tape.
+
 Expressions are immutable by convention: construct them, never mutate them
 (a :class:`MatrixPolynomial`'s arrays are read-only).  Only the last tree's
 compiled form is cached, in one module-level tuple that each evaluation reads
@@ -286,6 +298,7 @@ _last_tape: tuple = (None, [], 0)  # (expression, form, n) of the last compile
 
 _LOG_RANGE = 745.0  # |log x| <= 745 for every positive finite double
 _BATCH_TERMS = 2**16  # term values (512 KB) per chunk of a batch: stays in cache
+_EXP_ZERO = -745.2  # exp(z) is exactly 0.0 for every z below this
 
 
 def _tape(expr: KneeJerkExpr) -> tuple[tuple | list, int]:
@@ -331,9 +344,9 @@ def _monomials(expr: KneeJerkExpr) -> tuple[np.ndarray, np.ndarray] | None:
 
     Row ``r`` of ``E`` holds term ``r``'s exponents (a repeated variable adds
     up) and ``log c[r]`` the sum of the logs of its constant factors.  None
-    also when a term could overflow (see the module docstring), or when the
-    dense ``E`` would hold far more entries than the tree has factors (a
-    stray large variable index)."""
+    also when a term could overflow or log 0 has no finite stand-in (see the
+    module docstring), or when the dense ``E`` would hold far more entries
+    than the tree has factors (a stray large variable index)."""
     terms = expr.terms if type(expr) is Sum else (expr,)
     rows: list[int] = []
     cols: list[int] = []
@@ -361,7 +374,11 @@ def _monomials(expr: KneeJerkExpr) -> tuple[np.ndarray, np.ndarray] | None:
     log_c = np.array(log_c)
     with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
         np.add.at(E, (rows, cols), exps)
-    return (E, log_c) if _overflow_safe(E, log_c) else None
+    if not _overflow_safe(E, log_c):
+        return None
+    # Unlike a MatrixPolynomial's integer exponents (e_min >= 1), a fractional
+    # one can be too small for log 0 to have a finite stand-in.
+    return (E, log_c) if math.isfinite(_log_zero(E, _term_bound(E, log_c))) else None
 
 
 def _dense_enough(shape: tuple[int, int], entries: int) -> bool:
@@ -370,10 +387,25 @@ def _dense_enough(shape: tuple[int, int], entries: int) -> bool:
     return shape[0] * shape[1] <= 16 * entries + 2**16
 
 
+def _term_bound(E: np.ndarray, log_c: np.ndarray) -> float:
+    """``B``: every term of ``(E, log c)`` at a positive finite point has
+    ``|z| <= B`` (module docstring)."""
+    with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
+        return float(E.sum(axis=1).max() * _LOG_RANGE + np.abs(log_c).max())
+
+
+def _log_zero(E: np.ndarray, B: float) -> float:
+    """``S = -(2B + 746) / e_min``, the stand-in for log 0 in a batch (module
+    docstring); ``e_min`` is the smallest positive exponent.  Infinite when
+    ``e_min`` is tiny."""
+    e_min = E.min(initial=math.inf, where=E > 0.0)  # inf with no variable: S = -0.0
+    with np.errstate(over="ignore"):
+        return float(-(2.0 * B + 746.0) / e_min)
+
+
 def _overflow_safe(E: np.ndarray, log_c: np.ndarray) -> bool:
     """Whether no term of ``(E, log c)`` can overflow (module docstring)."""
-    with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
-        return bool(E.sum(axis=1).max() * _LOG_RANGE + np.abs(log_c).max() < 1e300)
+    return _term_bound(E, log_c) < 1e300
 
 
 def _lse_point(vs: list[float]) -> float:
@@ -515,23 +547,35 @@ def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
     X): one per row, even for a constant tree.  Used by the grid search in
     :mod:`kneejerk.cli`.  The rows are evaluated in chunks of about
     ``_BATCH_TERMS`` term (or slot) values, or 256 rows of a slot tape if
-    that is more, so memory does not grow with the batch."""
+    that is more, so memory does not grow with the batch.
+
+    A sum of monomials is scored terms-major (module docstring): each chunk
+    forms ``Z`` (terms x points) with ``log 0`` replaced by the sentinel
+    ``S``, takes each point's max ``m`` over axis 0, marks the point dead
+    (``W = -inf``) when ``m < -B``, and exponentiates only the lanes of
+    ``Z - m`` above -745.2 into a zeroed buffer.  The sum over terms runs in
+    another order than a row sum, so values can differ from the point
+    evaluation in the last bits."""
     tape, n = _tape(expr)
     W = np.empty(len(X))
     if type(tape) is tuple:
         E, log_c = tape
+        B = _term_bound(E, log_c)
+        S = _log_zero(E, B)
         step = max(1, _BATCH_TERMS // len(E))
-        with np.errstate(divide="ignore"):
+        # log 0 of a zero coordinate and of a dead point's sum; products with
+        # S may overflow to -inf.
+        with np.errstate(divide="ignore", over="ignore"):
             for i in range(0, len(X), step):
-                Xc = X[i : i + step, :n]
-                zero = Xc == 0.0
-                Z = np.log(np.where(zero, 1.0, Xc)) @ E.T
-                Z += log_c
-                Z[zero @ E.T > 0.0] = -math.inf  # a float product: BLAS, unlike bool
-                m = Z.max(axis=1)
-                m[m == -math.inf] = 0.0  # a dead row: exp(-inf - 0) sums to 0, log to -inf
-                Z -= m[:, None]
-                W[i : i + step] = m + np.log(np.exp(Z, out=Z).sum(axis=1))
+                Z = E @ np.maximum(np.log(X[i : i + step, :n]), S).T
+                Z += log_c[:, None]
+                m = Z.max(axis=0)
+                m[m < -B] = 0.0  # a dead point: every lane is skipped, W = log 0
+                Z -= m
+                # Unnamed, the zeroed buffer is freed before the next chunk's
+                # product: at most two chunk-sized arrays are alive at once.
+                s = np.exp(Z, out=np.zeros_like(Z), where=Z > _EXP_ZERO).sum(axis=0)
+                W[i : i + step] = m + np.log(s)
         return W
     # At least 256 rows per pass: each pass takes one Python step per slot,
     # which dominates on a tree of thousands of slots when passes are short.

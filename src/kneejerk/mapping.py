@@ -22,6 +22,7 @@ points) and flags it degenerate.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -176,7 +177,12 @@ def _certified_update(point: BlockPoint, g: np.ndarray):
     # update is the identity; copying avoids renormalization round-off on a
     # point that cannot move.
     if 1 in s.blocks:
-        keep = (np.array(s.blocks) == 1) & ~degenerate
+        single = np.array(s.blocks) == 1
+        # The copy never reads such a block's one weight (its mass): fail on
+        # a NaN or inf one here, as the new point of a longer block would.
+        if not all(map(math.isfinite, masses[single].tolist())):
+            raise ValueError("point coordinates must be finite")
+        keep = single & ~degenerate
         x_new = np.where(keep[s.index], x, x_new)
     new_point = BlockPoint(x_new, s)
     # Both points are feasible (BlockPoint checked them), so the divergence

@@ -643,6 +643,19 @@ class TestMain:
         assert main([command] + args) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: edge {bad} ")
 
+    @pytest.mark.parametrize("command", ["optimize", "discriminant"])
+    def test_huge_vertex_count_exits_two(self, tmp_path, capsys, command):
+        graph = {"vertices": HUGE, "edges": [[0, 1]]}
+        if command == "optimize":
+            problem = {"expression": {"graph": graph}, "blocks": [1], "init": "barycenter"}
+            args = ["--problem", self._write(tmp_path, "p.json", json.dumps(problem))]
+            path = "expression.graph"
+        else:
+            args = ["--graph", self._write(tmp_path, "g.json", json.dumps(graph))]
+            path = "graph"
+        assert main([command] + args) == 2
+        assert capsys.readouterr().err == f"error: {path}: graph is not connected; the discriminant is zero\n"
+
     def test_over_deep_graph_file_exit_two(self, tmp_path, capsys):
         depth = 100_000
         graph = self._write(

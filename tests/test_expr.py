@@ -28,7 +28,9 @@ from kneejerk import (
     polynomial_to_expression,
 )
 from kneejerk import expr as expr_module
-from kneejerk.discriminant import Graph
+from kneejerk.cli import _grid_batches
+from kneejerk.discriminant import Graph, _tree_monomials
+from kneejerk.simplex import BlockStructure
 from generators import (
     discriminant_expression,
     dlr_expression,
@@ -454,8 +456,13 @@ class TestMonomialForm:
 
     @pytest.mark.parametrize(
         "e",
-        [Sum((Pow(Var(0), 1e300), Var(1))), Prod((Var(0), Pow(Var(0), 1.5e297))), _NAN_PROD],
-        ids=["exponent", "exponent-sum", "nan-prod"],
+        [
+            Sum((Pow(Var(0), 1e300), Var(1))),
+            Prod((Var(0), Pow(Var(0), 1.5e297))),
+            _NAN_PROD,
+            Sum((Pow(Var(0), 1e-310), Var(1))),  # log 0 would need an infinite stand-in
+        ],
+        ids=["exponent", "exponent-sum", "nan-prod", "tiny-exponent"],
     )
     def test_exponents_past_the_guard_keep_the_tape(self, e):
         assert not self._is_monomial_form(e)
@@ -495,6 +502,42 @@ class TestMonomialForm:
             assert np.array_equal(W == -math.inf, W_ref == -math.inf)
             live = W_ref > -math.inf
             assert_allclose(W[live], W_ref[live], rtol=1e-12, atol=1e-12)
+
+    def test_mostly_dead_grid_matches_point_evaluations(self):
+        # K5 on its resolution-9 grid: most coordinates are 0, so almost
+        # every term value is dead and many whole points vanish.
+        e = MatrixPolynomial(*_tree_monomials(Graph(5, tuple(itertools.combinations(range(5), 2)))))
+        s = BlockStructure((10,))
+        X = np.concatenate([c / 9.0 for c in _grid_batches(s, 9)])
+        dead_terms = (X == 0.0).astype(float) @ (e.E.T > 0.0) > 0.0
+        assert dead_terms.mean() > 0.9
+        W = expr_module._eval_log_values(e, X)
+        assert W.shape == (len(X),)
+        assert 0 < np.count_nonzero(W == -math.inf) < len(X)
+        for x, w in zip(X, W):
+            if w == -math.inf:
+                with pytest.raises(ValueError, match="vanishes"):
+                    expr_module._eval_log_raw(e, x)
+            else:
+                assert_allclose(w, expr_module._eval_log_raw(e, x)[0], rtol=1e-12, atol=1e-12)
+
+    def test_all_dead_batch_gives_only_minus_inf(self):
+        e = MatrixPolynomial([[1, 1, 0], [0, 1, 1], [2, 0, 1]], [1.0, 3.0, 0.5])
+        X = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        assert np.array_equal(expr_module._eval_log_values(e, X), np.full(4, -math.inf))
+
+    def test_fractional_exponents_match_the_tape(self):
+        e = Sum((Prod((Const(2.0), Pow(Var(0), 0.5), Pow(Var(1), 2.5))), Pow(Var(2), 0.5), Var(1)))
+        assert self._is_monomial_form(e)
+        rng = np.random.default_rng(35)
+        X = rng.uniform(0.0, 2.0, (40, 3))
+        X[rng.random(X.shape) < 0.4] = 0.0
+        W = expr_module._eval_log_values(e, X)
+        W_ref = expr_module._eval_log_values(Pow(e, 1.0), X)
+        assert np.array_equal(W == -math.inf, W_ref == -math.inf)
+        assert (W == -math.inf).any()
+        live = W_ref > -math.inf
+        assert_allclose(W[live], W_ref[live], rtol=1e-12, atol=1e-12)
 
     @staticmethod
     def _batch_peaks(e, row_counts, seed):

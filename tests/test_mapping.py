@@ -566,6 +566,17 @@ class TestPointGuard:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
             knee_jerk_step(self.EXPR, x, start=LogEval(start.W, g_bad))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bad_weight_in_a_single_coordinate_block_makes_the_step_raise(self, bad):
+        s = BlockStructure((2, 1))
+        e = Prod((Var(0), Var(1), Var(2)))
+        x = barycenter(s)
+        start = eval_log(e, x.x)
+        g_bad = start.g.copy()
+        g_bad[2] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            knee_jerk_step(e, x, start=LogEval(start.W, g_bad))
+
 
 class TestTrace:
     def test_csv_format(self):

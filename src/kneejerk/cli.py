@@ -52,6 +52,8 @@ from .expr import (
     polynomial_to_expression,
     _eval_log_raw,
     _eval_log_values,
+    _matrix_form,
+    _term_table,
 )
 from .mapping import IterationConfig, Trace, _support_residual, iterate
 from .simplex import BlockPoint, BlockStructure, barycenter, random_interior
@@ -69,6 +71,8 @@ __all__ = [
 
 _ORACLE_POINT_GUARD = 10**8
 _ORACLE_BATCH = 2**16  # grid points scored per _eval_log_values call
+_SPLIT_TERMS = 2**20  # term values (8 MB) in a split grid's suffix table
+_SCREEN_TINY = 2.0**-600  # a screened sum this small may have lost terms
 _TOO_DEEP = "expression: nested too deeply to parse"
 _TOO_MANY = "blocks: sum to {} coordinates, too many to allocate"
 _ARGMAX_COMPETITORS = 1000
@@ -405,9 +409,121 @@ def _lipschitz_estimate(g: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum(g[pos] / x[pos]))
 
 
+def _split_block(structure: BlockStructure, resolution: int, terms: int) -> int | None:
+    """The block that starts the suffix half-grid of a split grid: the split
+    whose larger half-grid is smallest, the first such on a tie.  None when
+    a half-grid has one point (the screen would save nothing), or when the
+    suffix has more points than a batch or its table of ``terms`` values
+    per point would exceed ``_SPLIT_TERMS`` (a long block after short
+    ones)."""
+    sizes = [math.comb(resolution + b - 1, b - 1) for b in structure.blocks]
+    if len(sizes) < 2:
+        return None
+    j = min(range(1, len(sizes)), key=lambda j: max(math.prod(sizes[:j]), math.prod(sizes[j:])))
+    prefix, suffix = math.prod(sizes[:j]), math.prod(sizes[j:])
+    if min(prefix, suffix) < 2 or suffix > _ORACLE_BATCH or terms * suffix > _SPLIT_TERMS:
+        return None
+    return j
+
+
+def _screened_best(expr, form, s, resolution, j, inv, bc, floor):
+    """The first best grid point and its ``W`` (``-inf`` and None when the
+    screen rules out every point), for a sum of monomials whose matrix form
+    is ``form`` (``expr._matrix_form``), on a grid split before block ``j``.
+
+    The grid is the product of the prefix half-grid ``A`` (blocks before
+    ``j``) and the suffix half-grid ``B``, and a point's rank is ``rank_A *
+    |B| + rank_B``.  Each term splits as ``z = zA(a) + zB(b)``, with ``log
+    c`` in ``zB``, so ``expr._term_table`` of each half gives its maxima
+    ``mA``, ``mB`` and tables ``PA``, ``PB``, and one matrix product screens
+    every point: ``W ~ mA + mB + log (PA^T PB)``.  The suffix's table is
+    built once and the prefix's in chunks, so a tile holds at most
+    ``_ORACLE_BATCH`` points.
+
+    The screen only selects points: the row kernel ``_eval_log_values``
+    re-scores them, so the result is the row path's.  A screened sum of at
+    least ``_SCREEN_TINY`` lost nothing but rounding to underflow, and its
+    ``W`` lies within a window ``delta`` of the row kernel's that grows
+    with the term bound ``B`` (the rounding of each term value), ``|W|``
+    and the term count (:func:`_screen_tile`).  Such a point is re-scored
+    when its screen is within ``delta`` of the best screen so far, or of
+    ``floor``, the barycenter's ``W``: a grid point below that loses to the
+    barycenter.  A point whose sum fell below ``_SCREEN_TINY`` is re-scored
+    when its bound ``mA + mB + log T`` (``T`` terms) reaches that.  So no
+    point that can tie or beat the best is missed.  Each tile's candidates
+    are re-scored in grid order, in one batch together with ``bc``: the row
+    kernel never multiplies a candidate alone, a matrix-vector product that
+    numpy rounds unlike the grid's."""
+    E, log_c, bound, S = form
+    T, n = E.shape
+    split = int(s.starts[j])
+
+    def tables(blocks, E_h, log_c_h, inv_h, rows):
+        """Each half-grid chunk's counts, maxima and table.  ``E_h`` holds
+        the half's columns of ``E``: none past the last variable used."""
+        used = E_h.shape[1]
+        for counts in _grid_batches(BlockStructure(blocks), resolution):
+            for i in range(0, len(counts), rows):
+                c = counts[i : i + rows]
+                yield c, *_term_table(E_h, log_c_h, bound, S, c[:, :used] * inv_h[:used])
+
+    # The suffix has at most _ORACLE_BATCH points (_split_block): one chunk.
+    counts_B, m_B, P_B = next(tables(s.blocks[j:], E[:, split:], log_c, inv[split:], _ORACLE_BATCH))
+    rows_A = max(1, _ORACLE_BATCH // max(len(counts_B), T))
+    spread = (n + 2) * bound + T + 2048
+    top = floor
+    best_W = -math.inf
+    best_point = None
+    for counts_A, m_A, P_A in tables(s.blocks[:j], E[:, :split], np.zeros(T), inv[:split], rows_A):
+        a, b, top = _screen_tile(m_A, P_A, m_B, P_B, top, spread)
+        if not len(a):
+            continue
+        X = np.hstack((counts_A[a], counts_B[b])) * inv
+        W_x = _eval_log_values(expr, np.vstack((X, bc)))[:-1]
+        i = int(np.argmax(W_x))
+        if W_x[i] > best_W:  # the first best grid point wins a tie
+            best_W = float(W_x[i])
+            best_point = X[i].copy()
+    return best_W, best_point
+
+
+def _screen_tile(m_A, P_A, m_B, P_B, top, spread):
+    """The points of one tile to re-score, as prefix and suffix indices in
+    grid order, and the best screen so far (see :func:`_screened_best`).
+
+    ``top`` is the best screen before this tile (or the floor), and the
+    window is ``delta = 2^-46 (spread + |top|)`` with ``spread = (n + 2) B +
+    T + 2048`` for ``n`` variables.  A screened ``W`` and the row kernel's
+    differ by the rounding of each term value (about ``n B`` units of
+    ``2^-53`` on each side), of the shifts by the maxima and of the sums:
+    under ``D = 2^-53 ((2n + 6) B + 2 |W| + 2 T + 3100)``.  A window of
+    ``2 D`` would do, and ``delta`` is over twenty times that."""
+    W = P_A.T @ P_B  # the screened sums
+    low = W < _SCREEN_TINY
+    with np.errstate(divide="ignore"):
+        np.log(W, out=W)
+    W += m_A[:, None]
+    W += m_B
+    W[low] = -math.inf  # judged by its bound instead
+    top = max(top, float(W.max()))
+    thr = top - 2.0**-46 * (spread + abs(top))
+    hit = W >= thr
+    a, b = np.nonzero(low)
+    keep = m_A[a] + m_B[b] + math.log(len(P_A)) >= thr
+    hit[a[keep], b[keep]] = True
+    a, b = np.divmod(np.flatnonzero(hit), W.shape[1])
+    return a, b, top
+
+
 def run_oracle(problem: Problem, resolution: int) -> OracleResult:
     """Exhaustively score the uniform grid of the given resolution (plus the
-    exact barycenter) and compare against the iteration's terminal value."""
+    exact barycenter) and compare against the iteration's terminal value.
+
+    A grid of two or more blocks under a sum of monomials is screened as two
+    half-grids and one matrix product, and only the points the screen cannot
+    rule out are scored by the row kernel (:func:`_screened_best`): the best
+    point and ``W`` are those of scoring every point.  Any other grid is
+    scored row by row."""
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
         raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
     s = problem.structure
@@ -418,21 +534,26 @@ def run_oracle(problem: Problem, resolution: int) -> OracleResult:
             "lower the resolution"
         )
 
+    e = problem.expression
     inv = 1.0 / (resolution * s.weights)  # count -> coordinate scaling
-    best_W = -math.inf
-    best_point = None
-    for counts in _grid_batches(s, resolution):
-        X = counts * inv
-        W = _eval_log_values(problem.expression, X)
-        i = int(np.argmax(W))
-        if W[i] > best_W:  # the first best grid point wins a tie
-            best_W = float(W[i])
-            best_point = X[i].copy()
-
     # The exact barycenter need not lie on the grid (resolution not divisible
     # by a block size); include it so the oracle never scores below it.
     bc = barycenter(s).x
-    Wbc = float(_eval_log_values(problem.expression, bc[None, :])[0])
+    Wbc = float(_eval_log_values(e, bc[None, :])[0])
+    form = _matrix_form(e)
+    j = None if form is None else _split_block(s, resolution, len(form[0]))
+    if j is not None:
+        best_W, best_point = _screened_best(e, form, s, resolution, j, inv, bc, Wbc)
+    else:
+        best_W = -math.inf
+        best_point = None
+        for counts in _grid_batches(s, resolution):
+            X = counts * inv
+            W = _eval_log_values(e, X)
+            i = int(np.argmax(W))
+            if W[i] > best_W:  # the first best grid point wins a tie
+                best_W = float(W[i])
+                best_point = X[i].copy()
     if Wbc > best_W:
         best_W = Wbc
         best_point = bc.copy()

@@ -42,7 +42,13 @@ point's largest live term, and a point with no live term has its max below
 ``-B``: no second product is needed to find dead terms, and no ``0 * -inf``
 NaN can arise.  ``exp`` runs only on lanes above -745.2, below which it is
 exactly 0.0 anyway.  A sum of monomials whose ``S`` would not be finite (an
-exponent near the smallest double) keeps the slot tape.
+exponent near the smallest double) keeps the slot tape.  One helper,
+``_term_table``, builds this table (each point's max ``m`` and ``exp(Z -
+m)``): the batch evaluation sums it per point, and the oracle in
+:mod:`kneejerk.cli` builds it for each half of a split grid, with ``E``
+restricted to that half's columns, and screens every point with one product
+of the two tables; only the points the screen cannot rule out are then
+scored by the batch evaluation.
 
 Expressions are immutable by convention: construct them, never mutate them
 (a :class:`MatrixPolynomial`'s arrays are read-only).  Only the last tree's
@@ -545,38 +551,33 @@ def eval_log(expr: KneeJerkExpr, x) -> LogEval:
 def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
     """Log-values, no gradients, for a batch of nonnegative points (rows of
     X): one per row, even for a constant tree.  Used by the grid search in
-    :mod:`kneejerk.cli`.  The rows are evaluated in chunks of about
-    ``_BATCH_TERMS`` term (or slot) values, or 256 rows of a slot tape if
-    that is more, so memory does not grow with the batch.
+    :mod:`kneejerk.cli`, on every point of a grid it scores row by row and
+    on the points a split grid's screen selects.  The rows are evaluated in
+    chunks of about ``_BATCH_TERMS`` term (or slot) values, or 256 rows of a
+    slot tape if that is more, so memory does not grow with the batch.
 
-    A sum of monomials is scored terms-major (module docstring): each chunk
-    forms ``Z`` (terms x points) with ``log 0`` replaced by the sentinel
-    ``S``, takes each point's max ``m`` over axis 0, marks the point dead
-    (``W = -inf``) when ``m < -B``, and exponentiates only the lanes of
-    ``Z - m`` above -745.2 into a zeroed buffer.  The sum over terms runs in
-    another order than a row sum, so values can differ from the point
-    evaluation in the last bits."""
-    tape, n = _tape(expr)
+    A sum of monomials is scored terms-major (module docstring): each
+    chunk's table comes from :func:`_term_table`, which forms ``Z`` (terms x
+    points) with ``log 0`` replaced by the sentinel ``S``, takes each point's
+    max ``m`` over axis 0, marks the point dead (``W = -inf``) when ``m <
+    -B``, and exponentiates only the lanes of ``Z - m`` above -745.2 into a
+    zeroed buffer.  The sum over terms runs in another order than a row sum,
+    so values can differ from the point evaluation in the last bits."""
+    form = _matrix_form(expr)
     W = np.empty(len(X))
-    if type(tape) is tuple:
-        E, log_c = tape
-        B = _term_bound(E, log_c)
-        S = _log_zero(E, B)
+    if form is not None:
+        E = form[0]
+        n = E.shape[1]
         step = max(1, _BATCH_TERMS // len(E))
-        # log 0 of a zero coordinate and of a dead point's sum; products with
-        # S may overflow to -inf.
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore"):  # log 0 of a dead point's sum
             for i in range(0, len(X), step):
-                Z = E @ np.maximum(np.log(X[i : i + step, :n]), S).T
-                Z += log_c[:, None]
-                m = Z.max(axis=0)
-                m[m < -B] = 0.0  # a dead point: every lane is skipped, W = log 0
-                Z -= m
-                # Unnamed, the zeroed buffer is freed before the next chunk's
-                # product: at most two chunk-sized arrays are alive at once.
-                s = np.exp(Z, out=np.zeros_like(Z), where=Z > _EXP_ZERO).sum(axis=0)
-                W[i : i + step] = m + np.log(s)
+                m, P = _term_table(*form, X[i : i + step, :n])
+                W[i : i + step] = m + np.log(P.sum(axis=0))
+                # Freed before the next chunk's table: at most two
+                # chunk-sized arrays are alive at once.
+                del P
         return W
+    tape, _ = _tape(expr)
     # At least 256 rows per pass: each pass takes one Python step per slot,
     # which dominates on a tree of thousands of slots when passes are short.
     step = max(256, _BATCH_TERMS // len(tape))
@@ -585,6 +586,42 @@ def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
         for i in range(0, len(X), step):
             W[i : i + step] = _forward(tape, np.log(X[i : i + step]).T, lse)[-1]
     return W
+
+
+def _matrix_form(expr: KneeJerkExpr) -> tuple | None:
+    """``(E, log c, B, S)`` of an objective evaluated in the matrix form: its
+    exponent matrix and log-coefficients, their term bound and the stand-in
+    for log 0 (module docstring).  None for a slot tape."""
+    tape, _ = _tape(expr)
+    if type(tape) is not tuple:
+        return None
+    E, log_c = tape
+    B = _term_bound(E, log_c)
+    return E, log_c, B, _log_zero(E, B)
+
+
+def _term_table(
+    E: np.ndarray, log_c: np.ndarray, B: float, S: float, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terms-major table of a chunk of points (module docstring): each
+    point's largest term ``m`` and ``P = exp(Z - m)`` (terms x points), for
+    the terms ``Z = E log(X)^T + log c`` with ``B`` their bound and ``S`` the
+    stand-in for log 0.
+
+    A point whose ``m`` is below ``-B`` has no live term: its column of
+    ``P`` is all zero and its ``m`` is ``-inf``, so ``m + log(sum P)`` is
+    ``log 0`` with no NaN.  ``X`` holds one column per column of ``E``."""
+    # log 0 of a zero coordinate; products with S may overflow to -inf.
+    with np.errstate(divide="ignore", over="ignore"):
+        Z = E @ np.maximum(np.log(X), S).T
+    Z += log_c[:, None]
+    m = Z.max(axis=0)
+    dead = m < -B
+    m[dead] = 0.0  # every lane of a dead point is then skipped
+    Z -= m
+    P = np.exp(Z, out=np.zeros_like(Z), where=Z > _EXP_ZERO)
+    m[dead] = -math.inf
+    return m, P
 
 
 def _central_hessian_from_grad(

@@ -184,6 +184,12 @@ def _certified_update(point: BlockPoint, g: np.ndarray):
             raise ValueError("point coordinates must be finite")
         keep = single & ~degenerate
         x_new = np.where(keep[s.index], x, x_new)
+    # A degenerate block keeps its point, so the new point's check never sees
+    # a negative weight there: refuse it here, as that check does elsewhere.
+    flags = tuple(degenerate.tolist())
+    if True in flags and g[g.argmin()] < 0.0:
+        i = int(g.argmin())
+        raise ValueError(f"gradient weights must be nonnegative; g[{i}] = {g[i]}")
     new_point = BlockPoint(x_new, s)
     # Both points are feasible (BlockPoint checked them), so the divergence
     # needs no further validation.
@@ -191,7 +197,7 @@ def _certified_update(point: BlockPoint, g: np.ndarray):
     live = masses > 0.0
     bound = float((masses[live] * d[live]).sum())
     residual = _support_residual(g, x, s, masses)
-    return new_point, masses, tuple(degenerate.tolist()), bound, float(d.sum()), residual
+    return new_point, masses, flags, bound, float(d.sum()), residual
 
 
 def knee_jerk_step(

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from kneejerk import MatrixPolynomial, SparsePolynomial, eval_log, polynomial_to
 from kneejerk import cli, mapping
 from kneejerk import expr as expr_module
 from kneejerk.discriminant import Graph, discriminant_polynomial
+from kneejerk.simplex import barycenter
 from generators import random_multigraph, random_polynomial
 
 INLINE_PROBLEM = """
@@ -333,6 +335,48 @@ class TestRunVerify:
         assert report["log_concavity"]["pass"] is True
 
 
+def _poly(n, terms):
+    return {"polynomial": {"n": n, "terms": [{"c": c, "e": e} for c, e in terms]}}
+
+
+def _blocks_problem(expression, blocks, weights):
+    data = {"expression": expression, "blocks": blocks, "init": "barycenter"}
+    if weights is not None:
+        data["weights"] = weights
+    return json.dumps(data)
+
+
+# (x0 + x2) (x1 + x3)^1.5: not a sum of monomials, so it keeps the slot tape.
+SLOT_TAPE_TREE = {"op": "prod", "factors": [
+    {"op": "sum", "terms": [{"op": "var", "index": 0}, {"op": "var", "index": 2}]},
+    {"op": "pow", "base": {"op": "sum", "terms": [{"op": "var", "index": 1}, {"op": "var", "index": 3}]},
+     "exponent": 1.5},
+]}
+
+
+def _oracle_matching_the_row_path(problem, resolution):
+    """``run_oracle``'s result, checked bit for bit against scoring every
+    grid row with the row kernel: the first best grid point wins, and the
+    barycenter replaces it only when strictly better."""
+    s = problem.structure
+    inv = 1.0 / (resolution * s.weights)
+    best_W, best_point = -np.inf, None
+    for counts in cli._grid_batches(s, resolution):
+        X = counts * inv
+        W = expr_module._eval_log_values(problem.expression, X)
+        i = int(np.argmax(W))
+        if W[i] > best_W:
+            best_W, best_point = float(W[i]), X[i]
+    bc = barycenter(s).x
+    W_bc = float(expr_module._eval_log_values(problem.expression, bc[None, :])[0])
+    if W_bc > best_W:
+        best_W, best_point = W_bc, bc
+    res = run_oracle(problem, resolution)
+    assert res.best_W == best_W
+    assert res.best_point.tolist() == best_point.tolist()
+    return res
+
+
 class TestRunOracle:
     def test_gap_within_error_bound(self, problem_dir):
         p = parse_problem((problem_dir / "dlr.json").read_text())
@@ -377,6 +421,107 @@ class TestRunOracle:
         for bad in (0, True):
             with pytest.raises(ValueError, match="resolution"):
                 run_oracle(p, bad)
+
+    # Multi-block grids under a sum of monomials take the split screen; each
+    # case must give the row path's result bit for bit.
+    @pytest.mark.parametrize(
+        "expression, blocks, weights, resolution",
+        [
+            pytest.param(
+                _poly(5, [(1.5, [1, 1, 0, 2, 1]), (0.2, [2, 0, 1, 1, 1]), (3.0, [1, 2, 1, 0, 1]),
+                          (0.7, [0, 1, 2, 1, 0])]),
+                [2, 3], [0.5, 1.5, 1.0, 2.0, 0.8], 30, id="weighted-2-block",
+            ),
+            pytest.param(
+                _poly(6, [(1.0, [1, 1, 1, 0, 1, 1]), (2.5, [2, 0, 0, 1, 1, 2]), (0.4, [0, 2, 1, 1, 2, 0]),
+                          (1.2, [1, 1, 0, 1, 0, 1])]),
+                [2, 2, 2], [1.25, 0.75, 1.0, 3.0, 0.5, 2.0], 12, id="weighted-3-block",
+            ),
+            pytest.param(
+                _poly(4, [(1.0, [1, 2, 1, 0]), (2.0, [2, 1, 0, 0]), (0.5, [1, 1, 2, 0])]),
+                [2, 2], None, 40, id="unused-last-variable",
+            ),
+            pytest.param(
+                {"op": "sum", "terms": [
+                    {"op": "prod", "factors": [{"op": "var", "index": 0},
+                                               {"op": "pow", "base": {"op": "var", "index": 3}, "exponent": 2}]},
+                    {"op": "prod", "factors": [{"op": "const", "value": 2.0}, {"op": "var", "index": 1},
+                                               {"op": "var", "index": 2}]},
+                    {"op": "var", "index": 4},
+                ]},
+                [2, 1, 2], [1.0, 2.0, 1.0, 0.5, 1.5], 25, id="inline-matrix-form",
+            ),
+            pytest.param(SLOT_TAPE_TREE, [2, 2], None, 20, id="slot-tape"),
+        ],
+    )
+    def test_multi_block_grid_matches_the_row_path(self, expression, blocks, weights, resolution):
+        _oracle_matching_the_row_path(parse_problem(_blocks_problem(expression, blocks, weights)), resolution)
+
+    def test_the_slot_tape_case_stays_on_the_row_path(self):
+        p = parse_problem(_blocks_problem(SLOT_TAPE_TREE, [2, 2], None))
+        assert expr_module._matrix_form(p.expression) is None
+
+    # x0 x2 + x1 x3 is 1 at (0, 1, 0, 1) and at (1, 0, 1, 0), the first and
+    # the last rows of the prefix half-grid; with 7-point batches each prefix
+    # row is its own tile, so the tie is also settled across tiles.
+    @pytest.mark.parametrize("batch", [2**16, 7])
+    def test_a_tie_across_the_split_goes_to_the_first_grid_point(self, batch, monkeypatch):
+        monkeypatch.setattr(cli, "_ORACLE_BATCH", batch)
+        p = parse_problem(_blocks_problem(_poly(4, [(1.0, [1, 0, 1, 0]), (1.0, [0, 1, 0, 1])]), [2, 2], None))
+        res = _oracle_matching_the_row_path(p, 5)
+        assert res.best_W == 0.0
+        assert res.best_point.tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_a_screened_sum_that_underflows_is_rescored(self):
+        # The weights 1e-300 let x0 and x3 reach 1e300.  At the best point
+        # (1e300, 0, 0, 1e300) the prefix's largest term is x0^2 and the
+        # suffix's is x3^2, each about e^1381 times the other half's value
+        # of it: the screened sum underflows to 0, and only the rule for
+        # sums below 2^-600 sends the point to the row kernel.
+        p = parse_problem(_blocks_problem(
+            _poly(4, [(1.0, [2, 0, 0, 0]), (1.0, [0, 0, 0, 2]), (1.0, [0, 1, 1, 0])]),
+            [2, 2], [1e-300, 1.0, 1.0, 1e-300]))
+        res = _oracle_matching_the_row_path(p, 4)
+        assert res.best_point[1:3].tolist() == [0.0, 0.0]
+        assert res.best_point[[0, 3]].min() > 9e299
+
+    def test_a_subnormal_screened_sum_does_not_set_the_window(self):
+        # As above, with x0 and x3 up to e^372.4 and x1 and x2 up to e^372.8.
+        # At (e^372.4, 0, 0, e^372.4), W = 744.8 + log 2, but each product in
+        # the screened sum is e^-744.8 = 0.69 * 2^-1074, which rounds up to
+        # 2^-1074: the screen reads W + 0.37, above the best point
+        # (0, e^372.8, e^372.8, 0) at W = 745.6.
+        w, v = math.exp(-372.4), math.exp(-372.8)
+        p = parse_problem(_blocks_problem(
+            _poly(4, [(1.0, [2, 0, 0, 0]), (1.0, [0, 0, 0, 2]), (1.0, [0, 1, 1, 0])]),
+            [2, 2], [w, v, v, w]))
+        res = _oracle_matching_the_row_path(p, 2)
+        assert res.best_point[[0, 3]].tolist() == [0.0, 0.0]
+
+    def test_large_term_values_widen_the_window(self):
+        # Exponents of 1e290 put the term bound B near the 1e300 guard.  The
+        # two corners where a term lives tie but for rounding, which is of
+        # order B / 2^53 in the screen, far above |W| / 2^53; a window
+        # scaled by |W| alone re-scores the wrong corner here.
+        s = BlockStructure((2, 2), np.array([2.7935314314153676, 1.01855173518919,
+                                             1 / 2.7935314314153676, 1 / 1.01855173518919]))
+        e = MatrixPolynomial([[1e290, 0, 1e290, 0], [0, 1e290, 0, 1e290]], [1.0, 1.0])
+        _oracle_matching_the_row_path(cli.Problem(e, s, barycenter(s), IterationConfig()), 5)
+
+    def test_split_memory_does_not_grow_with_the_grid(self):
+        # 300^2 and 3000^2 points: both grids fill whole tiles.  Only the
+        # half-grid arrays grow, 10-fold (about 0.2 MB here); one float per
+        # point of the larger grid would take 72 MB.
+        p = parse_problem(_blocks_problem(_poly(4, [(1.0, [1, 0, 1, 0]), (2.0, [0, 1, 0, 1])]), [2, 2], None))
+        peaks = []
+        for resolution in (299, 2999):
+            tracemalloc.start()
+            try:
+                run_oracle(p, resolution)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20
 
 
 def _grid_reference(blocks, resolution):

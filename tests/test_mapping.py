@@ -577,6 +577,19 @@ class TestPointGuard:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             knee_jerk_step(e, x, start=LogEval(start.W, g_bad))
 
+    # The negative weight leaves its own block (g[2]) or the other one (g[0])
+    # with no positive mass, so that block is flagged degenerate and kept.
+    @pytest.mark.parametrize("index, bad", [(2, -0.5), (0, -1.5)])
+    def test_negative_weight_in_a_block_without_mass_makes_the_step_raise(self, index, bad):
+        s = BlockStructure((2, 1))
+        e = Prod((Var(0), Var(1), Var(2)))
+        x = barycenter(s)
+        start = eval_log(e, x.x)
+        g_bad = start.g.copy()
+        g_bad[index] = bad
+        with pytest.raises(ValueError, match="nonnegative"):
+            knee_jerk_step(e, x, start=LogEval(start.W, g_bad))
+
 
 class TestTrace:
     def test_csv_format(self):

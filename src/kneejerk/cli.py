@@ -52,7 +52,7 @@ from .expr import (
     polynomial_to_expression,
     _eval_log_raw,
     _eval_log_values,
-    _matrix_form,
+    _MatrixForm,
     _term_table,
 )
 from .mapping import IterationConfig, Trace, _support_residual, iterate
@@ -198,11 +198,11 @@ def parse_problem(text: str) -> Problem:
         raise ValueError(_TOO_MANY.format(sum(blocks))) from None
 
     n = structure.n
-    if declared_n is None:
-        _require(
-            expr.n_vars <= n,
-            f"blocks: sum to {n} but the expression references variable {expr.n_vars - 1}",
-        )
+    # Reading n_vars compiles a tree objective, so no solve compiles.
+    _require(
+        expr.n_vars <= n,
+        f"blocks: sum to {n} but the expression references variable {expr.n_vars - 1}",
+    )
 
     init = data["init"]
     if init == "barycenter":
@@ -382,7 +382,7 @@ def _grid_batches(structure: BlockStructure, resolution: int):
     coordinates; their entries stay at or below the grid size, so under the
     guard the int64 arithmetic is exact."""
     blocks = structure.blocks
-    sizes = [math.comb(resolution + b - 1, b - 1) for b in blocks]
+    sizes = _grid_sizes(blocks, resolution)
     tables = {}
     if max(blocks) > 2:
         tables[3] = np.cumsum(np.arange(1, resolution + 2, dtype=np.int64))
@@ -398,8 +398,13 @@ def _grid_batches(structure: BlockStructure, resolution: int):
         yield counts
 
 
+def _grid_sizes(blocks, resolution: int) -> list[int]:
+    """Points of each block's grid: compositions of ``resolution`` into ``b`` parts."""
+    return [math.comb(resolution + b - 1, b - 1) for b in blocks]
+
+
 def _grid_size(structure: BlockStructure, resolution: int) -> int:
-    return math.prod(math.comb(resolution + b - 1, b - 1) for b in structure.blocks)
+    return math.prod(_grid_sizes(structure.blocks, resolution))
 
 
 def _lipschitz_estimate(g: np.ndarray, x: np.ndarray) -> float:
@@ -416,7 +421,7 @@ def _split_block(structure: BlockStructure, resolution: int, terms: int) -> int 
     suffix has more points than a batch or its table of ``terms`` values
     per point would exceed ``_SPLIT_TERMS`` (a long block after short
     ones)."""
-    sizes = [math.comb(resolution + b - 1, b - 1) for b in structure.blocks]
+    sizes = _grid_sizes(structure.blocks, resolution)
     if len(sizes) < 2:
         return None
     j = min(range(1, len(sizes)), key=lambda j: max(math.prod(sizes[:j]), math.prod(sizes[j:])))
@@ -426,10 +431,10 @@ def _split_block(structure: BlockStructure, resolution: int, terms: int) -> int 
     return j
 
 
-def _screened_best(expr, form, s, resolution, j, inv, bc, floor):
+def _screened_best(expr, s, resolution, j, inv, floor):
     """The first best grid point and its ``W`` (``-inf`` and None when the
-    screen rules out every point), for a sum of monomials whose matrix form
-    is ``form`` (``expr._matrix_form``), on a grid split before block ``j``.
+    screen rules out every point), for an objective in the matrix form, on a
+    grid split before block ``j``.
 
     The grid is the product of the prefix half-grid ``A`` (blocks before
     ``j``) and the suffix half-grid ``B``, and a point's rank is ``rank_A *
@@ -451,10 +456,10 @@ def _screened_best(expr, form, s, resolution, j, inv, bc, floor):
     barycenter.  A point whose sum fell below ``_SCREEN_TINY`` is re-scored
     when its bound ``mA + mB + log T`` (``T`` terms) reaches that.  So no
     point that can tie or beat the best is missed.  Each tile's candidates
-    are re-scored in grid order, in one batch together with ``bc``: the row
-    kernel never multiplies a candidate alone, a matrix-vector product that
-    numpy rounds unlike the grid's."""
-    E, log_c, bound, S = form
+    are re-scored in grid order, in one batch; the row kernel gives a point
+    the same value in any batch, alone or not."""
+    form = expr._form
+    E, log_c, bound, S = form.E, form.log_c, form.B, form.S
     T, n = E.shape
     split = int(s.starts[j])
 
@@ -479,7 +484,7 @@ def _screened_best(expr, form, s, resolution, j, inv, bc, floor):
         if not len(a):
             continue
         X = np.hstack((counts_A[a], counts_B[b])) * inv
-        W_x = _eval_log_values(expr, np.vstack((X, bc)))[:-1]
+        W_x = _eval_log_values(expr, X)
         i = int(np.argmax(W_x))
         if W_x[i] > best_W:  # the first best grid point wins a tie
             best_W = float(W_x[i])
@@ -540,10 +545,10 @@ def run_oracle(problem: Problem, resolution: int) -> OracleResult:
     # by a block size); include it so the oracle never scores below it.
     bc = barycenter(s).x
     Wbc = float(_eval_log_values(e, bc[None, :])[0])
-    form = _matrix_form(e)
-    j = None if form is None else _split_block(s, resolution, len(form[0]))
+    form = e._form
+    j = _split_block(s, resolution, len(form.E)) if isinstance(form, _MatrixForm) else None
     if j is not None:
-        best_W, best_point = _screened_best(e, form, s, resolution, j, inv, bc, Wbc)
+        best_W, best_point = _screened_best(e, s, resolution, j, inv, Wbc)
     else:
         best_W = -math.inf
         best_point = None

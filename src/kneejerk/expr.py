@@ -6,21 +6,23 @@ increasing, and log-log-convex on the positive orthant, so every tree built
 from these constructors is a valid objective for the multiplicative update in
 :mod:`kneejerk.mapping` by construction.
 
-Evaluation works entirely in the log domain, in one of two forms:
+Evaluation works in the log domain, in one of two forms; each objective
+compiles to one at most once and keeps it as ``_form``:
 
-* The matrix form of a sum of monomials: an exponent matrix ``E`` (terms x
-  variables) and the vector ``log c`` of its coefficients.  With
-  ``u = log x`` and ``z = E u + log c``, ``W = logsumexp(z)`` and
-  ``g = softmax(z) @ E``: two matrix-vector products and no per-node loop.
-  There are two ways into it.  A :class:`MatrixPolynomial` holds it from
-  construction; :func:`kneejerk.cli.parse_problem` builds one straight from
-  every polynomial and graph source, with no tree in between.  A tree whose
-  root is a sum of terms (or a single term), each a constant, a variable, a
-  variable raised to a power, or a product of those, is compiled to it on
-  first evaluation.
-* Every other tree compiles to a flat slot tape: one forward pass computes the
-  log-value of every node, one reverse pass accumulates softmax-weighted
-  adjoints.
+* The matrix form of a sum of monomials (:class:`_MatrixForm`): an exponent
+  matrix ``E`` (terms x variables) and the vector ``log c`` of its
+  coefficients.  With ``u = log x`` and ``z = E u + log c``, ``W =
+  logsumexp(z)`` and ``g = softmax(z) @ E``: two matrix-vector products and
+  no per-node loop.  There are two ways into it.  A
+  :class:`MatrixPolynomial` builds it from its own arrays at construction;
+  :func:`kneejerk.cli.parse_problem` builds one straight from every
+  polynomial and graph source, with no tree in between.  A tree whose root
+  is a sum of terms (or a single term), each a constant, a variable, a
+  variable raised to a power, or a product of those, is compiled to it by
+  :func:`_monomials`.
+* Every other tree compiles to a flat slot tape (:class:`_SlotTape`): one
+  forward pass computes the log-value of every node, one reverse pass
+  accumulates softmax-weighted adjoints.
 
 Both keep objectives such as ``x**34 * y**38 * (1 + 2x)**125`` finite where a
 direct evaluation would overflow or underflow, and both return the gradient
@@ -51,9 +53,8 @@ of the two tables; only the points the screen cannot rule out are then
 scored by the batch evaluation.
 
 Expressions are immutable by convention: construct them, never mutate them
-(a :class:`MatrixPolynomial`'s arrays are read-only).  Only the last tree's
-compiled form is cached, in one module-level tuple that each evaluation reads
-once and a compile replaces whole: threads never mix forms.
+(a :class:`MatrixPolynomial`'s arrays are read-only).  The module holds no
+mutable state; two threads compiling one tree at once build equal forms.
 """
 
 from __future__ import annotations
@@ -90,14 +91,15 @@ class KneeJerkExpr:
     def children(self) -> tuple["KneeJerkExpr", ...]:
         return ()
 
+    @functools.cached_property
+    def _form(self) -> "_MatrixForm | _SlotTape":
+        """The compiled form, built on first use and kept on the object."""
+        return _monomials(self) or _SlotTape(self)
+
     @property
     def n_vars(self) -> int:
         """1 + the largest variable index in the tree (0 for constant trees)."""
-        n = 0
-        for node in _postorder(self):
-            if type(node) is Var:
-                n = max(n, node.index + 1)
-        return n
+        return self._form.n
 
 
 @dataclass
@@ -227,18 +229,15 @@ class MatrixPolynomial(KneeJerkExpr):
             used.pop()
         E = np.ascontiguousarray(E[:, : len(used)])
         log_c = np.array([math.log(v) for v in c.tolist()])
-        if not _dense_enough(E.shape, np.count_nonzero(E)) or not _overflow_safe(E, log_c):
+        form = _MatrixForm(E, log_c)
+        if not _dense_enough(E.shape, np.count_nonzero(E)) or not form.B < _MAX_BOUND:
             raise ValueError(
                 "polynomial is too sparse or its terms could overflow the matrix form; "
                 "use polynomial_to_expression"
             )
         for a in (E, c, log_c):
             a.setflags(write=False)
-        self.E, self.c, self.log_c = E, c, log_c
-
-    @property
-    def n_vars(self) -> int:
-        return self.E.shape[1]
+        self.E, self.c, self.log_c, self._form = E, c, log_c, form
 
     def __eq__(self, other):
         if type(other) is not MatrixPolynomial:
@@ -300,53 +299,143 @@ def _postorder(root: KneeJerkExpr) -> list[KneeJerkExpr]:
     return order
 
 
-_last_tape: tuple = (None, [], 0)  # (expression, form, n) of the last compile
-
 _LOG_RANGE = 745.0  # |log x| <= 745 for every positive finite double
+_MAX_BOUND = 1e300  # a term bound B at or past this keeps the slot tape
 _BATCH_TERMS = 2**16  # term values (512 KB) per chunk of a batch: stays in cache
 _EXP_ZERO = -745.2  # exp(z) is exactly 0.0 for every z below this
 
 
-def _tape(expr: KneeJerkExpr) -> tuple[tuple | list, int]:
-    """Compiled form of ``expr`` and 1 + its largest variable index.
+class _MatrixForm:
+    """The matrix form of a sum of monomials (module docstring): the exponent
+    matrix ``E`` (terms x variables), the log-coefficients ``log_c`` and
+    ``n``, the column count of ``E``.  The term bound ``B`` and the stand-in
+    ``S`` for log 0 are computed once, on first use: a
+    :class:`MatrixPolynomial` needs only ``B``, for its guard, while built."""
 
-    The form is ``(E, log c)`` for a :class:`MatrixPolynomial` (its own
-    arrays, not cached) or a sum of monomials (see :func:`_monomials`), else
-    a flat slot tape: one ``(type, arg)`` per distinct node, children before
-    parents, where ``arg`` is the variable index, the log of the constant,
-    ``(base slot, exponent)`` or the tuple of child slots.  The last tree's
-    form is reused."""
-    global _last_tape
-    if type(expr) is MatrixPolynomial:
-        return (expr.E, expr.log_c), expr.E.shape[1]
-    last, tape, n = _last_tape  # one read: concurrent callers never mix forms
-    if last is expr:
-        return tape, n
-    tape = _monomials(expr)
-    if tape is not None:
-        n = tape[0].shape[1]
-    else:
-        order = _postorder(expr)
+    def __init__(self, E: np.ndarray, log_c: np.ndarray):
+        self.E, self.log_c, self.n = E, log_c, E.shape[1]
+
+    @functools.cached_property
+    def B(self) -> float:
+        """Every term at a positive finite point has ``|z| <= B``."""
+        with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
+            return float(self.E.sum(axis=1).max() * _LOG_RANGE + np.abs(self.log_c).max())
+
+    @functools.cached_property
+    def S(self) -> float:
+        """``-(2B + 746) / e_min``, ``e_min`` the smallest positive exponent:
+        infinite when ``e_min`` is tiny."""
+        e_min = self.E.min(initial=math.inf, where=self.E > 0.0)  # inf with no variable: S = -0.0
+        with np.errstate(over="ignore"):
+            return float(-(2.0 * self.B + 746.0) / e_min)
+
+    def point(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``W`` and ``g`` at ``x`` (see :func:`_eval_log_raw`)."""
+        E, n = self.E, self.n
+        xs = x[:n]
+        if all(xs.tolist()):  # faster than ndarray.all() on short vectors
+            z = E @ np.log(xs) + self.log_c
+        else:  # log 0 = -inf would meet exponent 0 as NaN: kill its terms instead
+            zero = xs == 0.0
+            z = E @ np.log(np.where(zero, 1.0, xs)) + self.log_c
+            z[E[:, zero].any(axis=1)] = -math.inf
+        m = z.max()
+        if m == -math.inf:
+            _raise_vanishes(m)
+        p = np.exp(z - m)
+        s = p.sum()
+        g = p @ E / s
+        if n < x.size:
+            g = np.concatenate((g, np.zeros(x.size - n)))
+        return float(m + math.log(s)), g
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """``W`` of each row of ``X`` (see :func:`_eval_log_values`)."""
+        W = np.empty(len(X))
+        step = max(2, _BATCH_TERMS // len(self.E))
+        with np.errstate(divide="ignore"):  # log 0 of a dead point's sum
+            for i in range(0, len(X), step):
+                C = X[i : i + step, : self.n]
+                # numpy multiplies and sums one column as vectors, which
+                # round unlike any longer chunk: score a lone point twice.
+                m, P = _term_table(self.E, self.log_c, self.B, self.S, C if len(C) > 1 else np.vstack((C, C)))
+                W[i : i + step] = (m + np.log(P.sum(axis=0)))[: len(C)]
+                # Freed before the next chunk's table: at most two
+                # chunk-sized arrays are alive at once.
+                del P
+        return W
+
+
+class _SlotTape:
+    """A tree's flat slot tape: one slot per distinct node, in
+    :func:`_postorder` order.  ``kinds`` holds each slot's node type and
+    ``args`` its variable index, the log of its constant, ``(base slot,
+    exponent)`` or the tuple of its child slots; ``n`` is 1 + the largest
+    variable index.  ``args`` holds only numbers, so the garbage collector
+    stops tracking it: kept tapes do not slow later collections."""
+
+    def __init__(self, root: KneeJerkExpr):
+        order = _postorder(root)
         slot = {id(node): k for k, node in enumerate(order)}
-        tape = []
+        args, n = [], 0
         for node in order:
             t = type(node)
             if t is Var:
                 arg = node.index
+                n = max(n, arg + 1)
             elif t is Const:
                 arg = math.log(node.value)
             elif t is Pow:
                 arg = (slot[id(node.base)], node.exponent)
             else:
                 arg = tuple(slot[id(c)] for c in node.children())
-            tape.append((t, arg))
-        n = max((arg + 1 for t, arg in tape if t is Var), default=0)
-    _last_tape = (expr, tape, n)
-    return tape, n
+            args.append(arg)
+        self.kinds = tuple(map(type, order))
+        self.args, self.n = tuple(args), n
+
+    def point(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``W`` and ``g`` at ``x`` (see :func:`_eval_log_raw`)."""
+        kinds, args = self.kinds, self.args
+        with np.errstate(divide="ignore"):
+            vals = _forward(self, np.log(x).tolist(), _lse_point)
+        W = vals[-1]
+        if not W > -math.inf:
+            _raise_vanishes(W)
+        g = [0.0] * x.size
+        adj = [0.0] * (len(args) - 1) + [1.0]
+        for k in range(len(args) - 1, -1, -1):
+            a = adj[k]
+            if a == 0.0:
+                continue  # includes every dead (-inf) subtree
+            t, arg = kinds[k], args[k]
+            if t is Var:
+                g[arg] += a
+            elif t is Prod:
+                for s in arg:
+                    adj[s] += a
+            elif t is Pow:
+                adj[arg[0]] += a * arg[1]
+            elif t is Sum:
+                L = vals[k]
+                for s in arg:
+                    adj[s] += a * math.exp(vals[s] - L)  # exactly 0.0 for a dead child
+        return W, np.array(g)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """``W`` of each row of ``X`` (see :func:`_eval_log_values`)."""
+        W = np.empty(len(X))
+        # At least 256 rows per pass: each pass takes one Python step per slot,
+        # which dominates on a tree of thousands of slots when passes are short.
+        step = max(256, _BATCH_TERMS // len(self.args))
+        lse = functools.partial(functools.reduce, np.logaddexp)
+        with np.errstate(divide="ignore"):
+            for i in range(0, len(X), step):
+                W[i : i + step] = _forward(self, np.log(X[i : i + step]).T, lse)[-1]
+        return W
 
 
-def _monomials(expr: KneeJerkExpr) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(E, log c)`` of a sum of monomials, or None for any other tree.
+def _monomials(expr: KneeJerkExpr) -> _MatrixForm | None:
+    """The matrix form of a sum of monomials, or None for any other tree.
 
     Row ``r`` of ``E`` holds term ``r``'s exponents (a repeated variable adds
     up) and ``log c[r]`` the sum of the logs of its constant factors.  None
@@ -377,41 +466,18 @@ def _monomials(expr: KneeJerkExpr) -> tuple[np.ndarray, np.ndarray] | None:
     if not _dense_enough((len(terms), n), len(exps)):
         return None
     E = np.zeros((len(terms), n))
-    log_c = np.array(log_c)
     with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
         np.add.at(E, (rows, cols), exps)
-    if not _overflow_safe(E, log_c):
-        return None
+    form = _MatrixForm(E, np.array(log_c))
     # Unlike a MatrixPolynomial's integer exponents (e_min >= 1), a fractional
     # one can be too small for log 0 to have a finite stand-in.
-    return (E, log_c) if math.isfinite(_log_zero(E, _term_bound(E, log_c))) else None
+    return form if form.B < _MAX_BOUND and math.isfinite(form.S) else None
 
 
 def _dense_enough(shape: tuple[int, int], entries: int) -> bool:
     """Whether a dense ``E`` of this shape holds at most about 16 times the
     tree's ``entries`` exponents (a stray large variable index fails)."""
     return shape[0] * shape[1] <= 16 * entries + 2**16
-
-
-def _term_bound(E: np.ndarray, log_c: np.ndarray) -> float:
-    """``B``: every term of ``(E, log c)`` at a positive finite point has
-    ``|z| <= B`` (module docstring)."""
-    with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
-        return float(E.sum(axis=1).max() * _LOG_RANGE + np.abs(log_c).max())
-
-
-def _log_zero(E: np.ndarray, B: float) -> float:
-    """``S = -(2B + 746) / e_min``, the stand-in for log 0 in a batch (module
-    docstring); ``e_min`` is the smallest positive exponent.  Infinite when
-    ``e_min`` is tiny."""
-    e_min = E.min(initial=math.inf, where=E > 0.0)  # inf with no variable: S = -0.0
-    with np.errstate(over="ignore"):
-        return float(-(2.0 * B + 746.0) / e_min)
-
-
-def _overflow_safe(E: np.ndarray, log_c: np.ndarray) -> bool:
-    """Whether no term of ``(E, log c)`` can overflow (module docstring)."""
-    return _term_bound(E, log_c) < 1e300
 
 
 def _lse_point(vs: list[float]) -> float:
@@ -425,11 +491,11 @@ def _lse_point(vs: list[float]) -> float:
     return m + math.log(acc)
 
 
-def _forward(tape, u, lse) -> list:
+def _forward(tape: _SlotTape, u, lse) -> list:
     """Log-values of every tape slot, from ``u = log x`` given as floats (one
     point) or as arrays (one per variable, a batch)."""
     vals: list = []
-    for t, arg in tape:
+    for t, arg in zip(tape.kinds, tape.args):
         if t is Var:
             v = u[arg]
         elif t is Prod:
@@ -447,64 +513,24 @@ def _forward(tape, u, lse) -> list:
 
 
 def _eval_log_raw(expr: KneeJerkExpr, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """``W`` and ``g`` at a validated nonnegative ``x``: two matrix-vector
-    products for a sum of monomials, else a forward and a reverse pass over
-    the slot tape.
+    """``W`` and ``g`` at a validated nonnegative ``x``, from the objective's
+    compiled form (built on the first call): two matrix-vector products for
+    the matrix form, else a forward and a reverse pass over the slot tape.
 
     Zero coordinates are handled as limits: they carry log-value -inf, get
     softmax weight exactly 0.0 at every sum node (in the matrix form, every
     term with a positive exponent on them is -inf), and therefore contribute
-    exactly 0.0 to the gradient weights.  Raises ValueError when the objective
+    exactly 0.0 to the gradient weights.  Raises ValueError when ``x`` has
+    fewer coordinates than the objective has variables, when the objective
     vanishes on the support of ``x`` (W = -inf) or evaluates to NaN.
     """
-    tape, n = _tape(expr)
-    if n > x.size:
+    form = expr._form
+    if form.n > x.size:
         raise ValueError(
-            f"expression references variable {n - 1} but the point "
+            f"expression references variable {form.n - 1} but the point "
             f"has only {x.size} coordinates"
         )
-    if type(tape) is tuple:
-        E, log_c = tape
-        xs = x[:n]
-        if all(xs.tolist()):  # faster than ndarray.all() on short vectors
-            z = E @ np.log(xs) + log_c
-        else:  # log 0 = -inf would meet exponent 0 as NaN: kill its terms instead
-            zero = xs == 0.0
-            z = E @ np.log(np.where(zero, 1.0, xs)) + log_c
-            z[E[:, zero].any(axis=1)] = -math.inf
-        m = z.max()
-        if m == -math.inf:
-            _raise_vanishes(m)
-        p = np.exp(z - m)
-        s = p.sum()
-        g = p @ E / s
-        if n < x.size:
-            g = np.concatenate((g, np.zeros(x.size - n)))
-        return float(m + math.log(s)), g
-    with np.errstate(divide="ignore"):
-        vals = _forward(tape, np.log(x).tolist(), _lse_point)
-    W = vals[-1]
-    if not W > -math.inf:
-        _raise_vanishes(W)
-    g = [0.0] * x.size
-    adj = [0.0] * (len(tape) - 1) + [1.0]
-    for k in range(len(tape) - 1, -1, -1):
-        a = adj[k]
-        if a == 0.0:
-            continue  # includes every dead (-inf) subtree
-        t, arg = tape[k]
-        if t is Var:
-            g[arg] += a
-        elif t is Prod:
-            for s in arg:
-                adj[s] += a
-        elif t is Pow:
-            adj[arg[0]] += a * arg[1]
-        elif t is Sum:
-            L = vals[k]
-            for s in arg:
-                adj[s] += a * math.exp(vals[s] - L)  # exactly 0.0 for a dead child
-    return W, np.array(g)
+    return form.point(x)
 
 
 def _raise_vanishes(W: float):
@@ -550,54 +576,19 @@ def eval_log(expr: KneeJerkExpr, x) -> LogEval:
 
 def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
     """Log-values, no gradients, for a batch of nonnegative points (rows of
-    X): one per row, even for a constant tree.  Used by the grid search in
-    :mod:`kneejerk.cli`, on every point of a grid it scores row by row and
-    on the points a split grid's screen selects.  The rows are evaluated in
-    chunks of about ``_BATCH_TERMS`` term (or slot) values, or 256 rows of a
-    slot tape if that is more, so memory does not grow with the batch.
+    X), from the objective's compiled form: one per row, even for a
+    constant tree.  Used by the grid search in :mod:`kneejerk.cli`, on every
+    point of a grid it scores row by row and on the points a split grid's
+    screen selects.  The rows are evaluated in chunks of about
+    ``_BATCH_TERMS`` term (or slot) values, or 256 rows of a slot tape if
+    that is more, so memory does not grow with the batch.
 
-    A sum of monomials is scored terms-major (module docstring): each
-    chunk's table comes from :func:`_term_table`, which forms ``Z`` (terms x
-    points) with ``log 0`` replaced by the sentinel ``S``, takes each point's
-    max ``m`` over axis 0, marks the point dead (``W = -inf``) when ``m <
-    -B``, and exponentiates only the lanes of ``Z - m`` above -745.2 into a
-    zeroed buffer.  The sum over terms runs in another order than a row sum,
-    so values can differ from the point evaluation in the last bits."""
-    form = _matrix_form(expr)
-    W = np.empty(len(X))
-    if form is not None:
-        E = form[0]
-        n = E.shape[1]
-        step = max(1, _BATCH_TERMS // len(E))
-        with np.errstate(divide="ignore"):  # log 0 of a dead point's sum
-            for i in range(0, len(X), step):
-                m, P = _term_table(*form, X[i : i + step, :n])
-                W[i : i + step] = m + np.log(P.sum(axis=0))
-                # Freed before the next chunk's table: at most two
-                # chunk-sized arrays are alive at once.
-                del P
-        return W
-    tape, _ = _tape(expr)
-    # At least 256 rows per pass: each pass takes one Python step per slot,
-    # which dominates on a tree of thousands of slots when passes are short.
-    step = max(256, _BATCH_TERMS // len(tape))
-    lse = functools.partial(functools.reduce, np.logaddexp)
-    with np.errstate(divide="ignore"):
-        for i in range(0, len(X), step):
-            W[i : i + step] = _forward(tape, np.log(X[i : i + step]).T, lse)[-1]
-    return W
-
-
-def _matrix_form(expr: KneeJerkExpr) -> tuple | None:
-    """``(E, log c, B, S)`` of an objective evaluated in the matrix form: its
-    exponent matrix and log-coefficients, their term bound and the stand-in
-    for log 0 (module docstring).  None for a slot tape."""
-    tape, _ = _tape(expr)
-    if type(tape) is not tuple:
-        return None
-    E, log_c = tape
-    B = _term_bound(E, log_c)
-    return E, log_c, B, _log_zero(E, B)
+    The matrix form scores each chunk terms-major, summing the table of
+    :func:`_term_table` per point; a lone point is scored as two, so a row's
+    value does not depend on its batch.  The sum over terms runs in another
+    order than a row sum, so values can differ from the point evaluation in
+    the last bits."""
+    return expr._form.values(X)
 
 
 def _term_table(
@@ -610,7 +601,9 @@ def _term_table(
 
     A point whose ``m`` is below ``-B`` has no live term: its column of
     ``P`` is all zero and its ``m`` is ``-inf``, so ``m + log(sum P)`` is
-    ``log 0`` with no NaN.  ``X`` holds one column per column of ``E``."""
+    ``log 0`` with no NaN.  ``X`` holds one column per column of ``E``; a
+    single row is multiplied as a vector, which rounds unlike more rows, so
+    the batch evaluation never passes one."""
     # log 0 of a zero coordinate; products with S may overflow to -inf.
     with np.errstate(divide="ignore", over="ignore"):
         Z = E @ np.maximum(np.log(X), S).T

@@ -182,7 +182,8 @@ def _assert_parses_to_the_tree_matrix_form(text, poly):
     ``eval_log`` at random points."""
     e = parse_problem(text).expression
     tree = polynomial_to_expression(poly)
-    E, log_c = expr_module._monomials(tree)
+    form = expr_module._monomials(tree)
+    E, log_c = form.E, form.log_c
     assert type(e) is MatrixPolynomial
     assert e.E.dtype == E.dtype and e.E.shape == E.shape
     assert np.array_equal(e.E, E) and np.array_equal(e.log_c, log_c)
@@ -223,17 +224,20 @@ class TestMatrixFormParse:
         poly = SparsePolynomial(2, ((1.0, (10**298, 0)), (1.0, (0, 1))))
         e = parse_problem(_problem_text({"polynomial": poly.to_json_dict()}, 2)).expression
         assert e == polynomial_to_expression(poly)
-        assert type(expr_module._tape(e)[0]) is list  # the slot tape
+        assert type(e._form) is expr_module._SlotTape
 
     def test_solves_never_compile(self, monkeypatch):
-        p = parse_problem(GRAPH_PROBLEM)
-        q = parse_problem(POLY_PROBLEM)
+        # Graph and polynomial sources, and inline trees that compile to the
+        # matrix form and to the slot tape: each compiles while it parses.
+        problems = [parse_problem(t) for t in (
+            GRAPH_PROBLEM, POLY_PROBLEM, INLINE_PROBLEM, _blocks_problem(SLOT_TAPE_TREE, [2, 2], None))]
+        forms = [vars(p.expression).get("_form") for p in problems]  # read without compiling
+        assert type(forms[2]) is expr_module._MatrixForm and type(forms[3]) is expr_module._SlotTape
         for name in ("_monomials", "_postorder"):
             monkeypatch.setattr(expr_module, name, None)  # any compile would raise
-        last = expr_module._last_tape
-        for problem in (p, q, p):
+        for problem in problems + problems:
             run_optimize(problem)
-        assert expr_module._last_tape is last
+        assert [p.expression._form for p in problems] == forms
 
 
 class TestRunOptimize:
@@ -459,7 +463,21 @@ class TestRunOracle:
 
     def test_the_slot_tape_case_stays_on_the_row_path(self):
         p = parse_problem(_blocks_problem(SLOT_TAPE_TREE, [2, 2], None))
-        assert expr_module._matrix_form(p.expression) is None
+        assert type(p.expression._form) is expr_module._SlotTape
+
+    def test_a_barycenter_on_the_grid_scores_as_its_grid_row(self):
+        # 0.7 e_6(x) on one block of 8 coordinates peaks at the barycenter,
+        # the grid point (1, ..., 1) / 8.  Scored alone, the barycenter must
+        # get the W of its grid row, not one that differs in the last bits.
+        terms = [(0.7, [int(i in S) for i in range(8)]) for S in itertools.combinations(range(8), 6)]
+        p = parse_problem(_blocks_problem(_poly(8, terms), [8], None))
+        X = np.concatenate([c / 8.0 for c in cli._grid_batches(p.structure, 8)])
+        W = expr_module._eval_log_values(p.expression, X)
+        i = int(np.argmax(W))
+        assert X[i].tolist() == barycenter(p.structure).x.tolist()
+        res = run_oracle(p, 8)
+        assert res.best_W == W[i]
+        assert res.best_point.tolist() == X[i].tolist()
 
     # x0 x2 + x1 x3 is 1 at (0, 1, 0, 1) and at (1, 0, 1, 0), the first and
     # the last rows of the prefix half-grid; with 7-point batches each prefix

@@ -191,12 +191,43 @@ class TestTape:
         expr_module._eval_log_raw(e, np.array([0.3, 0.7]))
         assert calls == [e]
 
+    def test_alternating_trees_compile_once_each(self, monkeypatch):
+        calls = {"_monomials": [], "_postorder": []}
+        for name, log in calls.items():
+            real = getattr(expr_module, name)
+
+            def counted(root, real=real, log=log):
+                log.append(root)
+                return real(root)
+
+            monkeypatch.setattr(expr_module, name, counted)
+        tape = dlr_expression()  # the slot tape
+        poly = polynomial_to_expression(random_polynomial(np.random.default_rng(24), 2))
+        for x in ([0.5, 0.5], [0.2, 0.8], [0.9, 0.1]):
+            for e in (tape, poly):
+                eval_log(e, np.array(x))
+        assert calls == {"_monomials": [tape, poly], "_postorder": [tape]}
+
+    def test_n_vars_of_a_compiled_tree_walks_nothing(self, monkeypatch):
+        e = dlr_expression()
+        eval_log(e, np.array([0.5, 0.5]))
+        calls = []
+        real = expr_module._postorder
+
+        def counted(root):
+            calls.append(root)
+            return real(root)
+
+        monkeypatch.setattr(expr_module, "_postorder", counted)
+        assert e.n_vars == 2
+        assert calls == []
+
     def test_shared_subtree_gets_one_slot(self):
         shared = Sum((Var(0), Var(1)))
-        tape, n = expr_module._tape(Prod((shared, shared, Const(2.0))))
-        assert n == 2
-        assert [t for t, _ in tape].count(Sum) == 1
-        t, arg = tape[-1]
+        tape = Prod((shared, shared, Const(2.0)))._form
+        assert tape.n == 2
+        assert tape.kinds.count(Sum) == 1
+        t, arg = tape.kinds[-1], tape.args[-1]
         assert t is Prod and arg[0] == arg[1]
 
     def test_alternating_expressions_match_fresh_evaluations(self):
@@ -386,7 +417,6 @@ class TestMatrixPolynomial:
             poly = random_polynomial(rng, 4, max_degree=6, max_terms=12)
             e = MatrixPolynomial([t for _, t in poly.terms], [c for c, _ in poly.terms])
             tree = polynomial_to_expression(poly)
-            last = expr_module._last_tape
             x = rng.uniform(0.0, 1.0, 5)
             X = rng.uniform(0.0, 1.0, (6, 5))
             try:
@@ -398,7 +428,7 @@ class TestMatrixPolynomial:
                 ref = expr_module._eval_log_raw(tree, x)
                 assert ev[0] == ref[0] and np.array_equal(ev[1], ref[1])
             assert np.array_equal(expr_module._eval_log_values(e, X), expr_module._eval_log_values(tree, X))
-            assert expr_module._tape(e)[0][0] is e.E
+            assert e._form.E is e.E and e._form.log_c is e.log_c
 
     def test_to_polynomial(self):
         poly = SparsePolynomial(4, ((3.0, (0, 2, 0, 0)), (1.5, (1, 0, 1, 0))))
@@ -410,7 +440,7 @@ class TestMatrixPolynomial:
 class TestMonomialForm:
     @staticmethod
     def _is_monomial_form(e):
-        return type(expr_module._tape(e)[0]) is tuple
+        return type(e._form) is expr_module._MatrixForm
 
     def test_polynomials_take_the_matrix_form_and_other_trees_the_tape(self):
         poly = polynomial_to_expression(random_polynomial(np.random.default_rng(30), 3))
@@ -520,6 +550,25 @@ class TestMonomialForm:
                     expr_module._eval_log_raw(e, x)
             else:
                 assert_allclose(w, expr_module._eval_log_raw(e, x)[0], rtol=1e-12, atol=1e-12)
+
+    def test_a_lone_row_scores_as_in_a_batch(self):
+        # numpy multiplies and sums a one-column table as vectors, which
+        # round unlike longer chunks; each row must get its batch value bit
+        # for bit, also as the lone last row of a batch (K6: 50-row chunks).
+        rng = np.random.default_rng(36)
+        k5 = MatrixPolynomial(*_tree_monomials(Graph(5, tuple(itertools.combinations(range(5), 2)))))
+        cases = [(k5, 40), (_k6_expression(), 51)]
+        for _ in range(30):
+            poly = random_polynomial(rng, 4, max_degree=8, max_terms=30)
+            cases.append((MatrixPolynomial([t for _, t in poly.terms], [c for c, _ in poly.terms]), 9))
+        for e, rows in cases:
+            X = rng.uniform(0.0, 1.0, (rows, e.n_vars))
+            X[rng.random(X.shape) < 0.1] = 0.0
+            W = expr_module._eval_log_values(e, X)
+            assert (W > -math.inf).any()
+            for i in range(rows):
+                assert expr_module._eval_log_values(e, X[i : i + 1])[0] == W[i]
+                assert expr_module._eval_log_values(e, X[i : i + 2])[0] == W[i]
 
     def test_all_dead_batch_gives_only_minus_inf(self):
         e = MatrixPolynomial([[1, 1, 0], [0, 1, 1], [2, 0, 1]], [1.0, 3.0, 0.5])

@@ -71,7 +71,8 @@ __all__ = [
 
 _ORACLE_POINT_GUARD = 10**8
 _ORACLE_BATCH = 2**16  # grid points scored per _eval_log_values call
-_SPLIT_TERMS = 2**20  # term values (8 MB) in a split grid's suffix table
+_SPLIT_TERMS = 2**20  # term values (8 MB) in a split grid's suffix table or prefix chunk
+_SPLIT_SHARE = 8  # a split grid's halves hold at most 1/8 of its points each
 _SCREEN_TINY = 2.0**-600  # a screened sum this small may have lost terms
 _TOO_DEEP = "expression: nested too deeply to parse"
 _TOO_MANY = "blocks: sum to {} coordinates, too many to allocate"
@@ -414,36 +415,63 @@ def _lipschitz_estimate(g: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum(g[pos] / x[pos]))
 
 
-def _split_block(structure: BlockStructure, resolution: int, terms: int) -> int | None:
-    """The block that starts the suffix half-grid of a split grid: the split
-    whose larger half-grid is smallest, the first such on a tie.  None when
-    a half-grid has one point (the screen would save nothing), or when the
-    suffix has more points than a batch or its table of ``terms`` values
-    per point would exceed ``_SPLIT_TERMS`` (a long block after short
-    ones)."""
-    sizes = _grid_sizes(structure.blocks, resolution)
-    if len(sizes) < 2:
+def _split_cut(blocks, resolution: int, terms: int) -> int | None:
+    """The coordinate that starts the suffix half-grid of a split grid, or
+    None when no split pays.
+
+    A cut after the first ``m`` coordinates of block ``j`` (``m`` is 0 at a
+    block boundary) gives a prefix half-grid of the blocks before ``j``
+    times every way to fill those ``m`` coordinates with a sum of at most
+    the resolution, and a suffix half-grid of the rest of block ``j``, filled
+    likewise, times the blocks after it (:func:`_screened_best`).  The cut
+    is the one whose larger half-grid is smallest, the first such on a tie.
+    It is taken when each half has at most ``1 / _SPLIT_SHARE`` of the grid's
+    points and the suffix's table of ``terms`` values per point fits
+    ``_SPLIT_TERMS``.  So a block of 2 or 3 coordinates alone is never cut:
+    one of its halves is as large as the grid."""
+    sizes = _grid_sizes(blocks, resolution)
+    grid = math.prod(sizes)
+    cuts = []
+    start = 0
+    for j, b in enumerate(blocks):
+        head, tail = math.prod(sizes[:j]), math.prod(sizes[j + 1 :])
+        for m in range(j == 0, b):
+            prefix = head * math.comb(resolution + m, m)
+            suffix = tail * (math.comb(resolution + b - m, b - m) if m else sizes[j])
+            cuts.append((max(prefix, suffix), start + m, suffix))
+        start += b
+    if not cuts:
         return None
-    j = min(range(1, len(sizes)), key=lambda j: max(math.prod(sizes[:j]), math.prod(sizes[j:])))
-    prefix, suffix = math.prod(sizes[:j]), math.prod(sizes[j:])
-    if min(prefix, suffix) < 2 or suffix > _ORACLE_BATCH or terms * suffix > _SPLIT_TERMS:
+    larger, p, suffix = min(cuts)
+    if _SPLIT_SHARE * larger > grid or terms * suffix > _SPLIT_TERMS:
         return None
-    return j
+    return p
 
 
-def _screened_best(expr, s, resolution, j, inv, floor):
+def _screened_best(expr, s, resolution, p, inv, floor):
     """The first best grid point and its ``W`` (``-inf`` and None when the
     screen rules out every point), for an objective in the matrix form, on a
-    grid split before block ``j``.
+    grid cut before coordinate ``p``.
 
-    The grid is the product of the prefix half-grid ``A`` (blocks before
-    ``j``) and the suffix half-grid ``B``, and a point's rank is ``rank_A *
-    |B| + rank_B``.  Each term splits as ``z = zA(a) + zB(b)``, with ``log
-    c`` in ``zB``, so ``expr._term_table`` of each half gives its maxima
-    ``mA``, ``mB`` and tables ``PA``, ``PB``, and one matrix product screens
-    every point: ``W ~ mA + mB + log (PA^T PB)``.  The suffix's table is
-    built once and the prefix's in chunks, so a tile holds at most
-    ``_ORACLE_BATCH`` points.
+    The cut falls after the first ``m`` coordinates of block ``j`` (``m`` is
+    0 at a block boundary).  A prefix point (the blocks before ``j`` and
+    those ``m`` coordinates) fixes their partial sum ``k``, and it pairs
+    with exactly the suffix points (the rest of block ``j`` and the blocks
+    after it) whose part of block ``j`` sums to ``resolution - k``.  So the
+    grid is the union over ``k`` of the products ``A_k x B_k`` of the
+    half-grids' groups; at a block boundary ``k`` is always 0 and the grid
+    is ``A x B``.  Each half is enumerated as a grid with one more
+    coordinate in block ``j``, a slack that makes up its sum.
+
+    Each term splits as ``z = zA(a) + zB(b)``, with ``log c`` in ``zB``, so
+    ``_term_table`` of each half gives its maxima ``mA``, ``mB`` and tables
+    ``PA``, ``PB``, and one matrix product per group screens its points: ``W
+    ~ mA + mB + log (PA^T PB)``.  Terms equal on a half's columns (and, in
+    the suffix, in ``log c``) are exponentiated once: on K5's cut, 26 and 24
+    distinct rows stand for 125 terms.  The suffix's table is built once,
+    sorted by ``k``; the prefix's in chunks of at most ``_SPLIT_TERMS``
+    values, each sorted by ``k``, and a tile holds at most ``_ORACLE_BATCH``
+    points or one prefix row.
 
     The screen only selects points: the row kernel ``_eval_log_values``
     re-scores them, so the result is the row path's.  A screened sum of at
@@ -454,55 +482,100 @@ def _screened_best(expr, s, resolution, j, inv, floor):
     when its screen is within ``delta`` of the best screen so far, or of
     ``floor``, the barycenter's ``W``: a grid point below that loses to the
     barycenter.  A point whose sum fell below ``_SCREEN_TINY`` is re-scored
-    when its bound ``mA + mB + log T`` (``T`` terms) reaches that.  So no
-    point that can tie or beat the best is missed.  Each tile's candidates
-    are re-scored in grid order, in one batch; the row kernel gives a point
-    the same value in any batch, alone or not."""
+    when its bound ``mA + mB + log T`` (``T`` terms) reaches that and some
+    term is live in both halves; with none, the point is dead (``W = log
+    0``).  So no point that can tie or beat the best is missed.  Each tile's
+    candidates are re-scored in one batch; the row kernel gives a point the
+    same value in any batch, alone or not.  Tiles are not visited in grid
+    order, so a tie goes to the lexicographically first count row, which is
+    the first in grid order."""
     form = expr._form
     E, log_c, bound, S = form.E, form.log_c, form.B, form.S
     T, n = E.shape
-    split = int(s.starts[j])
+    j = int(s.index[p])
+    m = p - int(s.starts[j])
 
-    def tables(blocks, E_h, log_c_h, inv_h, rows):
-        """Each half-grid chunk's counts, maxima and table.  ``E_h`` holds
-        the half's columns of ``E``: none past the last variable used."""
-        used = E_h.shape[1]
-        for counts in _grid_batches(BlockStructure(blocks), resolution):
-            for i in range(0, len(counts), rows):
-                c = counts[i : i + rows]
-                yield c, *_term_table(E_h, log_c_h, bound, S, c[:, :used] * inv_h[:used])
+    def table(E_h, log_c_h, inv_h):
+        """The maxima and table of a half-grid's count rows, as a function
+        of the rows.  ``E_h`` holds the half's columns of ``E``: none past
+        the last variable used.  Terms that agree on these columns and on
+        ``log_c_h`` share one row of work, copied to each."""
+        key = np.column_stack((E_h, log_c_h))
+        # One void item per row: unique finds equal bytes faster than rows.
+        items = key.view((np.void, key.itemsize * key.shape[1])).ravel()
+        _, first, cls = np.unique(items, return_index=True, return_inverse=True)
+        E_u, log_c_u, used = key[first, :-1], key[first, -1], key.shape[1] - 1
 
-    # The suffix has at most _ORACLE_BATCH points (_split_block): one chunk.
-    counts_B, m_B, P_B = next(tables(s.blocks[j:], E[:, split:], log_c, inv[split:], _ORACLE_BATCH))
-    rows_A = max(1, _ORACLE_BATCH // max(len(counts_B), T))
+        def of(counts):
+            m_h, P = _term_table(E_u, log_c_u, bound, S, counts[:, :used] * inv_h[:used])
+            return m_h, P[cls]
+
+        return of
+
+    def live(E_h, counts):
+        """1 where a term has no zero coordinate among a half-grid's count
+        rows (terms x rows), exact as float32 counts."""
+        c = counts[:, : E_h.shape[1]]
+        zeros = (E_h > 0.0).astype(np.float32) @ (c == 0).T.astype(np.float32)
+        return (zeros == 0.0).astype(np.float32)
+
+    # The suffix: block j's slack, k, leads, so its rows come sorted by k.
+    # At a block boundary it has no slack, and k is 0.
+    blocks_B = ((s.blocks[j] - m + 1,) if m else (s.blocks[j],)) + s.blocks[j + 1 :]
+    grid_B = np.concatenate(list(_grid_batches(BlockStructure(blocks_B), resolution)))
+    k_B, counts_B = (grid_B[:, 0], grid_B[:, 1:]) if m else (np.zeros(len(grid_B), np.int64), grid_B)
+    group_B = np.searchsorted(k_B, np.arange(resolution + 2))
+    m_B, P_B = table(E[:, p:], log_c, inv[p:])(counts_B)
+    table_A = table(E[:, :p], np.zeros(T), inv[:p])
+    rows = max(1, _SPLIT_TERMS // T)  # a prefix chunk's table fits where the suffix's does
+
     spread = (n + 2) * bound + T + 2048
     top = floor
     best_W = -math.inf
-    best_point = None
-    for counts_A, m_A, P_A in tables(s.blocks[:j], E[:, :split], np.zeros(T), inv[:split], rows_A):
-        a, b, top = _screen_tile(m_A, P_A, m_B, P_B, top, spread)
-        if not len(a):
-            continue
-        X = np.hstack((counts_A[a], counts_B[b])) * inv
-        W_x = _eval_log_values(expr, X)
-        i = int(np.argmax(W_x))
-        if W_x[i] > best_W:  # the first best grid point wins a tie
-            best_W = float(W_x[i])
-            best_point = X[i].copy()
+    best_counts = best_point = None
+    # The prefix: block j's slack, resolution - k, comes last.
+    for grid_A in _grid_batches(BlockStructure(s.blocks[:j] + (m + 1,)), resolution):
+        for i in range(0, len(grid_A), rows):
+            chunk = grid_A[i : i + rows]
+            chunk = chunk[np.argsort(-chunk[:, p], kind="stable")]  # by k, then grid order
+            k_A, counts_A = resolution - chunk[:, p], chunk[:, :p]
+            m_A, P_A = table_A(counts_A)
+            ks, starts = np.unique(k_A, return_index=True)
+            for k, lo, hi in zip(ks.tolist(), starts.tolist(), starts[1:].tolist() + [len(k_A)]):
+                B = slice(group_B[k], group_B[k + 1])
+                step = max(1, _ORACLE_BATCH // (B.stop - B.start))
+                for r in range(lo, hi, step):
+                    A = slice(r, min(r + step, hi))
+                    a, b, tiny, top = _screen_tile(m_A[A], P_A[:, A], m_B[B], P_B[:, B], top, spread, T)
+                    if tiny.any():
+                        # A point with no term live in both halves is dead.
+                        shared = live(E[:, :p], counts_A[A]).T @ live(E[:, p:], counts_B[B])
+                        keep = ~tiny
+                        keep[tiny] = shared[a[tiny], b[tiny]] > 0.0
+                        a, b = a[keep], b[keep]
+                    if not len(a):
+                        continue
+                    C = np.hstack((counts_A[A][a], counts_B[B][b]))
+                    W_x = _eval_log_values(expr, C * inv)
+                    i_best = int(np.argmax(W_x))  # the first in grid order within the tile
+                    W_i, C_i = float(W_x[i_best]), C[i_best].tolist()
+                    if W_i > best_W or (W_i == best_W > -math.inf and C_i < best_counts):
+                        best_W, best_counts = W_i, C_i
+                        best_point = C[i_best] * inv
     return best_W, best_point
 
 
-def _screen_tile(m_A, P_A, m_B, P_B, top, spread):
+def _screen_tile(m_A, P_A, m_B, P_B, top, spread, T):
     """The points of one tile to re-score, as prefix and suffix indices in
     grid order, and the best screen so far (see :func:`_screened_best`).
 
     ``top`` is the best screen before this tile (or the floor), and the
     window is ``delta = 2^-46 (spread + |top|)`` with ``spread = (n + 2) B +
-    T + 2048`` for ``n`` variables.  A screened ``W`` and the row kernel's
-    differ by the rounding of each term value (about ``n B`` units of
-    ``2^-53`` on each side), of the shifts by the maxima and of the sums:
-    under ``D = 2^-53 ((2n + 6) B + 2 |W| + 2 T + 3100)``.  A window of
-    ``2 D`` would do, and ``delta`` is over twenty times that."""
+    T + 2048`` for ``n`` variables and ``T`` terms.  A screened ``W`` and
+    the row kernel's differ by the rounding of each term value (about ``n
+    B`` units of ``2^-53`` on each side), of the shifts by the maxima and of
+    the sums: under ``D = 2^-53 ((2n + 6) B + 2 |W| + 2 T + 3100)``.  A
+    window of ``2 D`` would do, and ``delta`` is over twenty times that."""
     W = P_A.T @ P_B  # the screened sums
     low = W < _SCREEN_TINY
     with np.errstate(divide="ignore"):
@@ -514,21 +587,22 @@ def _screen_tile(m_A, P_A, m_B, P_B, top, spread):
     thr = top - 2.0**-46 * (spread + abs(top))
     hit = W >= thr
     a, b = np.nonzero(low)
-    keep = m_A[a] + m_B[b] + math.log(len(P_A)) >= thr
+    keep = m_A[a] + m_B[b] + math.log(T) >= thr
     hit[a[keep], b[keep]] = True
     a, b = np.divmod(np.flatnonzero(hit), W.shape[1])
-    return a, b, top
+    return a, b, low[a, b], top
 
 
 def run_oracle(problem: Problem, resolution: int) -> OracleResult:
     """Exhaustively score the uniform grid of the given resolution (plus the
     exact barycenter) and compare against the iteration's terminal value.
 
-    A grid of two or more blocks under a sum of monomials is screened as two
-    half-grids and one matrix product, and only the points the screen cannot
-    rule out are scored by the row kernel (:func:`_screened_best`): the best
-    point and ``W`` are those of scoring every point.  Any other grid is
-    scored row by row."""
+    A grid under a sum of monomials that :func:`_split_cut` can cut at a
+    coordinate, at a block boundary or inside a block, is screened as two
+    half-grids paired by their partial sums, with one matrix product per
+    group, and only the points the screen cannot rule out are scored by the
+    row kernel (:func:`_screened_best`): the best point and ``W`` are those
+    of scoring every point.  Any other grid is scored row by row."""
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
         raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
     s = problem.structure
@@ -546,9 +620,9 @@ def run_oracle(problem: Problem, resolution: int) -> OracleResult:
     bc = barycenter(s).x
     Wbc = float(_eval_log_values(e, bc[None, :])[0])
     form = e._form
-    j = _split_block(s, resolution, len(form.E)) if isinstance(form, _MatrixForm) else None
-    if j is not None:
-        best_W, best_point = _screened_best(e, s, resolution, j, inv, Wbc)
+    p = _split_cut(s.blocks, resolution, len(form.E)) if isinstance(form, _MatrixForm) else None
+    if p is not None:
+        best_W, best_point = _screened_best(e, s, resolution, p, inv, Wbc)
     else:
         best_W = -math.inf
         best_point = None

@@ -47,10 +47,11 @@ exactly 0.0 anyway.  A sum of monomials whose ``S`` would not be finite (an
 exponent near the smallest double) keeps the slot tape.  One helper,
 ``_term_table``, builds this table (each point's max ``m`` and ``exp(Z -
 m)``): the batch evaluation sums it per point, and the oracle in
-:mod:`kneejerk.cli` builds it for each half of a split grid, with ``E``
-restricted to that half's columns, and screens every point with one product
-of the two tables; only the points the screen cannot rule out are then
-scored by the batch evaluation.
+:mod:`kneejerk.cli` builds it for each half of a grid cut at a coordinate,
+with ``E`` restricted to that half's columns, and screens the points with
+one product of the two tables per group of points whose halves pair up;
+only the points the screen cannot rule out are then scored by the batch
+evaluation.
 
 Expressions are immutable by convention: construct them, never mutate them
 (a :class:`MatrixPolynomial`'s arrays are read-only).  The module holds no
@@ -603,10 +604,13 @@ def _term_table(
     ``P`` is all zero and its ``m`` is ``-inf``, so ``m + log(sum P)`` is
     ``log 0`` with no NaN.  ``X`` holds one column per column of ``E``; a
     single row is multiplied as a vector, which rounds unlike more rows, so
-    the batch evaluation never passes one."""
+    the batch evaluation never passes one.  A single term is multiplied as
+    two for the same reason: as a vector its value would depend on the
+    point's place in the chunk."""
     # log 0 of a zero coordinate; products with S may overflow to -inf.
     with np.errstate(divide="ignore", over="ignore"):
-        Z = E @ np.maximum(np.log(X), S).T
+        Z = (E if len(E) > 1 else np.vstack((E, E))) @ np.maximum(np.log(X), S).T
+    Z = Z[: len(E)]
     Z += log_c[:, None]
     m = Z.max(axis=0)
     dead = m < -B

@@ -350,6 +350,9 @@ def _blocks_problem(expression, blocks, weights):
     return json.dumps(data)
 
 
+K5_GRAPH = {"vertices": 5, "edges": [[a, b] for a in range(5) for b in range(a + 1, 5)]}
+K4_GRAPH = {"vertices": 4, "edges": [[a, b] for a in range(4) for b in range(a + 1, 4)]}
+
 # (x0 + x2) (x1 + x3)^1.5: not a sum of monomials, so it keeps the slot tape.
 SLOT_TAPE_TREE = {"op": "prod", "factors": [
     {"op": "sum", "terms": [{"op": "var", "index": 0}, {"op": "var", "index": 2}]},
@@ -486,7 +489,8 @@ class TestRunOracle:
     def test_a_tie_across_the_split_goes_to_the_first_grid_point(self, batch, monkeypatch):
         monkeypatch.setattr(cli, "_ORACLE_BATCH", batch)
         p = parse_problem(_blocks_problem(_poly(4, [(1.0, [1, 0, 1, 0]), (1.0, [0, 1, 0, 1])]), [2, 2], None))
-        res = _oracle_matching_the_row_path(p, 5)
+        assert cli._split_cut(p.structure.blocks, 7, 2) == 2
+        res = _oracle_matching_the_row_path(p, 7)
         assert res.best_W == 0.0
         assert res.best_point.tolist() == [0.0, 1.0, 0.0, 1.0]
 
@@ -499,7 +503,8 @@ class TestRunOracle:
         p = parse_problem(_blocks_problem(
             _poly(4, [(1.0, [2, 0, 0, 0]), (1.0, [0, 0, 0, 2]), (1.0, [0, 1, 1, 0])]),
             [2, 2], [1e-300, 1.0, 1.0, 1e-300]))
-        res = _oracle_matching_the_row_path(p, 4)
+        assert cli._split_cut(p.structure.blocks, 7, 3) == 2
+        res = _oracle_matching_the_row_path(p, 7)
         assert res.best_point[1:3].tolist() == [0.0, 0.0]
         assert res.best_point[[0, 3]].min() > 9e299
 
@@ -513,7 +518,8 @@ class TestRunOracle:
         p = parse_problem(_blocks_problem(
             _poly(4, [(1.0, [2, 0, 0, 0]), (1.0, [0, 0, 0, 2]), (1.0, [0, 1, 1, 0])]),
             [2, 2], [w, v, v, w]))
-        res = _oracle_matching_the_row_path(p, 2)
+        assert cli._split_cut(p.structure.blocks, 7, 3) == 2
+        res = _oracle_matching_the_row_path(p, 7)
         assert res.best_point[[0, 3]].tolist() == [0.0, 0.0]
 
     def test_large_term_values_widen_the_window(self):
@@ -524,7 +530,8 @@ class TestRunOracle:
         s = BlockStructure((2, 2), np.array([2.7935314314153676, 1.01855173518919,
                                              1 / 2.7935314314153676, 1 / 1.01855173518919]))
         e = MatrixPolynomial([[1e290, 0, 1e290, 0], [0, 1e290, 0, 1e290]], [1.0, 1.0])
-        _oracle_matching_the_row_path(cli.Problem(e, s, barycenter(s), IterationConfig()), 5)
+        assert cli._split_cut(s.blocks, 7, 2) == 2
+        _oracle_matching_the_row_path(cli.Problem(e, s, barycenter(s), IterationConfig()), 7)
 
     def test_split_memory_does_not_grow_with_the_grid(self):
         # 300^2 and 3000^2 points: both grids fill whole tiles.  Only the
@@ -540,6 +547,124 @@ class TestRunOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 2**20
+
+    # One-block grids (and a [2, 7] grid whose best cut is inside a block) are
+    # cut at a coordinate: a prefix point pairs only with the suffix points
+    # that complete its block's sum.  Each case must give the row path's
+    # result bit for bit.
+    @pytest.mark.parametrize(
+        "expression, blocks, weights, resolution, cut",
+        [
+            pytest.param({"graph": K5_GRAPH}, [10], None, 9, 5, id="K5"),
+            pytest.param({"graph": K4_GRAPH}, [6], None, 20, 3, id="k4"),
+            pytest.param(
+                _poly(6, [(1.5, [1, 1, 0, 2, 1, 0]), (0.2, [2, 0, 1, 1, 1, 1]), (3.0, [1, 2, 1, 0, 1, 1]),
+                          (0.7, [0, 1, 2, 1, 0, 2])]),
+                [6], [0.5, 1.5, 1.0, 2.0, 0.8, 1.2], 14, 3, id="weighted-one-block",
+            ),
+            pytest.param(
+                _poly(5, [(1.0, [1, 2, 1, 0, 0]), (2.0, [2, 1, 0, 1, 0]), (0.5, [1, 1, 2, 1, 0])]),
+                [5], None, 30, 2, id="one-block-unused-last-variable",
+            ),
+            pytest.param(
+                {"op": "sum", "terms": [
+                    {"op": "prod", "factors": [{"op": "var", "index": 0},
+                                               {"op": "pow", "base": {"op": "var", "index": 3}, "exponent": 2}]},
+                    {"op": "prod", "factors": [{"op": "const", "value": 2.0}, {"op": "var", "index": 1},
+                                               {"op": "var", "index": 2}]},
+                    {"op": "var", "index": 4},
+                ]},
+                [5], [1.0, 2.0, 1.0, 0.5, 1.5], 30, 2, id="one-block-inline-matrix-form",
+            ),
+            # Two points tie but for the last bit, which a one-term table
+            # used to round by the point's place in its batch.
+            pytest.param(
+                _poly(9, [(2.0, [0, 0, 0, 1, 0, 2, 1, 1, 0])]),
+                [9], [1.498023572784343, 0.9970068898402094, 0.9792244453571122, 0.5182783062531751,
+                      0.8174382420811896, 0.3235615627199467, 1.297891969302284, 0.7490325387720573,
+                      1.6571686090846853], 7, 4, id="one-term-tie",
+            ),
+            pytest.param(
+                _poly(9, [(1.0, [1, 0, 1, 1, 0, 0, 1, 0, 0]), (2.0, [0, 1, 0, 1, 1, 1, 0, 0, 1]),
+                          (0.5, [1, 1, 1, 0, 0, 1, 0, 1, 0])]),
+                [2, 7], None, 6, 4, id="2-7-cut-inside-the-second-block",
+            ),
+        ],
+    )
+    def test_a_grid_cut_inside_a_block_matches_the_row_path(self, expression, blocks, weights, resolution, cut):
+        p = parse_problem(_blocks_problem(expression, blocks, weights))
+        assert type(p.expression._form) is expr_module._MatrixForm
+        assert cli._split_cut(p.structure.blocks, resolution, len(p.expression._form.E)) == cut
+        _oracle_matching_the_row_path(p, resolution)
+
+    # x1 + x0 x2 under weights (1/2, 1, 1/2, 1) peaks at 1 at two points,
+    # (0, 1, 0, 0) and (1, 0, 1, 0), and below 1 elsewhere.  Cut 2 | 2, the
+    # first (counts (0, 22, 0, 0)) has partial sum 22 and the second (11, 0,
+    # 11, 0) has 11, so a chunk of the prefix visits the second first.  With
+    # 7-point batches the first comes in an earlier chunk instead.
+    @pytest.mark.parametrize("batch", [2**16, 7])
+    def test_a_tie_across_partial_sum_groups_goes_to_the_first_grid_point(self, batch, monkeypatch):
+        monkeypatch.setattr(cli, "_ORACLE_BATCH", batch)
+        p = parse_problem(_blocks_problem(_poly(4, [(1.0, [0, 1, 0, 0]), (1.0, [1, 0, 1, 0])]),
+                                          [4], [0.5, 1.0, 0.5, 1.0]))
+        assert cli._split_cut(p.structure.blocks, 22, 2) == 2
+        res = _oracle_matching_the_row_path(p, 22)
+        assert res.best_W == 0.0
+        assert res.best_point.tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    def test_a_constant_objective_on_one_block_goes_to_the_first_grid_point(self):
+        # Every point ties and is re-scored, tile by tile.
+        p = parse_problem(_blocks_problem(_poly(4, [(3.0, [0, 0, 0, 0])]), [4], None))
+        assert cli._split_cut(p.structure.blocks, 22, 1) == 2
+        res = _oracle_matching_the_row_path(p, 22)
+        assert res.best_W == np.log(3.0)
+        assert res.best_point.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    def test_one_block_memory_does_not_grow_with_the_grid(self):
+        # About 1.8e5 and 4.6e6 points, 5151 and 45451 per half-grid: only
+        # the half-grid arrays grow (about 7 MB here, with the unranking's
+        # temporaries); one float per point of the larger grid would take
+        # 36 MB.
+        p = parse_problem(_blocks_problem(_poly(4, [(1.0, [1, 0, 1, 0]), (2.0, [0, 1, 0, 1])]), [4], None))
+        peaks = []
+        for resolution in (99, 299):
+            assert cli._split_cut(p.structure.blocks, resolution, 2) == 2
+            tracemalloc.start()
+            try:
+                run_oracle(p, resolution)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 12 * 2**20
+
+    def test_small_blocks_stay_on_the_row_path(self, problem_dir, monkeypatch):
+        # A cut of a block of 2 or 3 coordinates leaves a half as large as the
+        # grid (triangle: [3]), and dlr's objective is not a sum of monomials.
+        def no_screen(*args):
+            raise AssertionError("screened")
+
+        monkeypatch.setattr(cli, "_screened_best", no_screen)
+        for name, resolution in (("triangle", 344), ("dlr", 2000)):
+            p = parse_problem((problem_dir / f"{name}.json").read_text())
+            _oracle_matching_the_row_path(p, resolution)
+        assert cli._split_cut((3,), 344, 3) is None
+        assert cli._split_cut((2,), 59999, 4) is None
+
+    def test_dead_points_are_not_rescored(self, monkeypatch):
+        # K5 at 9: a fifth of the grid is dead, and a dead point's bound can
+        # pass the window (the two halves' largest terms differ).  Only the
+        # barycenter and the points near the best reach the row kernel.
+        p = parse_problem(_blocks_problem({"graph": K5_GRAPH}, [10], None))
+        rows = []
+        row_kernel = cli._eval_log_values
+
+        def counting(expr, X):
+            rows.append(len(X))
+            return row_kernel(expr, X)
+
+        monkeypatch.setattr(cli, "_eval_log_values", counting)
+        run_oracle(p, 9)
+        assert sum(rows) <= 16
 
 
 def _grid_reference(blocks, resolution):

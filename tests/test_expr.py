@@ -555,9 +555,12 @@ class TestMonomialForm:
         # numpy multiplies and sums a one-column table as vectors, which
         # round unlike longer chunks; each row must get its batch value bit
         # for bit, also as the lone last row of a batch (K6: 50-row chunks).
+        # A single term is a one-row table, whose vector product rounds by
+        # the row's place in the batch.
         rng = np.random.default_rng(36)
         k5 = MatrixPolynomial(*_tree_monomials(Graph(5, tuple(itertools.combinations(range(5), 2)))))
-        cases = [(k5, 40), (_k6_expression(), 51)]
+        monomial = MatrixPolynomial([[0, 0, 0, 1, 0, 2, 1, 1, 0]], [2.0])
+        cases = [(k5, 40), (_k6_expression(), 51), (monomial, 40)]
         for _ in range(30):
             poly = random_polynomial(rng, 4, max_degree=8, max_terms=30)
             cases.append((MatrixPolynomial([t for _, t in poly.terms], [c for c, _ in poly.terms]), 9))

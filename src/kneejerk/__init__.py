@@ -9,7 +9,6 @@ from .expr import (
     MatrixPolynomial,
     Pow,
     Prod,
-    SparsePolynomial,
     Sum,
     Var,
     construct_expression,
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KneeJerkExpr", "Var", "Const", "Sum", "Prod", "Pow", "MatrixPolynomial", "LogEval",
-    "SparsePolynomial", "construct_expression", "expression_to_json_dict",
+    "construct_expression", "expression_to_json_dict",
     "polynomial_to_expression", "eval_log", "hessian_log_u",
     "BlockStructure", "BlockPoint", "barycenter", "normalize",
     "i_divergence", "i_divergence_blocks", "random_interior",

@@ -1,7 +1,7 @@
 """Problem files and the command-line front end.
 
-A problem file is JSON with an objective (inline expression tree, sparse
-polynomial, or graph whose discriminant becomes the objective), a block
+A problem file is JSON with an objective (inline expression tree, polynomial
+given term by term, or graph whose discriminant becomes the objective), a block
 structure, optional weights, an initial point, and optional stopping-rule
 overrides::
 
@@ -42,14 +42,13 @@ from .diagnostics import (
     verify_argmax_property,
     verify_step_inequality,
 )
-from .discriminant import Graph, _tree_monomials, discriminant_polynomial
+from .discriminant import Graph, discriminant_polynomial
 from .expr import (
     KneeJerkExpr,
     MatrixPolynomial,
-    SparsePolynomial,
     construct_expression,
     expression_to_json_dict,
-    polynomial_to_expression,
+    polynomial_to_expression,  # unused here; perfbench/tracing.py wraps it by name
     _eval_log_raw,
     _eval_log_values,
     _MatrixForm,
@@ -126,10 +125,8 @@ def _is_number_list(value) -> bool:
 def parse_problem(text: str) -> Problem:
     """Parse and validate a problem from JSON text.
 
-    Polynomial and graph sources become a :class:`MatrixPolynomial`, except
-    a polynomial whose terms could overflow it, which becomes an expression
-    tree.  Raises ValueError naming the offending field on any schema
-    violation.
+    Polynomial and graph sources become a :class:`MatrixPolynomial`.
+    Raises ValueError naming the offending field on any schema violation.
     """
     try:
         data = json.loads(text)
@@ -153,24 +150,13 @@ def parse_problem(text: str) -> Problem:
             raise ValueError(_TOO_DEEP) from None
     elif "polynomial" in src:
         _require(set(src) == {"polynomial"}, "expression: 'polynomial' must be the only key")
-        poly = SparsePolynomial.from_json_dict(src["polynomial"], path="expression.polynomial")
-        declared_n = poly.n
-        try:
-            expr = MatrixPolynomial([e for _, e in poly.terms], [c for c, _ in poly.terms])
-        except (ValueError, OverflowError):
-            # The terms are valid, so only the guards failed: keep the tree
-            # and its slot tape.
-            try:
-                expr = polynomial_to_expression(poly)
-            except ValueError as err:  # an exponent too large for a float
-                raise ValueError(f"expression.polynomial: {err}") from None
+        expr = MatrixPolynomial.from_json_dict(src["polynomial"], path="expression.polynomial")
+        declared_n = src["polynomial"]["n"]
     elif "graph" in src:
         _require(set(src) == {"graph"}, "expression: 'graph' must be the only key")
         graph = Graph.from_json_dict(src["graph"], path="expression.graph")
         declared_n = graph.n_vars
-        # Always within the guards: each term is a product of V - 1 distinct
-        # edge variables (at most 24), with coefficient 1.
-        expr = MatrixPolynomial(*_tree_monomials(graph))
+        expr = discriminant_polynomial(graph)
     else:
         raise ValueError(
             "expression: must be an inline tree ({'op': ...}), {'polynomial': ...}, "
@@ -238,7 +224,7 @@ def serialize_problem(problem: Problem) -> dict:
     discriminant polynomial; any other objective as its expression tree."""
     e = problem.expression
     if type(e) is MatrixPolynomial:
-        expression = {"polynomial": e.to_polynomial(problem.structure.n).to_json_dict()}
+        expression = {"polynomial": e.to_json_dict(problem.structure.n)}
     else:
         expression = expression_to_json_dict(e)
     return {
@@ -719,7 +705,7 @@ def _cmd_discriminant(args) -> int:
         raise ValueError("graph: nested too deeply to parse") from None
     graph = Graph.from_json_dict(data)
     poly = discriminant_polynomial(graph)
-    _emit(_dumps(poly.to_json_dict()), args.out, "discriminant.json")
+    _emit(_dumps(poly.to_json_dict(graph.n_vars)), args.out, "discriminant.json")
     return 0
 
 

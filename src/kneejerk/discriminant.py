@@ -13,9 +13,10 @@ weights uses exact fraction-free elimination.
 Enumeration works on integer arrays.  The (V-1)-edge subsets are unranked in
 lexicographic order, a fixed number per chunk, and each chunk is tested for
 cycles by a vectorized union-find that relabels components edge by edge; the
-surviving subsets are the spanning trees.  :func:`_tree_monomials` turns them
-into the discriminant's exponent rows, which :func:`kneejerk.cli.parse_problem`
-hands straight to :class:`kneejerk.expr.MatrixPolynomial`.
+surviving subsets are the spanning trees.  :func:`discriminant_polynomial`
+counts each tree's edge variables into one exponent row and hands the rows to
+:class:`kneejerk.expr.MatrixPolynomial`, which sorts them and merges trees with
+the same monomial; a graph source in a problem file parses through it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import SparsePolynomial
+from .expr import MatrixPolynomial
 
 __all__ = [
     "Graph",
@@ -205,32 +206,18 @@ def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:
     return list(map(tuple, _spanning_tree_array(graph).tolist()))
 
 
-def _tree_monomials(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The discriminant as int64 exponent rows (trees x ``graph.n_vars``) and
-    float coefficients, in :class:`SparsePolynomial`'s canonical order: rows
-    sorted lexicographically, trees with the same monomial merged into one
-    row whose coefficient counts them."""
-    trees = _spanning_tree_array(graph)
-    t, n = len(trees), graph.n_vars
-    var = np.asarray(graph.var_indices)[trees]
-    flat = (np.arange(t)[:, None] * n + var).ravel()
-    exps = np.bincount(flat, minlength=t * n).reshape(t, n)
-    exps = exps[np.lexsort(exps.T[::-1])]
-    new = np.ones(t, dtype=bool)
-    new[1:] = (exps[1:] != exps[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    return exps[starts], np.diff(starts, append=t).astype(float)
-
-
-def discriminant_polynomial(graph: Graph) -> SparsePolynomial:
+def discriminant_polynomial(graph: Graph) -> MatrixPolynomial:
     """The spanning-tree generating polynomial over the edge variables.
 
     Homogeneous of degree V-1 with positive integer coefficients; every
     coefficient is 1 unless edges sharing a variable index let distinct trees
     produce the same monomial.
     """
-    exps, coeffs = _tree_monomials(graph)
-    return SparsePolynomial(graph.n_vars, tuple(zip(coeffs.tolist(), map(tuple, exps.tolist()))))
+    trees = _spanning_tree_array(graph)
+    t, n = len(trees), graph.n_vars
+    var = np.asarray(graph.var_indices)[trees]
+    flat = (np.arange(t)[:, None] * n + var).ravel()
+    return MatrixPolynomial(np.bincount(flat, minlength=t * n).reshape(t, n), np.ones(t))
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:

@@ -14,12 +14,11 @@ compiles to one at most once and keeps it as ``_form``:
   coefficients.  With ``u = log x`` and ``z = E u + log c``, ``W =
   logsumexp(z)`` and ``g = softmax(z) @ E``: two matrix-vector products and
   no per-node loop.  There are two ways into it.  A
-  :class:`MatrixPolynomial` builds it from its own arrays at construction;
-  :func:`kneejerk.cli.parse_problem` builds one straight from every
-  polynomial and graph source, with no tree in between.  A tree whose root
-  is a sum of terms (or a single term), each a constant, a variable, a
-  variable raised to a power, or a product of those, is compiled to it by
-  :func:`_monomials`.
+  :class:`MatrixPolynomial`, the one polynomial type and what every
+  polynomial and graph source parses to, builds it from its own arrays at
+  construction, with no tree.  A tree whose root is a sum of terms (or a
+  single term), each a constant, a variable, a variable raised to a power,
+  or a product of those, is compiled to it by :func:`_monomials`.
 * Every other tree compiles to a flat slot tape (:class:`_SlotTape`): one
   forward pass computes the log-value of every node, one reverse pass
   accumulates softmax-weighted adjoints.
@@ -32,7 +31,8 @@ overflow: every positive finite double has ``|log x| <= 745``, so a term
 whose exponents sum to ``e`` stays within ``745 e + |log c|``.  A sum of
 monomials whose bound reaches 1e300 keeps the slot tape, which carries
 overflow through as ``inf`` or NaN where a matrix product could silently
-drop the term; :class:`MatrixPolynomial` refuses it.
+drop the term; a :class:`MatrixPolynomial` keeps the slot tape of its tree
+(:func:`polynomial_to_expression`).
 
 A batch of points (the oracle's grid) is scored terms-major: ``Z = E U^T +
 log c`` holds one column per point, so the max and the sum of each point
@@ -76,7 +76,6 @@ __all__ = [
     "Pow",
     "MatrixPolynomial",
     "LogEval",
-    "SparsePolynomial",
     "construct_expression",
     "expression_to_json_dict",
     "polynomial_to_expression",
@@ -191,17 +190,20 @@ class Pow(KneeJerkExpr):
 
 @dataclass(eq=False)
 class MatrixPolynomial(KneeJerkExpr):
-    """A positive polynomial ``sum_r c[r] prod_i x_i ** E[r, i]`` held in the
-    matrix form it is evaluated in, with no tree.
+    """A positive polynomial ``sum_r c[r] prod_i x_i ** E[r, i]``, held as its
+    exponent matrix with no tree: the package's one polynomial type.
 
     ``E`` (terms x variables, nonnegative integer exponents) and ``c``
     (positive coefficients) are stored as read-only float64 arrays, with
-    ``log_c`` the log of each coefficient.  Trailing variables with
-    exponent 0 in every term are dropped, so ``n_vars`` and the arrays equal
-    those :func:`polynomial_to_expression` and the tree compile give for the
-    same terms.  Raises ValueError for a polynomial whose terms could
-    overflow, or whose ``E`` would hold far more entries than nonzero
-    exponents: those keep the tree and its slot tape.
+    ``log_c`` the log of each coefficient.  The rows are put in canonical
+    order once, here: sorted lexicographically, with rows equal as float64
+    merged into one whose coefficient is their sum, added in input order.
+    Trailing variables with exponent 0 in every term are dropped, so
+    ``n_vars`` and the arrays equal those :func:`polynomial_to_expression`
+    and the tree compile give for the same terms.  The compiled form is the
+    matrix form over these arrays, except for a polynomial whose terms could
+    overflow it or whose ``E`` would hold far more entries than nonzero
+    exponents: that keeps the slot tape of its tree.
 
     It is a leaf (no children), equality compares the arrays, and a
     ``Sum``, ``Prod`` or ``Pow`` refuses it as a child.
@@ -212,46 +214,100 @@ class MatrixPolynomial(KneeJerkExpr):
     log_c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        E = np.array(self.E, dtype=float)
+        try:
+            E = np.array(self.E, dtype=float)
+        except OverflowError:
+            raise ValueError("exponent is an integer too large for a float") from None
         c = np.array(self.c, dtype=float)
         if E.ndim != 2 or c.shape != (len(E),) or not len(E):
             raise ValueError(
                 f"expected a (terms, variables) exponent matrix and one coefficient per "
                 f"term, got shapes {E.shape} and {c.shape}"
             )
-        # floor(e) == |e| exactly for a nonnegative integer e, never for NaN;
-        # an infinite entry fails the guards below.
-        if (np.floor(E) != np.abs(E)).any():
+        # floor(e) == |e| exactly for a nonnegative integer or +inf, never for NaN.
+        if not ((np.floor(E) == np.abs(E)).all() and E.max(initial=0.0) < math.inf):
             raise ValueError("exponents must be nonnegative integers")
-        if not c.min() > 0.0:
-            raise ValueError("coefficients must be positive")
+        if not 0.0 < c.min() <= c.max() < math.inf:
+            raise ValueError("coefficients must be finite and positive")
         used = E.any(axis=0).tolist()
         while used and not used[-1]:
             used.pop()
-        E = np.ascontiguousarray(E[:, : len(used)])
+        E = E[:, : len(used)]
+        if len(E) > 1:
+            if used:  # with no variable left, every row is the same
+                order = np.lexsort(E.T[::-1])  # stable: repeats stay in input order
+                E, c = E[order], c[order]
+            same = (E[1:] == E[:-1]).all(axis=1)
+            if same.any():  # add each repeat to its row's first copy, in order
+                first = np.append(True, ~same)
+                merged = c[first]
+                np.add.at(merged, np.cumsum(first)[~first] - 1, c[~first])
+                E, c = E[first], merged
+        E = np.ascontiguousarray(E)
         log_c = np.array([math.log(v) for v in c.tolist()])
-        form = _MatrixForm(E, log_c)
-        if not _dense_enough(E.shape, np.count_nonzero(E)) or not form.B < _MAX_BOUND:
-            raise ValueError(
-                "polynomial is too sparse or its terms could overflow the matrix form; "
-                "use polynomial_to_expression"
-            )
         for a in (E, c, log_c):
             a.setflags(write=False)
-        self.E, self.c, self.log_c, self._form = E, c, log_c, form
+        self.E, self.c, self.log_c = E, c, log_c
+        form = _MatrixForm(E, log_c)
+        if not (_dense_enough(E.shape, np.count_nonzero(E)) and form.B < _MAX_BOUND):
+            form = _SlotTape(polynomial_to_expression(self))
+        self._form = form
 
     def __eq__(self, other):
         if type(other) is not MatrixPolynomial:
             return NotImplemented
         return np.array_equal(self.E, other.E) and np.array_equal(self.c, other.c)
 
-    def to_polynomial(self, n: int) -> "SparsePolynomial":
-        """The same polynomial as a :class:`SparsePolynomial` in ``n >= n_vars``
-        variables."""
-        pad = (0,) * (n - self.n_vars)
-        return SparsePolynomial(
-            n, tuple((c, tuple(map(int, e)) + pad) for c, e in zip(self.c.tolist(), self.E.tolist()))
-        )
+    @classmethod
+    def from_json_dict(cls, data, path: str = "polynomial") -> "MatrixPolynomial":
+        """The polynomial ``{"n": n, "terms": [{"c": c, "e": [...]}, ...]}``,
+        each ``e`` a list of ``n`` nonnegative integers.  Errors name the
+        offending field by its path."""
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected an object, got {type(data).__name__}")
+        _check_keys(data, {"n", "terms"}, path)
+        n = data.get("n")
+        terms = data.get("terms")
+        if not isinstance(terms, list):
+            raise ValueError(f"{path}.terms: expected a list")
+        for i, t in enumerate(terms):
+            tp = f"{path}.terms[{i}]"
+            if not isinstance(t, dict):
+                raise ValueError(f"{tp}: expected an object with 'c' and 'e'")
+            _check_keys(t, {"c", "e"}, tp)
+            if "c" not in t or "e" not in t:
+                raise ValueError(f"{tp}: missing 'c' or 'e'")
+            if not isinstance(t["e"], list):
+                raise ValueError(f"{tp}.e: expected a list of integers")
+        try:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ValueError(f"polynomial dimension must be a positive integer, got {n!r}")
+            c = []
+            for t in terms:
+                c.append(_positive(t["c"], "coefficient"))
+                e = t["e"]
+                if len(e) != n:
+                    raise ValueError(f"exponent vector {tuple(e)!r} has length {len(e)}, expected {n}")
+                for k in e:
+                    if type(k) is not int or k < 0:
+                        raise ValueError(f"exponents must be nonnegative integers, got {k!r} in {tuple(e)!r}")
+            if not terms:
+                raise ValueError("polynomial requires at least one term")
+            return cls([t["e"] for t in terms], c)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+    def to_json_dict(self, n: int) -> dict:
+        """The JSON form :meth:`from_json_dict` reads, in ``n >= n_vars``
+        variables: integer exponents, padded with zeros to ``n`` columns."""
+        pad = [0] * (n - self.E.shape[1])
+        return {
+            "n": n,
+            "terms": [
+                {"c": c, "e": [int(k) for k in e] + pad}
+                for c, e in zip(self.c.tolist(), self.E.tolist())
+            ],
+        }
 
 
 def _require_child(node, what: str) -> None:
@@ -259,8 +315,8 @@ def _require_child(node, what: str) -> None:
         raise ValueError(f"{what} must be an expression node, got {node!r}")
     if type(node) is MatrixPolynomial:
         raise ValueError(
-            f"{what} cannot be a MatrixPolynomial; build the polynomial as a tree "
-            "with polynomial_to_expression to nest it"
+            f"{what} cannot be a MatrixPolynomial; nest its tree, "
+            "polynomial_to_expression(polynomial), instead"
         )
 
 
@@ -664,96 +720,19 @@ def hessian_log_u(expr: KneeJerkExpr, x, h: float = 1e-4) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials
+# polynomial trees
 
 
-@dataclass(frozen=True)
-class SparsePolynomial:
-    """Positive-coefficient polynomial in ``n`` variables, stored sparsely.
-
-    ``terms`` holds ``(coefficient, exponent_vector)`` pairs in canonical
-    order (sorted lexicographically by exponent vector).  Construction merges
-    duplicate exponent vectors by summing their coefficients and rejects
-    nonpositive coefficients, so zero terms are never stored.
-    """
-
-    n: int
-    terms: tuple[tuple[float, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"polynomial dimension must be a positive integer, got {self.n!r}")
-        merged: dict[tuple[int, ...], float] = {}
-        for item in self.terms:
-            try:
-                c, e = item
-            except (TypeError, ValueError):
-                raise ValueError(f"polynomial term must be a (coefficient, exponents) pair, got {item!r}") from None
-            c = _positive(c, "coefficient")
-            e = tuple(e)
-            if len(e) != self.n:
-                raise ValueError(
-                    f"exponent vector {e!r} has length {len(e)}, expected {self.n}"
-                )
-            for k in e:
-                if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-                    raise ValueError(f"exponents must be nonnegative integers, got {k!r} in {e!r}")
-            merged[e] = merged.get(e, 0.0) + c
-        if not merged:
-            raise ValueError("polynomial requires at least one term")
-        canon = tuple((merged[e], e) for e in sorted(merged))
-        object.__setattr__(self, "terms", canon)
-
-    @property
-    def degree(self) -> int:
-        return max(sum(e) for _, e in self.terms)
-
-    def homogeneous_degree(self):
-        """Common total degree of all terms, or None if inhomogeneous."""
-        degrees = {sum(e) for _, e in self.terms}
-        return degrees.pop() if len(degrees) == 1 else None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [{"c": c, "e": list(e)} for c, e in self.terms],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data, path: str = "polynomial") -> "SparsePolynomial":
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: expected an object, got {type(data).__name__}")
-        _check_keys(data, {"n", "terms"}, path)
-        n = data.get("n")
-        terms = data.get("terms")
-        if not isinstance(terms, list):
-            raise ValueError(f"{path}.terms: expected a list")
-        pairs = []
-        for i, t in enumerate(terms):
-            tp = f"{path}.terms[{i}]"
-            if not isinstance(t, dict):
-                raise ValueError(f"{tp}: expected an object with 'c' and 'e'")
-            _check_keys(t, {"c", "e"}, tp)
-            if "c" not in t or "e" not in t:
-                raise ValueError(f"{tp}: missing 'c' or 'e'")
-            if not isinstance(t["e"], list):
-                raise ValueError(f"{tp}.e: expected a list of integers")
-            pairs.append((t["c"], tuple(t["e"])))
-        try:
-            return cls(n, tuple(pairs))
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
-
-
-def polynomial_to_expression(poly: SparsePolynomial) -> KneeJerkExpr:
-    """Convert a sparse polynomial to an expression tree.
+def polynomial_to_expression(poly: MatrixPolynomial) -> KneeJerkExpr:
+    """The polynomial as an expression tree, term by term in its canonical
+    order: what nests it in a larger tree.
 
     Trivial wrappers collapse: single-term polynomials skip the sum node,
     unit coefficients and first powers are omitted, and a bare monomial
     ``1 * x_i`` becomes ``Var(i)``.
     """
     terms = []
-    for c, e in poly.terms:
+    for c, e in zip(poly.c.tolist(), poly.E.tolist()):
         factors: list[KneeJerkExpr] = []
         if c != 1.0:
             factors.append(Const(c))

@@ -10,9 +10,9 @@ from kneejerk import (
     BlockStructure,
     Const,
     Graph,
+    MatrixPolynomial,
     Pow,
     Prod,
-    SparsePolynomial,
     Sum,
     Var,
     polynomial_to_expression,
@@ -28,8 +28,8 @@ def random_polynomial(rng, n, max_degree=5, max_terms=8):
         e = [0] * n
         for _ in range(d):
             e[int(rng.integers(n))] += 1
-        terms.append((float(rng.uniform(0.1, 5.0)), tuple(e)))
-    return SparsePolynomial(n, tuple(terms))
+        terms.append((float(rng.uniform(0.1, 5.0)), e))
+    return MatrixPolynomial([e for _, e in terms], [c for c, _ in terms])
 
 
 def random_homogeneous_polynomial(rng, n, degree, max_terms=8):
@@ -39,8 +39,8 @@ def random_homogeneous_polynomial(rng, n, degree, max_terms=8):
         e = [0] * n
         for _ in range(degree):
             e[int(rng.integers(n))] += 1
-        terms.append((float(rng.uniform(0.1, 5.0)), tuple(e)))
-    return SparsePolynomial(n, tuple(terms))
+        terms.append((float(rng.uniform(0.1, 5.0)), e))
+    return MatrixPolynomial([e for _, e in terms], [c for c, _ in terms])
 
 
 def random_expression(rng, n, depth=3):
@@ -146,14 +146,17 @@ def reference_spanning_trees(graph):
 
 def reference_discriminant(graph):
     """The spanning-tree polynomial summed tree by tree from the reference
-    enumeration; SparsePolynomial merges and orders the terms."""
-    terms = []
+    enumeration: trees with the same monomial are counted here, in a dict,
+    and the distinct monomials handed over in sorted order, so neither
+    MatrixPolynomial's sort nor its merge is what makes it match."""
+    counts = {}
     for tree in reference_spanning_trees(graph):
         exps = [0] * graph.n_vars
         for ei in tree:
             exps[graph.var_indices[ei]] += 1
-        terms.append((1.0, tuple(exps)))
-    return SparsePolynomial(graph.n_vars, tuple(terms))
+        counts[tuple(exps)] = counts.get(tuple(exps), 0) + 1
+    monomials = sorted(counts)
+    return MatrixPolynomial(monomials, [float(counts[e]) for e in monomials])
 
 
 def dlr_expression():
@@ -181,10 +184,17 @@ def discriminant_expression(graph):
     return polynomial_to_expression(discriminant_polynomial(graph))
 
 
+def poly_terms(poly, n=0):
+    """A MatrixPolynomial's ``(coefficient, integer exponent list)`` pairs,
+    row by row, each list padded with zeros to at least ``n`` entries."""
+    pad = [0] * (n - poly.E.shape[1])
+    return [(c, [int(k) for k in e] + pad) for c, e in zip(poly.c.tolist(), poly.E.tolist())]
+
+
 def naive_poly_eval(poly, x):
     """Straight evaluation from the term list; no log tricks."""
     total = 0.0
-    for c, e in poly.terms:
+    for c, e in poly_terms(poly):
         v = c
         for xi, k in zip(x, e):
             v *= xi**k
@@ -193,10 +203,11 @@ def naive_poly_eval(poly, x):
 
 
 def naive_poly_grad(poly, x):
-    """Partial derivatives from the definition, term by term."""
-    n = poly.n
+    """Partial derivatives from the definition, term by term, one per
+    coordinate of ``x``."""
+    n = len(x)
     out = [0.0] * n
-    for c, e in poly.terms:
+    for c, e in poly_terms(poly, n):
         for i in range(n):
             if e[i] == 0:
                 continue
@@ -211,7 +222,7 @@ def naive_poly_eval_int(poly, weights):
     """Exact integer evaluation (coefficients are small integers by
     construction in the discriminant tests)."""
     total = 0
-    for c, e in poly.terms:
+    for c, e in poly_terms(poly):
         v = int(round(c))
         for w, k in zip(weights, e):
             v *= w**k

@@ -17,6 +17,7 @@ from kneejerk import (
     IterationConfig,
     Pow,
     Prod,
+    Sum,
     Var,
     main,
     parse_problem,
@@ -25,7 +26,7 @@ from kneejerk import (
     run_verify,
     serialize_problem,
 )
-from kneejerk import MatrixPolynomial, SparsePolynomial, eval_log, polynomial_to_expression
+from kneejerk import MatrixPolynomial, eval_log, polynomial_to_expression
 from kneejerk import cli, mapping
 from kneejerk import expr as expr_module
 from kneejerk.discriminant import Graph, discriminant_polynomial
@@ -176,10 +177,10 @@ def _problem_text(source, n):
     return json.dumps({"expression": source, "blocks": [n], "init": "barycenter"})
 
 
-def _assert_parses_to_the_tree_matrix_form(text, poly):
+def _assert_parses_to_the_tree_matrix_form(text, poly, n):
     """parse_problem's objective against the tree route it replaced:
     ``_monomials(polynomial_to_expression(poly))`` bit for bit, and the same
-    ``eval_log`` at random points."""
+    ``eval_log`` at random points of ``n`` coordinates."""
     e = parse_problem(text).expression
     tree = polynomial_to_expression(poly)
     form = expr_module._monomials(tree)
@@ -188,8 +189,8 @@ def _assert_parses_to_the_tree_matrix_form(text, poly):
     assert e.E.dtype == E.dtype and e.E.shape == E.shape
     assert np.array_equal(e.E, E) and np.array_equal(e.log_c, log_c)
     assert e.n_vars == tree.n_vars
-    rng = np.random.default_rng(len(poly.terms))
-    for x in rng.uniform(0.05, 1.0, (3, poly.n)):
+    rng = np.random.default_rng(len(poly.c))
+    for x in rng.uniform(0.05, 1.0, (3, n)):
         a, b = eval_log(e, x), eval_log(tree, x)
         assert a.W == b.W and np.array_equal(a.g, b.g)
 
@@ -204,27 +205,59 @@ class TestMatrixFormParse:
         for g in graphs:
             g = Graph(g.vertices, g.edges)  # a problem file gives each edge its own variable
             _assert_parses_to_the_tree_matrix_form(
-                _problem_text({"graph": g.to_json_dict()}, g.n_vars), discriminant_polynomial(g))
+                _problem_text({"graph": g.to_json_dict()}, g.n_vars), discriminant_polynomial(g), g.n_vars)
 
     def test_polynomial_sources_match_the_tree_route(self):
         rng = np.random.default_rng(41)
-        polys = [random_polynomial(rng, n, max_degree=6, max_terms=12) for n in (1, 2, 3, 5, 8) * 6]
+        polys = [(random_polynomial(rng, n, max_degree=6, max_terms=12), n) for n in (1, 2, 3, 5, 8) * 6]
         polys += [
-            SparsePolynomial(4, ((2.0, (1, 0, 0, 0)), (1.0, (0, 1, 0, 0)))),  # unused trailing variables
-            SparsePolynomial(3, ((3.0, (0, 0, 0)),)),  # constant
-            SparsePolynomial(3, ((0.5, (2, 0, 7)),)),  # single term
-            SparsePolynomial(2, ((1.0, (1, 1)), (1.5, (1, 1)))),  # merged duplicates
-            SparsePolynomial(2, ((1.0, (10**296, 0)), (1.0, (0, 1)))),  # just inside the guard
+            (MatrixPolynomial([[1, 0, 0, 0], [0, 1, 0, 0]], [2.0, 1.0]), 4),  # unused trailing variables
+            (MatrixPolynomial([[0, 0, 0]], [3.0]), 3),  # constant
+            (MatrixPolynomial([[2, 0, 7]], [0.5]), 3),  # single term
+            (MatrixPolynomial([[1, 1], [1, 1]], [1.0, 1.5]), 2),  # merged duplicates
+            (MatrixPolynomial([[10**296, 0], [0, 1]], [1.0, 1.0]), 2),  # just inside the guard
         ]
-        for poly in polys:
-            source = {"polynomial": poly.to_json_dict()}
-            _assert_parses_to_the_tree_matrix_form(_problem_text(source, poly.n), poly)
+        for poly, n in polys:
+            source = {"polynomial": poly.to_json_dict(n)}
+            _assert_parses_to_the_tree_matrix_form(_problem_text(source, n), poly, n)
 
     def test_exponents_past_the_guard_keep_the_tree(self):
-        poly = SparsePolynomial(2, ((1.0, (10**298, 0)), (1.0, (0, 1))))
-        e = parse_problem(_problem_text({"polynomial": poly.to_json_dict()}, 2)).expression
-        assert e == polynomial_to_expression(poly)
-        assert type(e._form) is expr_module._SlotTape
+        # The polynomial stays a MatrixPolynomial but compiles to the slot
+        # tape of its tree, and scores bit for bit like that tree.
+        data = {"n": 2, "terms": [{"c": 1.0, "e": [10**298, 0]}, {"c": 1.0, "e": [0, 1]}]}
+        e = parse_problem(_problem_text({"polynomial": data}, 2)).expression
+        assert type(e) is MatrixPolynomial and type(e._form) is expr_module._SlotTape
+        assert e.E.tolist() == [[0.0, 1.0], [1e298, 0.0]]
+        tree = polynomial_to_expression(e)
+        assert tree == Sum((Var(1), Pow(Var(0), 1e298)))
+        X = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [0.999, 0.001], [1.5, 0.2]])
+        W = expr_module._eval_log_values(e, X)
+        assert np.array_equal(W, expr_module._eval_log_values(tree, X))
+        # The huge term lives at x0 = 1 and wins at x0 = 1.5, where W is
+        # about 4e297.
+        assert_allclose(W, [math.log(0.5), 0.0, 0.0, math.log(0.001), 1e298 * math.log(1.5)], rtol=1e-12)
+        for x in X[[0, 3, 4]]:
+            a, b = eval_log(e, x), eval_log(tree, x)
+            assert a.W == b.W and np.array_equal(a.g, b.g)
+
+    @pytest.mark.parametrize(
+        "terms, rows",
+        [
+            ([(1.0, [10**298, 0, 0]), (2.0, [0, 1, 1])], 2),  # past the guard: the slot tape
+            ([(1.0, [1, 1, 0]), (3.0, [0, 0, 2]), (2.5, [1, 1, 0]), (0.5, [0, 0, 2])], 2),  # duplicates
+        ],
+        ids=["past-the-guard", "merged-duplicates"],
+    )
+    def test_polynomial_round_trips_through_serialization(self, terms, rows):
+        text = _problem_text({"polynomial": {"n": 3, "terms": [{"c": c, "e": e} for c, e in terms]}}, 3)
+        p = parse_problem(text)
+        q = parse_problem(json.dumps(serialize_problem(p)))
+        assert len(p.expression.c) == rows
+        assert p.expression == q.expression
+        assert type(q.expression._form) is type(p.expression._form)
+        assert q.expression.to_json_dict(3) == p.expression.to_json_dict(3)
+        x = p.init.x
+        assert eval_log(p.expression, x).W == eval_log(q.expression, x).W
 
     def test_solves_never_compile(self, monkeypatch):
         # Graph and polynomial sources, and inline trees that compile to the

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from kneejerk import (
     Graph,
-    SparsePolynomial,
+    MatrixPolynomial,
     discriminant_polynomial,
     enumerate_spanning_trees,
     eval_matrix_tree,
@@ -157,34 +157,32 @@ class TestArrayEnumeration:
 class TestDiscriminantPolynomial:
     def test_triangle_structure(self):
         p = discriminant_polynomial(triangle_graph())
-        expected = SparsePolynomial(
-            3,
-            ((1.0, (0, 1, 1)), (1.0, (1, 0, 1)), (1.0, (1, 1, 0))),
-        )
+        expected = MatrixPolynomial([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [1.0, 1.0, 1.0])
         assert p == expected
+        assert p.E.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 
     def test_k4_at_ones(self):
         p = discriminant_polynomial(k4_graph())
-        assert len(p.terms) == 16
+        assert len(p.c) == 16
         assert naive_poly_eval_int(p, [1] * 6) == 16
-        assert p.homogeneous_degree() == 3
+        assert p.E.sum(axis=1).tolist() == [3] * 16
 
     def test_path_on_three_vertices_is_one_monomial(self):
         g = Graph(3, ((0, 1), (1, 2)))
         p = discriminant_polynomial(g)
-        assert p == SparsePolynomial(2, ((1.0, (1, 1)),))
+        assert p == MatrixPolynomial([[1, 1]], [1.0])
 
     def test_shared_variable_merges_coefficients(self):
         g = Graph(2, ((0, 1), (0, 1)), var_indices=(0, 0))
         p = discriminant_polynomial(g)
-        assert p.terms == ((2.0, (1, 0)),)
+        assert p.to_json_dict(2) == {"n": 2, "terms": [{"c": 2.0, "e": [1, 0]}]}
 
     def test_homogeneous_of_degree_v_minus_one(self):
         rng = np.random.default_rng(81)
         for _ in range(20):
             g = random_connected_graph(rng)
             p = discriminant_polynomial(g)
-            assert p.homogeneous_degree() == g.vertices - 1
+            assert set(p.E.sum(axis=1).tolist()) == {g.vertices - 1}
 
 
 class TestMatrixTree:

@@ -13,9 +13,9 @@ from kneejerk import (
     Const,
     IterationConfig,
     LogEval,
+    MatrixPolynomial,
     Pow,
     Prod,
-    SparsePolynomial,
     StepResult,
     Sum,
     Var,
@@ -33,6 +33,7 @@ from kneejerk import mapping
 from generators import (
     dlr_expression,
     interior_point,
+    poly_terms,
     random_polynomial,
     random_structure,
     triangle_graph,
@@ -304,7 +305,7 @@ class TestIterate:
         # iterating adds no block sums to those of the steps themselves.
         x = barycenter(BlockStructure((2, 3)))
         expr = polynomial_to_expression(
-            SparsePolynomial(5, ((1.0, (1, 0, 1, 0, 0)), (2.0, (0, 1, 0, 1, 1))))
+            MatrixPolynomial([[1, 0, 1, 0, 0], [0, 1, 0, 1, 1]], [1.0, 2.0])
         )
         calls = []
         real = BlockStructure.sums
@@ -463,12 +464,12 @@ def _step_cases(rng, count):
                 if not np.any(x[sl]):
                     x[sl.start] = 1.0
             x = normalize(x, st).x
-        terms = list(random_polynomial(rng, st.n, max_terms=10).terms)
+        terms = poly_terms(random_polynomial(rng, st.n, max_terms=10), st.n)
         if c % 4 == 1:
             sl = st.slices[int(rng.integers(st.k))]
             terms = [t for t in terms if not any(t[1][sl])]
-        terms.append((1.0, (0,) * st.n))
-        poly = SparsePolynomial(st.n, tuple(terms))
+        terms.append((1.0, [0] * st.n))
+        poly = MatrixPolynomial([e for _, e in terms], [a for a, _ in terms])
         yield st, polynomial_to_expression(poly), BlockPoint(x, st)
 
 

@@ -36,11 +36,14 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
+    _MARGIN_TOL,
+    _argmax_sweep,
     _curvature_probe,
+    _step_sweep,
     check_log_concavity,
     check_log_log_convexity,
-    verify_argmax_property,
-    verify_step_inequality,
+    verify_argmax_property,  # unused here; perfbench/tracing.py wraps it by name
+    verify_step_inequality,  # unused here; perfbench/tracing.py wraps it by name
 )
 from .discriminant import Graph, discriminant_polynomial
 from .expr import (
@@ -55,7 +58,8 @@ from .expr import (
     _term_table,
 )
 from .mapping import IterationConfig, Trace, _support_residual, iterate
-from .simplex import BlockPoint, BlockStructure, barycenter, random_interior
+from .simplex import BlockPoint, BlockStructure, _dirichlet_rows, barycenter
+from .simplex import random_interior  # unused here; perfbench/tracing.py wraps it by name
 
 __all__ = [
     "Problem",
@@ -76,6 +80,8 @@ _SCREEN_TINY = 2.0**-600  # a screened sum this small may have lost terms
 _TOO_DEEP = "expression: nested too deeply to parse"
 _TOO_MANY = "blocks: sum to {} coordinates, too many to allocate"
 _ARGMAX_COMPETITORS = 1000
+_SWEEP_ROWS = 256  # base points per chunk of the inequality sweep
+_SWEEP_VALUES = 2**16  # competitor coordinates (512 KB) per chunk of the argmax sweep
 
 
 @dataclass(eq=False)
@@ -269,32 +275,44 @@ def run_verify(
     interior points, then runs the curvature probes.  ``inject_negative``
     additionally runs the convexity probe's sampling loop on the gradient of
     an indefinite function, which must fail - proving the pipeline detects
-    violations.  ``samples`` must be at least 1.
+    violations.  ``samples`` must be at least 1 and ``seed`` a nonnegative
+    integer.
+
+    Each sweep runs in chunks of a fixed number of base points, so memory
+    does not grow with ``samples``: 256 for the inequality sweep, and for
+    the argmax sweep as many as keep the chunk's competitors within
+    ``_SWEEP_VALUES`` coordinates.  A chunk draws its base points with one
+    :func:`_dirichlet_rows` call and, for the argmax sweep, all its
+    competitors with one more, and is scored by one worker call of
+    :mod:`kneejerk.diagnostics`.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     e = problem.expression
     s = problem.structure
 
-    worst_margin = math.inf
-    min_rhs = math.inf
+    worst_margin = min_rhs = math.inf
     ineq_ok = True
-    for _ in range(samples):
-        pt = random_interior(s, rng)
-        rep = verify_step_inequality(e, pt)
-        worst_margin = min(worst_margin, rep.margin)
-        min_rhs = min(min_rhs, rep.rhs)
-        ineq_ok = ineq_ok and rep.passed
+    for rows in _chunks(samples, _SWEEP_ROWS):
+        lhs, rhs = _step_sweep(e, s, _dirichlet_rows(s, rng, rows))
+        margin = lhs - rhs
+        worst_margin = min(worst_margin, float(margin.min()))
+        min_rhs = min(min_rhs, float(rhs.min()))
+        ineq_ok = ineq_ok and bool((margin >= -_MARGIN_TOL).all())
     ineq_ok = ineq_ok and min_rhs >= -1e-12
 
     argmax_margin = math.inf
     argmax_ok = True
-    for _ in range(samples):
-        pt = random_interior(s, rng)
-        rep = verify_argmax_property(e, pt, _ARGMAX_COMPETITORS, rng)
-        argmax_margin = min(argmax_margin, rep.margin)
-        argmax_ok = argmax_ok and rep.passed
+    per_chunk = max(1, _SWEEP_VALUES // (_ARGMAX_COMPETITORS * s.n))
+    for rows in _chunks(samples, per_chunk):
+        base = _dirichlet_rows(s, rng, rows)
+        competitors = _dirichlet_rows(s, rng, rows * _ARGMAX_COMPETITORS)
+        margin, _ = _argmax_sweep(e, s, base, competitors.reshape(rows, _ARGMAX_COMPETITORS, s.n))
+        argmax_margin = min(argmax_margin, float(margin.min()))
+        argmax_ok = argmax_ok and bool((margin >= -_MARGIN_TOL).all())
 
     convexity = check_log_log_convexity(e, samples=samples, rng=rng)
 
@@ -324,7 +342,7 @@ def run_verify(
         # W(u) = u0^2 + u1^2 - 3 u0 u1 is indefinite (Hessian eigenvalues -1
         # and 5), so the log-log convexity probe must reject its gradient.
         negative = _curvature_probe(
-            lambda u: np.array([2.0 * u[0] - 3.0 * u[1], 2.0 * u[1] - 3.0 * u[0]]),
+            lambda U: np.column_stack((2.0 * U[:, 0] - 3.0 * U[:, 1], 2.0 * U[:, 1] - 3.0 * U[:, 0])),
             2, samples, rng, upper=False,
         )
         report["negative_control"] = negative.to_json_dict()
@@ -332,6 +350,12 @@ def run_verify(
 
     report["pass"] = overall
     return report
+
+
+def _chunks(total: int, size: int):
+    """Row counts of ``total`` rows taken ``size`` at a time."""
+    for lo in range(0, total, size):
+        yield min(size, total - lo)
 
 
 def _compositions(r: np.ndarray, total: int, tables, out: np.ndarray) -> None:

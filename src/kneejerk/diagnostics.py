@@ -16,6 +16,18 @@ takes a gradient callable and the end of the spectrum to bound.  Probe
 failures on valid expressions indicate a bug; the probes are given teeth by
 negative controls (the indefinite ``u0^2 + u1^2 - 3 u0 u1`` fed to the
 sampling loop directly, and the ``x^2 + y^2`` concavity counterexample).
+
+Every probe evaluates in batches, through
+:func:`kneejerk.expr._eval_log_gradients`.  The two certificate checks are
+one-row calls of the sweep workers ``_step_sweep`` and ``_argmax_sweep``,
+which ``kneejerk.cli.run_verify`` calls on chunks of base points: one
+batched gradient at the rows, the certified update of each row
+(``_certified_update``, with all its guards), then one batched ``W`` at the
+new points or every competitor's bound in one matrix product.  The caller
+draws the rows and competitors, so memory follows its chunk, never the
+sample count.  A curvature sample draws its point on its own and scores
+its ``2n`` stencil points with one gradient call.  A batched value can
+differ from the point evaluation in its last bits.
 """
 
 from __future__ import annotations
@@ -29,10 +41,14 @@ import numpy as np
 from .expr import (
     KneeJerkExpr,
     _central_hessian_from_grad,
+    _eval_log_gradients,
+    _eval_log_values,
     eval_log,
 )
-from .mapping import _certified_update, knee_jerk_step
-from .simplex import BlockPoint, _dirichlet_rows
+from .mapping import _certified_update
+# Unused here; perfbench/tracing.py wraps this name in this module.
+from .mapping import knee_jerk_step  # noqa: F401
+from .simplex import BlockPoint, BlockStructure, _dirichlet_rows
 
 __all__ = [
     "InequalityReport",
@@ -136,15 +152,61 @@ def tangent_lower_bound(expr: KneeJerkExpr, x, x_bar) -> float:
     return float(np.sum(g[live] * np.log(x_bar[live] / x[live])))
 
 
+def _updates(structure: BlockStructure, X: np.ndarray, G: np.ndarray):
+    """The certified update of each row of ``X`` from its gradient weights:
+    the new points and each step's bound ``sum_i m_i I_i``."""
+    X_new, bound = np.empty_like(X), np.empty(len(X))
+    for r, (x, g) in enumerate(zip(X, G)):
+        new, _, _, bound[r], _, _ = _certified_update(BlockPoint(x, structure), g)
+        X_new[r] = new.x
+    return X_new, bound
+
+
+def _step_sweep(
+    expr: KneeJerkExpr, structure: BlockStructure, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the per-step certificate at each row of ``X``, interior
+    feasible points: ``lhs = W(x') - W(x)`` and ``rhs = sum_i m_i I_i``.
+
+    One batched gradient at the rows, one update per row and one batched
+    ``W`` at the new points."""
+    W, G = _eval_log_gradients(expr, X)
+    X_new, rhs = _updates(structure, X, G)
+    return _eval_log_values(expr, X_new) - W, rhs
+
+
+def _argmax_sweep(
+    expr: KneeJerkExpr, structure: BlockStructure, X: np.ndarray, C: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of ``X``, an interior feasible point, and its feasible
+    competitors ``C[r]`` (competitors x coordinates): the margin
+    ``bound(x') - max_k bound(C[r, k])`` of the tangent-plane bound
+    ``bound(y) = g . (log y - log x)``, and the index of that worst
+    competitor.
+
+    One batched gradient at the rows, one update per row, and every
+    competitor's bound in one product."""
+    _, G = _eval_log_gradients(expr, X)
+    X_new, _ = _updates(structure, X, G)
+    log_X = np.log(X)
+    with np.errstate(divide="ignore"):
+        D = np.log(X_new) - log_X  # -inf where g = 0 sent x' to 0
+    b_star = np.multiply(G, D, out=np.zeros_like(G), where=G > 0.0).sum(axis=1)
+    D = np.log(C)  # one array the size of C, reused in place
+    D -= log_X[:, None, :]
+    bounds = np.matmul(D, G[:, :, None])[..., 0]
+    worst = bounds.argmax(axis=1)
+    return b_star - bounds[np.arange(len(X)), worst], worst
+
+
 def verify_step_inequality(expr: KneeJerkExpr, point: BlockPoint) -> InequalityReport:
     """Evaluate the per-step certificate at one interior point."""
     if not point.interior:
         raise ValueError("the step inequality is checked at interior points")
-    res = knee_jerk_step(expr, point)
-    lhs = res.W_new - res.W
-    margin = lhs - res.bound
+    lhs, rhs = (float(v[0]) for v in _step_sweep(expr, point.structure, point.x[None]))
+    margin = lhs - rhs
     return InequalityReport(
-        lhs=lhs, rhs=res.bound, margin=margin, passed=margin >= -_MARGIN_TOL
+        lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -_MARGIN_TOL
     )
 
 
@@ -165,26 +227,13 @@ def verify_argmax_property(
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if not point.interior:
         raise ValueError("the argmax check needs an interior base point")
-    x = point.x
-    g = eval_log(expr, x).g
-    log_x = np.log(x)
-
-    # bound(y) = g . (log y - log x); evaluate all competitors in one matmul.
     competitors = _dirichlet_rows(point.structure, rng, samples)
-    with np.errstate(divide="ignore"):
-        log_c = np.log(competitors)
-    bounds = (log_c - log_x) @ g
-
-    x_new = _certified_update(point, g)[0].x
-    live = g > 0.0
-    b_star = float(np.sum(g[live] * (np.log(x_new[live]) - log_x[live])))
-
-    worst = int(np.argmax(bounds))
-    margin = b_star - float(bounds[worst])
+    margin, worst = _argmax_sweep(expr, point.structure, point.x[None], competitors[None])
+    margin = float(margin[0])
     return ArgmaxReport(
         passed=margin >= -_MARGIN_TOL,
         margin=margin,
-        worst_competitor=competitors[worst],
+        worst_competitor=competitors[worst[0]],
         samples=samples,
     )
 
@@ -210,17 +259,22 @@ def _curvature_probe(
     stay above ``-1e-6 * (1 + ||H||)``.  The upper side probes concavity in
     ``x``: ``x`` is drawn from ``_X_BOX``, the steps are ``h * x_i`` so stencil
     points stay positive, and the largest eigenvalue must stay below
-    ``1e-6 * (1 + ||H||)``.  ``grad`` takes points in the drawn coordinates;
-    the reported worst point is in ``x``.  A sample whose stencil has a NaN
-    or infinite entry fails the probe, reported with eigenvalue NaN.
+    ``1e-6 * (1 + ||H||)``.  ``grad`` maps a ``(k, n)`` array of points in
+    the drawn coordinates to their gradients, and is called once per sample
+    on its stacked stencil; the reported worst point is in ``x``.  A sample
+    whose stencil has a NaN or infinite entry fails the probe, reported with
+    eigenvalue NaN.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    points = rng.uniform(*(_X_BOX if upper else _LOG_BOX), (samples, n))
-    worst = (math.inf, -math.inf if upper else math.inf, 0)  # margin, eigenvalue, index
-    for k, v in enumerate(points):
+    box = _X_BOX if upper else _LOG_BOX
+    worst = (math.inf, -math.inf if upper else math.inf, None)  # margin, eigenvalue, point
+    for _ in range(samples):
+        # One draw per sample: the same numbers as one (samples, n) draw,
+        # with memory flat in ``samples``.
+        v = rng.uniform(*box, n)
         H = _central_hessian_from_grad(grad, v, _STENCIL_H * v if upper else _STENCIL_H)
         if np.isfinite(H).all():
             eigs = np.linalg.eigvalsh(H)
@@ -231,13 +285,13 @@ def _curvature_probe(
             # A NaN or infinite stencil has no trustworthy spectrum (eigvalsh
             # may even return finite values), so it is the worst sample.
             eig, margin = math.nan, -math.inf
-        if margin < worst[0]:
-            worst = (margin, eig, k)
-    margin, eig, k = worst
+        if margin < worst[0]:  # a sample's margin is finite or -inf
+            worst = (margin, eig, v)
+    margin, eig, v = worst
     return ConvexityReport(
         samples=samples,
         worst_eigenvalue=eig,
-        worst_point=points[k] if upper else np.exp(points[k]),
+        worst_point=v if upper else np.exp(v),
         passed=margin >= 0.0,
     )
 
@@ -254,7 +308,7 @@ def check_log_log_convexity(
     """
     n = _probed_size(expr)
     return _curvature_probe(
-        lambda u: eval_log(expr, np.exp(u)).g, n, samples, rng, upper=False
+        lambda U: _eval_log_gradients(expr, np.exp(U))[1], n, samples, rng, upper=False
     )
 
 
@@ -272,5 +326,5 @@ def check_log_concavity(
     """
     n = _probed_size(expr)
     return _curvature_probe(
-        lambda x: eval_log(expr, x).g / x, n, samples, rng, upper=True
+        lambda X: _eval_log_gradients(expr, X)[1] / X, n, samples, rng, upper=True
     )

@@ -51,7 +51,11 @@ m)``): the batch evaluation sums it per point, and the oracle in
 with ``E`` restricted to that half's columns, and screens the points with
 one product of the two tables per group of points whose halves pair up;
 only the points the screen cannot rule out are then scored by the batch
-evaluation.
+evaluation.  A batch's gradients (:func:`_eval_log_gradients`, for the
+certificate sweeps and Hessian stencils of :mod:`kneejerk.diagnostics`)
+come from the same chunks: the matrix form multiplies each chunk's table
+by ``E`` once, ``g = P^T E / sum P``, and the slot tape runs its forward
+pass on arrays and its reverse pass on one array of adjoints per slot.
 
 Expressions are immutable by convention: construct them, never mutate them
 (a :class:`MatrixPolynomial`'s arrays are read-only).  The module holds no
@@ -406,21 +410,41 @@ class _MatrixForm:
             g = np.concatenate((g, np.zeros(x.size - n)))
         return float(m + math.log(s)), g
 
+    def _tables(self, X: np.ndarray):
+        """For each chunk of about ``_BATCH_TERMS`` term values: its rows of
+        ``X``, their count and their :func:`_term_table`.  numpy multiplies
+        and sums one column as vectors, which round unlike any longer chunk,
+        so a lone row is scored twice: the table then has a column more than
+        the count.  The caller drops each table before asking for the next,
+        so at most two chunk-sized arrays are alive at once."""
+        step = max(2, _BATCH_TERMS // len(self.E))
+        for i in range(0, len(X), step):
+            C = X[i : i + step, : self.n]
+            yield slice(i, i + step), len(C), *_term_table(
+                self.E, self.log_c, self.B, self.S, C if len(C) > 1 else np.vstack((C, C))
+            )
+
     def values(self, X: np.ndarray) -> np.ndarray:
         """``W`` of each row of ``X`` (see :func:`_eval_log_values`)."""
         W = np.empty(len(X))
-        step = max(2, _BATCH_TERMS // len(self.E))
         with np.errstate(divide="ignore"):  # log 0 of a dead point's sum
-            for i in range(0, len(X), step):
-                C = X[i : i + step, : self.n]
-                # numpy multiplies and sums one column as vectors, which
-                # round unlike any longer chunk: score a lone point twice.
-                m, P = _term_table(self.E, self.log_c, self.B, self.S, C if len(C) > 1 else np.vstack((C, C)))
-                W[i : i + step] = (m + np.log(P.sum(axis=0)))[: len(C)]
-                # Freed before the next chunk's table: at most two
-                # chunk-sized arrays are alive at once.
+            for rows, k, m, P in self._tables(X):
+                W[rows] = (m + np.log(P.sum(axis=0)))[:k]
                 del P
         return W
+
+    def gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``W`` and ``g`` of each row of ``X`` (see :func:`_eval_log_gradients`):
+        each chunk's table, summed per point and multiplied by ``E`` once."""
+        W, G = np.empty(len(X)), np.zeros(X.shape)
+        for rows, k, m, P in self._tables(X):
+            if m[m.argmin()] == -math.inf:
+                _raise_vanishes(-math.inf)
+            s = P.sum(axis=0)
+            W[rows] = (m + np.log(s))[:k]
+            G[rows, : self.n] = ((P.T @ self.E) / s[:, None])[:k]
+            del P
+        return W, G
 
 
 class _SlotTape:
@@ -478,17 +502,61 @@ class _SlotTape:
                     adj[s] += a * math.exp(vals[s] - L)  # exactly 0.0 for a dead child
         return W, np.array(g)
 
+    def _passes(self, X: np.ndarray):
+        """For each chunk of rows of ``X``: the rows and the log-value arrays
+        of every slot (:func:`_forward`).  At least 256 rows per pass: each
+        pass takes one Python step per slot, which dominates on a tree of
+        thousands of slots when passes are short."""
+        step = max(256, _BATCH_TERMS // len(self.args))
+        lse = functools.partial(functools.reduce, np.logaddexp)
+        for i in range(0, len(X), step):
+            with np.errstate(divide="ignore"):
+                vals = _forward(self, np.log(X[i : i + step]).T, lse)
+            yield slice(i, i + step), vals
+
     def values(self, X: np.ndarray) -> np.ndarray:
         """``W`` of each row of ``X`` (see :func:`_eval_log_values`)."""
         W = np.empty(len(X))
-        # At least 256 rows per pass: each pass takes one Python step per slot,
-        # which dominates on a tree of thousands of slots when passes are short.
-        step = max(256, _BATCH_TERMS // len(self.args))
-        lse = functools.partial(functools.reduce, np.logaddexp)
-        with np.errstate(divide="ignore"):
-            for i in range(0, len(X), step):
-                W[i : i + step] = _forward(self, np.log(X[i : i + step]).T, lse)[-1]
+        for rows, vals in self._passes(X):
+            W[rows] = vals[-1]
         return W
+
+    def gradients(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``W`` and ``g`` of each row of ``X`` (see :func:`_eval_log_gradients`):
+        :meth:`point`'s reverse pass with one array of adjoints per slot.  A
+        lane whose adjoint is 0 is skipped at a sum, as ``point`` skips the
+        slot, so a dead subtree's ``-inf - (-inf)`` is never formed."""
+        kinds, args = self.kinds, self.args
+        W, G = np.empty(len(X)), np.zeros(X.shape)
+        for rows, vals in self._passes(X):
+            R = len(X[rows])
+            Wk = np.broadcast_to(vals[-1], (R,))  # a constant tree's is a scalar
+            if not Wk[Wk.argmin()] > -math.inf:  # argmin finds a NaN first
+                _raise_vanishes(Wk[Wk.argmin()])
+            W[rows] = Wk
+            g = G[rows]
+            adj: list = [None] * (len(args) - 1) + [np.ones(R)]
+            for k in range(len(args) - 1, -1, -1):
+                a = adj[k]
+                if a is None:
+                    continue  # no live parent reaches this slot
+                t, arg = kinds[k], args[k]
+                if t is Var:
+                    g[:, arg] += a
+                elif t is Prod:
+                    for s in arg:
+                        adj[s] = a if adj[s] is None else adj[s] + a
+                elif t is Pow:
+                    s = arg[0]
+                    adj[s] = a * arg[1] if adj[s] is None else adj[s] + a * arg[1]
+                elif t is Sum:
+                    live = a != 0.0
+                    for s in arg:
+                        # exp(-inf) is exactly 0.0 for a dead child and a skipped lane
+                        d = np.subtract(vals[s], vals[k], out=np.full(R, -math.inf), where=live)
+                        w = a * np.exp(d)
+                        adj[s] = w if adj[s] is None else adj[s] + w
+        return W, G
 
 
 def _monomials(expr: KneeJerkExpr) -> _MatrixForm | None:
@@ -648,6 +716,26 @@ def _eval_log_values(expr: KneeJerkExpr, X: np.ndarray) -> np.ndarray:
     return expr._form.values(X)
 
 
+def _eval_log_gradients(expr: KneeJerkExpr, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``W`` and ``g`` of each row of a batch of nonnegative points (rows of
+    ``X``), as :func:`_eval_log_raw` gives them for one, from the objective's
+    compiled form, with the same errors.  Used by the certificate sweeps and
+    the Hessian stencils in :mod:`kneejerk.diagnostics`.
+
+    The rows are evaluated in the chunks of :func:`_eval_log_values`, with
+    its values as ``W``.  The matrix form multiplies each chunk's term table
+    by ``E`` once; the slot tape runs its reverse pass on arrays.  Either
+    way the sums run in another order than the point evaluation's, so
+    values can differ from it in the last bits."""
+    form = expr._form
+    if form.n > X.shape[1]:
+        raise ValueError(
+            f"expression references variable {form.n - 1} but the points "
+            f"have only {X.shape[1]} coordinates"
+        )
+    return form.gradients(X)
+
+
 def _term_table(
     E: np.ndarray, log_c: np.ndarray, B: float, S: float, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -683,19 +771,17 @@ def _central_hessian_from_grad(
     """Symmetrized central-difference Hessian from a gradient callable.
 
     Row i of the raw stencil is (grad(u + h_i e_i) - grad(u - h_i e_i)) / 2h_i;
-    ``h`` is one step for every coordinate or one step per coordinate.  The
-    result averages the (i, j) and (j, i) stencils so it is symmetric by
+    ``h`` is one step for every coordinate or one step per coordinate.
+    ``grad`` maps a ``(k, n)`` array of points to their ``(k, n)`` gradients
+    and is called once, on the ``2n`` stencil points stacked.  The result
+    averages the (i, j) and (j, i) stencils so it is symmetric by
     construction.
     """
     n = u.size
     h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
-    rows = np.empty((n, n))
-    for i in range(n):
-        up = u.copy()
-        up[i] += h[i]
-        um = u.copy()
-        um[i] -= h[i]
-        rows[i] = (grad(up) - grad(um)) / (2.0 * h[i])
+    step = np.diag(h)
+    G = grad(np.concatenate((u + step, u - step)))
+    rows = (G[:n] - G[n:]) / (2.0 * h[:, None])
     return (rows + rows.T) / 2.0
 
 
@@ -709,14 +795,10 @@ def hessian_log_u(expr: KneeJerkExpr, x, h: float = 1e-4) -> np.ndarray:
     :mod:`kneejerk.diagnostics` checks).
     """
     x = np.asarray(x, dtype=float)
-    ev = eval_log(expr, x)  # validates the point
-    del ev
-    u = np.log(x)
-
-    def grad(uv: np.ndarray) -> np.ndarray:
-        return eval_log(expr, np.exp(uv)).g
-
-    return _central_hessian_from_grad(grad, u, h)
+    eval_log(expr, x)  # validates the point
+    return _central_hessian_from_grad(
+        lambda U: _eval_log_gradients(expr, np.exp(U))[1], np.log(x), h
+    )
 
 
 # ---------------------------------------------------------------------------

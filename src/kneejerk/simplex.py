@@ -253,9 +253,9 @@ def _dirichlet_rows(structure: BlockStructure, rng: np.random.Generator, rows: i
     for b, sl in zip(structure.blocks, structure.slices):
         p = rng.dirichlet(np.ones(b), size=rows)
         # Guard against exact zeros from gamma underflow in extreme draws.
-        p = np.clip(p, 1e-300, None)
-        p = p / p.sum(axis=1, keepdims=True)
-        out[:, sl] = p / structure.weights[sl]
+        np.clip(p, 1e-300, None, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        np.divide(p, structure.weights[sl], out=out[:, sl])
     return out
 
 

@@ -371,6 +371,29 @@ class TestRunVerify:
         assert report["pass"] is True
         assert report["log_concavity"]["pass"] is True
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, True, "3"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+            run_verify(parse_problem(GRAPH_PROBLEM), samples=2, seed=seed)
+
+    def test_memory_does_not_grow_with_samples(self, problem_dir):
+        # Both sweeps draw and score a fixed number of base points per
+        # chunk, and the curvature probes draw one point per sample, so ten
+        # times the samples must not raise the peak.  Unchunked, the argmax
+        # sweep of 4000 samples would hold 4 million competitors (190 MB).
+        p = parse_problem((problem_dir / "k4.json").read_text())
+        run_verify(p, samples=2, seed=0)  # compile outside the trace
+        peaks = []
+        for samples in (400, 4000):
+            tracemalloc.start()
+            try:
+                report = run_verify(p, samples=samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report["pass"] is True
+        assert peaks[1] - peaks[0] < 2**16
+
 
 def _poly(n, terms):
     return {"polynomial": {"n": n, "terms": [{"c": c, "e": e} for c, e in terms]}}
@@ -933,6 +956,14 @@ class TestMain:
         assert code == 2
         captured = capsys.readouterr()
         assert "samples" in captured.err
+        assert captured.out == ""
+
+    def test_verify_negative_seed_exit_two_naming_the_seed(self, tmp_path, capsys):
+        prob = self._write(tmp_path, "p.json", GRAPH_PROBLEM)
+        code = main(["verify", "--problem", prob, "--seed", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
         assert captured.out == ""
 
     def test_discriminant_subcommand(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from kneejerk import (
     BlockPoint,
     BlockStructure,
     Const,
+    MatrixPolynomial,
     Pow,
     Prod,
     Sum,
@@ -215,15 +216,23 @@ class TestArgmaxProperty:
                 verify_argmax_property(dlr_expression(), point, bad, np.random.default_rng(0))
 
     def test_one_evaluation_per_call(self, monkeypatch):
+        # Every name through which the probe could evaluate the objective is
+        # counted: one batched gradient at the base point, nothing else.
         calls = []
-        for module in (expr_module, mapping):
-            real = module._eval_log_raw
+        for module, name in (
+            (expr_module, "_eval_log_raw"),
+            (mapping, "_eval_log_raw"),
+            (diagnostics, "_eval_log_gradients"),
+            (diagnostics, "_eval_log_values"),
+            (diagnostics, "eval_log"),
+        ):
+            real = getattr(module, name)
 
             def counted(e, x, real=real):
                 calls.append(1)
                 return real(e, x)
 
-            monkeypatch.setattr(module, "_eval_log_raw", counted)
+            monkeypatch.setattr(module, name, counted)
         point = BlockPoint(np.array([0.5, 0.5]), BlockStructure((2,)))
         verify_argmax_property(dlr_expression(), point, samples=20, rng=np.random.default_rng(2))
         assert len(calls) == 1
@@ -235,6 +244,79 @@ class TestArgmaxProperty:
             dlr_expression(), point, samples=50, rng=np.random.default_rng(1)
         )
         assert set(rep.to_json_dict()) == {"pass", "margin", "worst_competitor", "samples"}
+
+
+class TestBatchedSweeps:
+    """The sweep workers on fixed rows against a per-row loop over
+    ``knee_jerk_step`` and explicitly computed competitor bounds."""
+
+    ROWS = 7
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(83)
+        # A polynomial in 3 of the 5 coordinates: its second block has no
+        # gradient mass, so every step flags it degenerate.
+        padded = MatrixPolynomial([[1, 1, 0], [2, 0, 1]], [1.0, 2.0])
+        return [
+            (dlr_expression(), BlockStructure((2,))),
+            (discriminant_expression(k4_graph()), BlockStructure((6,))),
+            (random_polynomial(rng, 5, max_terms=12), BlockStructure((2, 3), rng.uniform(0.5, 2.0, 5))),
+            (random_expression(rng, 4, depth=3), BlockStructure((1, 3), rng.uniform(0.5, 2.0, 4))),
+            (padded, BlockStructure((3, 2))),
+        ]
+
+    def _middle_worst(self, margins, *arrays):
+        """``arrays`` with their rows reordered so the smallest margin is in
+        the middle and the rest keep their order."""
+        worst = int(np.argmin(margins))
+        order = [r for r in range(len(margins)) if r != worst]
+        order.insert(self.ROWS // 2, worst)
+        return [a[order] for a in (np.asarray(margins),) + arrays]
+
+    def test_step_sweep_matches_knee_jerk_steps(self):
+        rng = np.random.default_rng(84)
+        for expr, s in self._cases():
+            X = np.stack([interior_point(rng, s).x for _ in range(self.ROWS)])
+            steps = [knee_jerk_step(expr, BlockPoint(x, s)) for x in X]
+            lhs_ref = np.array([r.W_new - r.W for r in steps])
+            rhs_ref = np.array([r.bound for r in steps])
+            _, X, lhs_ref, rhs_ref = self._middle_worst(lhs_ref - rhs_ref, X, lhs_ref, rhs_ref)
+            lhs, rhs = diagnostics._step_sweep(expr, s, X)
+            assert_allclose(lhs, lhs_ref, rtol=0, atol=1e-12)
+            assert_allclose(rhs, rhs_ref, rtol=0, atol=1e-12)
+            assert np.argmin(lhs - rhs) == self.ROWS // 2
+
+    def test_argmax_sweep_matches_explicit_bounds(self):
+        rng = np.random.default_rng(85)
+        for expr, s in self._cases():
+            X = np.stack([interior_point(rng, s).x for _ in range(self.ROWS)])
+            C = np.stack([np.stack([interior_point(rng, s).x for _ in range(50)]) for _ in X])
+            margin_ref, worst_ref = [], []
+            for x, competitors in zip(X, C):
+                x_new = knee_jerk_step(expr, BlockPoint(x, s)).x_new.x
+                bounds = [tangent_lower_bound(expr, x, c) for c in competitors]
+                k = int(np.argmax(bounds))
+                margin_ref.append(tangent_lower_bound(expr, x, x_new) - bounds[k])
+                worst_ref.append(k)
+            margin_ref, X, C, worst_ref = self._middle_worst(margin_ref, X, C, np.array(worst_ref))
+            margin, worst = diagnostics._argmax_sweep(expr, s, X, C)
+            assert_allclose(margin, margin_ref, rtol=0, atol=1e-12)
+            assert np.array_equal(worst, worst_ref)
+            assert np.argmin(margin) == self.ROWS // 2
+
+    def test_one_row_probes_report_their_worker_rows(self):
+        rng = np.random.default_rng(86)
+        for expr, s in self._cases():
+            point = interior_point(rng, s)
+            rep = verify_step_inequality(expr, point)
+            lhs, rhs = diagnostics._step_sweep(expr, s, point.x[None])
+            assert (rep.lhs, rep.rhs) == (lhs[0], rhs[0])
+            rep = verify_argmax_property(expr, point, 30, np.random.default_rng(1))
+            competitors = diagnostics._dirichlet_rows(s, np.random.default_rng(1), 30)
+            margin, worst = diagnostics._argmax_sweep(expr, s, point.x[None], competitors[None])
+            assert rep.margin == margin[0]
+            assert np.array_equal(rep.worst_competitor, competitors[worst[0]])
 
 
 class TestConvexityProbe:
@@ -268,8 +350,8 @@ class TestConvexityProbe:
     def test_indefinite_raw_function_fails(self):
         # W(u) = u0^2 + u1^2 - 3 u0 u1 has Hessian eigenvalues (-1, 5):
         # convex along the diagonal, concave across it.
-        def grad(u):
-            return np.array([2.0 * u[0] - 3.0 * u[1], 2.0 * u[1] - 3.0 * u[0]])
+        def grad(U):
+            return np.column_stack((2.0 * U[:, 0] - 3.0 * U[:, 1], 2.0 * U[:, 1] - 3.0 * U[:, 0]))
 
         rep = _curvature_probe(grad, 2, 50, np.random.default_rng(0), upper=False)
         assert not rep.passed
@@ -282,11 +364,11 @@ class TestConvexityProbe:
         # NaN sample alone must fail the probe, not pass it with +inf.
         calls = itertools.count()
 
-        def grad(v):
-            sample = next(calls) // 4  # each 2-D stencil makes 4 calls
+        def grad(V):
+            sample = next(calls)  # each stencil is one call on its 4 points
             if nan_at == "every" or sample == 3:
-                return np.full(2, np.nan)
-            return -v if upper else v.copy()
+                return np.full(V.shape, np.nan)
+            return -V if upper else V.copy()
 
         rep = _curvature_probe(grad, 2, 20, np.random.default_rng(0), upper=upper)
         assert not rep.passed

@@ -18,15 +18,16 @@ negative controls (the indefinite ``u0^2 + u1^2 - 3 u0 u1`` fed to the
 sampling loop directly, and the ``x^2 + y^2`` concavity counterexample).
 
 Every probe evaluates in batches, through
-:func:`kneejerk.expr._eval_log_gradients`.  The two certificate checks are
-one-row calls of the sweep workers ``_step_sweep`` and ``_argmax_sweep``,
-which ``kneejerk.cli.run_verify`` calls on chunks of base points: one
-batched gradient at the rows, the certified update of each row
-(``_certified_update``, with all its guards), then one batched ``W`` at the
-new points or every competitor's bound in one matrix product.  The caller
-draws the rows and competitors, so memory follows its chunk, never the
-sample count.  A curvature sample draws its point on its own and scores
-its ``2n`` stencil points with one gradient call.  A batched value can
+:func:`kneejerk.expr._eval_log_gradients`, with no loop over points.  The
+two certificate checks are one-row calls of the sweep workers
+``_step_sweep`` and ``_argmax_sweep``, which ``kneejerk.cli.run_verify``
+calls on chunks of base points: one batched gradient at the rows, one call
+of the step's kernel ``_certified_update`` on all of them (every guard holds
+row by row), then one batched ``W`` at the new points or every competitor's
+bound in one matrix product.  The caller draws the rows and competitors, so
+memory follows its chunk, never the sample count.  The curvature probes draw
+a chunk of samples at once, score all their ``2n``-point stencils with one
+gradient call and take one stacked ``eigvalsh``.  A batched value can
 differ from the point evaluation in its last bits.
 """
 
@@ -68,6 +69,8 @@ _STENCIL_H = 1e-4
 # Per-coordinate sampling boxes: u = log x for convexity, x itself for concavity.
 _LOG_BOX = (-3.0, 3.0)
 _X_BOX = (0.2, 2.0)
+# Stencil gradient entries (2n points x n per sample) in one probe chunk.
+_PROBE_VALUES = 2**13
 
 
 @dataclass(eq=False)
@@ -152,26 +155,16 @@ def tangent_lower_bound(expr: KneeJerkExpr, x, x_bar) -> float:
     return float(np.sum(g[live] * np.log(x_bar[live] / x[live])))
 
 
-def _updates(structure: BlockStructure, X: np.ndarray, G: np.ndarray):
-    """The certified update of each row of ``X`` from its gradient weights:
-    the new points and each step's bound ``sum_i m_i I_i``."""
-    X_new, bound = np.empty_like(X), np.empty(len(X))
-    for r, (x, g) in enumerate(zip(X, G)):
-        new, _, _, bound[r], _, _ = _certified_update(BlockPoint(x, structure), g)
-        X_new[r] = new.x
-    return X_new, bound
-
-
 def _step_sweep(
     expr: KneeJerkExpr, structure: BlockStructure, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the per-step certificate at each row of ``X``, interior
     feasible points: ``lhs = W(x') - W(x)`` and ``rhs = sum_i m_i I_i``.
 
-    One batched gradient at the rows, one update per row and one batched
-    ``W`` at the new points."""
+    One batched gradient at the rows, one update of all rows and one
+    batched ``W`` at the new points."""
     W, G = _eval_log_gradients(expr, X)
-    X_new, rhs = _updates(structure, X, G)
+    X_new, _, _, rhs, _, _ = _certified_update(X, G, structure)
     return _eval_log_values(expr, X_new) - W, rhs
 
 
@@ -184,10 +177,10 @@ def _argmax_sweep(
     ``bound(y) = g . (log y - log x)``, and the index of that worst
     competitor.
 
-    One batched gradient at the rows, one update per row, and every
+    One batched gradient at the rows, one update of all rows, and every
     competitor's bound in one product."""
     _, G = _eval_log_gradients(expr, X)
-    X_new, _ = _updates(structure, X, G)
+    X_new = _certified_update(X, G, structure)[0]
     log_X = np.log(X)
     with np.errstate(divide="ignore"):
         D = np.log(X_new) - log_X  # -inf where g = 0 sent x' to 0
@@ -260,10 +253,12 @@ def _curvature_probe(
     ``x``: ``x`` is drawn from ``_X_BOX``, the steps are ``h * x_i`` so stencil
     points stay positive, and the largest eigenvalue must stay below
     ``1e-6 * (1 + ||H||)``.  ``grad`` maps a ``(k, n)`` array of points in
-    the drawn coordinates to their gradients, and is called once per sample
-    on its stacked stencil; the reported worst point is in ``x``.  A sample
-    whose stencil has a NaN or infinite entry fails the probe, reported with
-    eigenvalue NaN.
+    the drawn coordinates to their gradients; the reported worst point is in
+    ``x``, the first of equally bad samples.  A sample whose stencil has a NaN
+    or infinite entry fails the probe, reported with eigenvalue NaN.  A chunk
+    of ``_PROBE_VALUES // (2 n^2)`` samples draws its points at once (the same
+    numbers as one draw per sample), scores every stencil with one ``grad``
+    call and takes one stacked ``eigvalsh``, so memory is flat in ``samples``.
     """
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
@@ -271,22 +266,20 @@ def _curvature_probe(
         rng = np.random.default_rng(0)
     box = _X_BOX if upper else _LOG_BOX
     worst = (math.inf, -math.inf if upper else math.inf, None)  # margin, eigenvalue, point
-    for _ in range(samples):
-        # One draw per sample: the same numbers as one (samples, n) draw,
-        # with memory flat in ``samples``.
-        v = rng.uniform(*box, n)
-        H = _central_hessian_from_grad(grad, v, _STENCIL_H * v if upper else _STENCIL_H)
-        if np.isfinite(H).all():
-            eigs = np.linalg.eigvalsh(H)
-            eig = float(eigs[-1] if upper else eigs[0])
-            norm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
-            margin = (-eig if upper else eig) + _EIG_TOL * (1.0 + norm)
-        else:
-            # A NaN or infinite stencil has no trustworthy spectrum (eigvalsh
-            # may even return finite values), so it is the worst sample.
-            eig, margin = math.nan, -math.inf
-        if margin < worst[0]:  # a sample's margin is finite or -inf
-            worst = (margin, eig, v)
+    per_chunk = max(1, _PROBE_VALUES // (2 * n * n))
+    for lo in range(0, samples, per_chunk):
+        V = rng.uniform(*box, (min(per_chunk, samples - lo), n))
+        H = _central_hessian_from_grad(grad, V, _STENCIL_H * V if upper else _STENCIL_H)
+        # A NaN or infinite stencil has no trustworthy spectrum (eigvalsh may
+        # even return finite values), so it is the worst sample.
+        finite = np.isfinite(H).all(axis=(1, 2))
+        eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], H, 0.0))
+        eig = np.where(finite, eigs[:, -1] if upper else eigs[:, 0], np.nan)
+        norm = np.maximum(abs(eigs[:, 0]), abs(eigs[:, -1]))
+        margin = np.where(finite, (-eig if upper else eig) + _EIG_TOL * (1.0 + norm), -np.inf)
+        j = int(margin.argmin())
+        if margin[j] < worst[0]:  # a sample's margin is finite or -inf
+            worst = (float(margin[j]), float(eig[j]), V[j])
     margin, eig, v = worst
     return ConvexityReport(
         samples=samples,

@@ -768,21 +768,22 @@ def _term_table(
 def _central_hessian_from_grad(
     grad: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float | np.ndarray
 ) -> np.ndarray:
-    """Symmetrized central-difference Hessian from a gradient callable.
+    """Symmetrized central-difference Hessians from a gradient callable, one
+    at each row of the ``(c, n)`` points ``u``.
 
     Row i of the raw stencil is (grad(u + h_i e_i) - grad(u - h_i e_i)) / 2h_i;
-    ``h`` is one step for every coordinate or one step per coordinate.
-    ``grad`` maps a ``(k, n)`` array of points to their ``(k, n)`` gradients
-    and is called once, on the ``2n`` stencil points stacked.  The result
-    averages the (i, j) and (j, i) stencils so it is symmetric by
-    construction.
+    ``h`` is one step, or one per coordinate (of each point).  ``grad`` maps
+    ``(k, n)`` points to their gradients and is called once, on every point's
+    ``2n`` stencil points in turn.  Averaging the (i, j) and (j, i) stencils
+    makes the result symmetric by construction.
     """
-    n = u.size
-    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
-    step = np.diag(h)
-    G = grad(np.concatenate((u + step, u - step)))
-    rows = (G[:n] - G[n:]) / (2.0 * h[:, None])
-    return (rows + rows.T) / 2.0
+    c, n = u.shape
+    h = np.broadcast_to(np.asarray(h, dtype=float), u.shape)
+    step = h[:, :, None] * np.eye(n)
+    G = grad(np.concatenate((u[:, None] + step, u[:, None] - step), axis=1).reshape(-1, n))
+    G = G.reshape(c, 2 * n, n)
+    rows = (G[:, :n] - G[:, n:]) / (2.0 * h[:, :, None])
+    return (rows + rows.transpose(0, 2, 1)) / 2.0
 
 
 def hessian_log_u(expr: KneeJerkExpr, x, h: float = 1e-4) -> np.ndarray:
@@ -797,8 +798,8 @@ def hessian_log_u(expr: KneeJerkExpr, x, h: float = 1e-4) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     eval_log(expr, x)  # validates the point
     return _central_hessian_from_grad(
-        lambda U: _eval_log_gradients(expr, np.exp(U))[1], np.log(x), h
-    )
+        lambda U: _eval_log_gradients(expr, np.exp(U))[1], np.log(x)[None], h
+    )[0]
 
 
 # ---------------------------------------------------------------------------

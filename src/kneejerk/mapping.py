@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import KneeJerkExpr, LogEval, _eval_log_raw
-from .simplex import BlockPoint, BlockStructure, _divergences
+from .simplex import BlockPoint, BlockStructure, _check_feasible, _divergences, _least
 # perfbench/tracing.py wraps these two names in this module.
 from .simplex import i_divergence, i_divergence_blocks  # noqa: F401
 
@@ -143,25 +143,27 @@ class Trace:
 
 def _support_residual(
     g: np.ndarray, x: np.ndarray, structure: BlockStructure, masses: np.ndarray
-) -> float:
+):
     """max_i max_j |g_j/(a_j x_j) - m_i| / (m_i + 1) over coordinates with
-    x_j > 0 (each block of a feasible ``x`` has one), given the block masses
+    x_j > 0 (each block of a feasible ``x`` has one), per row of ``x``, given
     ``m = structure.sums(g)``; equal to criticality_residual at interior points."""
-    m = masses[structure.index]
+    m = masses.take(structure.index, -1)
     w = structure.weights
-    if not x[x.argmin()] > 0.0:
+    if _least(x) > 0.0:
+        dev = np.abs(g / (w * x) - m) / (m + 1.0)
+    else:  # a zero x_j counts as 0, below every deviation
         pos = x > 0.0
-        g, x, w, m = g[pos], x[pos], w[pos], m[pos]
-    dev = np.abs(g / (w * x) - m) / (m + 1.0)
-    return float(dev[dev.argmax()])
+        dev = np.zeros(x.shape)
+        dev[pos] = np.abs(g[pos] / (w * x)[pos] - m[pos]) / (m[pos] + 1.0)
+    return dev[dev.argmax()] if dev.ndim == 1 else dev.max(1)  # argmax: a faster 1-D max
 
 
-def _certified_update(point: BlockPoint, g: np.ndarray):
-    """The update from the gradient weights ``g`` at ``point`` and its
-    certificate: the new point, the block masses ``m_i``, the degenerate
-    flags, ``sum_i m_i I_i``, ``sum_i I_i`` and the residual at ``point``."""
-    s = point.structure
-    x = point.x
+def _certified_update(x: np.ndarray, g: np.ndarray, structure: BlockStructure):
+    """The update from the gradient weights ``g`` at the feasible ``x`` (a
+    point or ``(R, n)`` rows) and its certificate, per row: the new point, the
+    block masses ``m_i``, the degenerate flags, ``sum_i m_i I_i``, ``sum_i I_i``
+    and the residual at ``x``.  A bad row raises the error it raises alone."""
+    s = structure
     w = s.weights
     masses = s.sums(g)
     # A block with no gradient signal is renormalized and flagged.  On a
@@ -170,9 +172,9 @@ def _certified_update(point: BlockPoint, g: np.ndarray):
     # Scale each block's weights below 1/2 up by an exact power of two:
     # subnormal ones would lose bits in the weighted sum and miss the
     # normalization.  Without subnormals the quotient is unchanged.
-    shift = -np.minimum(np.frexp(np.maximum.reduceat(g, s.starts))[1], 0)
-    raw = np.where(degenerate[s.index], x, np.ldexp(g, shift[s.index]) / w)
-    x_new = raw / s.sums(w * raw)[s.index]
+    shift = -np.minimum(np.frexp(np.maximum.reduceat(g, s.starts, axis=-1))[1], 0)
+    raw = np.where(degenerate.take(s.index, -1), x, np.ldexp(g, shift.take(s.index, -1)) / w)
+    x_new = raw / s.sums(w * raw).take(s.index, -1)
     # A single-coordinate block admits exactly one feasible point, so the
     # update is the identity; copying avoids renormalization round-off on a
     # point that cannot move.
@@ -180,24 +182,23 @@ def _certified_update(point: BlockPoint, g: np.ndarray):
         single = np.array(s.blocks) == 1
         # The copy never reads such a block's one weight (its mass): fail on
         # a NaN or inf one here, as the new point of a longer block would.
-        if not all(map(math.isfinite, masses[single].tolist())):
+        if not all(map(math.isfinite, masses.T[single].ravel().tolist())):
             raise ValueError("point coordinates must be finite")
-        keep = single & ~degenerate
-        x_new = np.where(keep[s.index], x, x_new)
+        x_new = np.where((single & ~degenerate).take(s.index, -1), x, x_new)
     # A degenerate block keeps its point, so the new point's check never sees
     # a negative weight there: refuse it here, as that check does elsewhere.
-    flags = tuple(degenerate.tolist())
-    if True in flags and g[g.argmin()] < 0.0:
-        i = int(g.argmin())
-        raise ValueError(f"gradient weights must be nonnegative; g[{i}] = {g[i]}")
-    new_point = BlockPoint(x_new, s)
-    # Both points are feasible (BlockPoint checked them), so the divergence
-    # needs no further validation.
-    d = _divergences(new_point.x, x, s)
-    live = masses > 0.0
-    bound = float((masses[live] * d[live]).sum())
+    if True in degenerate.ravel().tolist():
+        for row in np.atleast_2d(g)[np.atleast_2d(degenerate).any(1)]:
+            if row[row.argmin()] < 0.0:
+                i = int(row.argmin())
+                raise ValueError(f"gradient weights must be nonnegative; g[{i}] = {row[i]}")
+    _check_feasible(x_new, s)
+    # Both points are feasible, so the divergence needs no further validation.
+    # A block without mass adds 0 * I_i = 0; ``+ 0.0`` turns -0.0 into 0.0.
+    d = _divergences(x_new, x, s)
+    bound = np.add.reduce(masses * d, -1) + 0.0
     residual = _support_residual(g, x, s, masses)
-    return new_point, masses, flags, bound, float(d.sum()), residual
+    return x_new, masses, degenerate, bound, np.add.reduce(d, -1), residual
 
 
 def knee_jerk_step(
@@ -212,19 +213,22 @@ def knee_jerk_step(
     e.g. the previous step's ``W_new`` and ``gradient_new``; it changes nothing.
     """
     W, g = _eval_log_raw(expr, point.x) if start is None else (start.W, start.g)
-    new_point, masses, degenerate, bound, divergence, residual = _certified_update(point, g)
-    W_new, g_new = _eval_log_raw(expr, new_point.x)
+    s = point.structure
+    x_new, masses, degenerate, bound, divergence, residual = _certified_update(point.x, g, s)
+    W_new, g_new = _eval_log_raw(expr, x_new)
+    new_point = object.__new__(type(point))  # the update checked x_new already
+    new_point.x, new_point.structure = x_new, s
     return StepResult(
         x_new=new_point,
         W=W,
         W_new=W_new,
         masses=masses,
-        bound=bound,
-        degenerate=degenerate,
+        bound=float(bound),
+        degenerate=tuple(degenerate.tolist()),
         gradient=g,
-        divergence=divergence,
+        divergence=float(divergence),
         gradient_new=g_new,
-        residual=residual,
+        residual=float(residual),
     )
 
 
@@ -238,7 +242,7 @@ def criticality_residual(expr: KneeJerkExpr, point: BlockPoint) -> float:
         raise ValueError("criticality residual requires an interior point")
     _, g = _eval_log_raw(expr, point.x)
     s = point.structure
-    return _support_residual(g, point.x, s, s.sums(g))
+    return float(_support_residual(g, point.x, s, s.sums(g)))
 
 
 def iterate(

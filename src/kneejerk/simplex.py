@@ -6,14 +6,14 @@ attaches a positive weight to every coordinate.  Feasibility means each block
 satisfies ``sum_j a_j x_j = 1`` with nonnegative coordinates; the plain
 probability simplex is the single-block, unit-weight case.
 
-Every per-block quantity is one reduction over the whole vector.  A structure
-carries ``index``, the block of each coordinate, and ``starts``, the first
-coordinate of each block; ``BlockStructure.sums`` adds a vector up block by
-block with ``np.bincount``.  That sums each block in coordinate order, so on a
-block of fewer than 8 coordinates it equals ``np.sum`` of the block bit for
-bit; on longer blocks it may differ from ``np.sum``'s pairwise order in the
-last place.  A step reads extremes as ``v[v.argmin()]`` and ``v[v.argmax()]``:
-the values of ``v.min()`` and ``v.max()``, NaN too, at a third of the cost.
+Every per-block quantity is one reduction over a vector or its ``(R, n)``
+rows.  A structure carries ``index``, the block of each coordinate, and
+``starts``, the first coordinate of each block; ``BlockStructure.sums`` adds
+up block by block with ``np.bincount`` (rows by the index ``row * k + block``)
+in coordinate order, so a row sums as it does alone, and a block of fewer than
+8 coordinates as ``np.sum`` does (longer ones may differ in the last place).
+A step reads a minimum as ``_least(v)``: the value of ``v.min()``, NaN too,
+at a third of the cost.
 """
 
 from __future__ import annotations
@@ -84,8 +84,11 @@ class BlockStructure:
         return len(self.blocks)
 
     def sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-block sums of a length-``n`` vector, each in coordinate order."""
-        return np.bincount(self.index, weights=v, minlength=self.k)
+        """Per-block sums of a length-``n`` vector or of each row, in coordinate order."""
+        if v.ndim == 1:
+            return np.bincount(self.index, weights=v, minlength=self.k)
+        index = (np.arange(len(v))[:, None] * self.k + self.index).ravel()
+        return np.bincount(index, v.ravel(), len(v) * self.k).reshape(-1, self.k)
 
     def __eq__(self, other):
         if not isinstance(other, BlockStructure):
@@ -114,25 +117,39 @@ class BlockPoint:
         s = self.structure
         if x.shape != (s.n,):
             raise ValueError(f"point must have length {s.n}, got shape {x.shape}")
-        totals = s.sums(s.weights * x)
-        dev = np.abs(totals - 1.0)
-        # One pass on a good point: NaN fails both tests, inf makes a total inf.
-        if not (x[x.argmin()] >= 0.0 and dev[dev.argmax()] <= _POINT_TOL):
-            if not np.isfinite(x).all():
-                raise ValueError("point coordinates must be finite")
-            if (x < 0.0).any():
-                i = int(np.where(x < 0.0)[0][0])
-                raise ValueError(f"point coordinates must be nonnegative; x[{i}] = {x[i]}")
-            i = int(np.argmax(dev > _POINT_TOL))
-            raise ValueError(
-                f"block {i} weighted sum is {float(totals[i])!r}, violates normalization "
-                f"beyond {_POINT_TOL}"
-            )
+        _check_feasible(x, s)
         self.x = x
 
     @property
     def interior(self) -> bool:
         return bool(np.all(self.x > 0.0))
+
+
+def _least(v: np.ndarray):
+    v = v.ravel()
+    return v[v.argmin()]
+
+
+def _check_feasible(x: np.ndarray, structure: BlockStructure) -> None:
+    """Raise unless ``x``, one point or ``(R, n)`` rows, is feasible within
+    ``_POINT_TOL``; the first bad row raises the error it raises alone."""
+    totals = structure.sums(structure.weights * x)
+    dev = np.abs(totals - 1.0)
+    # One pass on good rows: a NaN total needs a NaN x, an inf x makes it inf.
+    if _least(x) >= 0.0 and True not in (dev > _POINT_TOL).ravel().tolist():
+        return
+    for x, totals, dev in zip(*map(np.atleast_2d, (x, totals, dev))):
+        if not np.isfinite(x).all():
+            raise ValueError("point coordinates must be finite")
+        if (x < 0.0).any():
+            i = int(np.where(x < 0.0)[0][0])
+            raise ValueError(f"point coordinates must be nonnegative; x[{i}] = {x[i]}")
+        if (dev > _POINT_TOL).any():
+            i = int(np.argmax(dev > _POINT_TOL))
+            raise ValueError(
+                f"block {i} weighted sum is {float(totals[i])!r}, violates normalization "
+                f"beyond {_POINT_TOL}"
+            )
 
 
 def barycenter(structure: BlockStructure) -> BlockPoint:
@@ -163,19 +180,18 @@ def normalize(raw, structure: BlockStructure) -> BlockPoint:
 
 
 def _divergences(y: np.ndarray, x: np.ndarray, structure: BlockStructure) -> np.ndarray:
-    """Per-block ``sum_j a_j y_j log(y_j / x_j)`` of two feasible vectors.
+    """Per-block ``sum_j a_j y_j log(y_j / x_j)`` of two feasible vectors or rows.
 
     Conventions: ``0 log 0 = 0``; ``y`` putting mass where ``x`` has none
     makes that block's divergence ``+inf``.
     """
     # Also on positive points: y_j / x_j can underflow to 0 when x_j > 1.
     with np.errstate(divide="ignore"):
-        if y[y.argmin()] > 0.0 and x[x.argmin()] > 0.0:  # no mask needed
-            return structure.sums(structure.weights * y * np.log(y / x))
-        pos = y > 0.0
-        terms = np.zeros(y.shape)
-        terms[pos] = structure.weights[pos] * y[pos] * np.log(y[pos] / x[pos])
-    return structure.sums(terms)
+        if _least(y) > 0.0 and _least(x) > 0.0:  # no mask needed
+            ratio = y / x
+        else:  # a zero y_j takes log 1, so its term is 0
+            ratio = np.divide(y, x, out=np.ones(y.shape), where=y > 0.0)
+        return structure.sums(structure.weights * y * np.log(ratio))
 
 
 def _unwrap_points(y, x, structure):
@@ -251,7 +267,9 @@ def _dirichlet_rows(structure: BlockStructure, rng: np.random.Generator, rows: i
     block order."""
     out = np.empty((rows, structure.n))
     for b, sl in zip(structure.blocks, structure.slices):
-        p = rng.dirichlet(np.ones(b), size=rows)
+        # numpy's Dirichlet(1, ..., 1), bit for bit: exponentials over their in-order row sum.
+        p = rng.standard_exponential((rows, b))
+        p *= 1.0 / sum(p.T[1:], p[:, 0])[:, None]
         # Guard against exact zeros from gamma underflow in extreme draws.
         np.clip(p, 1e-300, None, out=p)
         p /= p.sum(axis=1, keepdims=True)

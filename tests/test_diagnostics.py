@@ -365,10 +365,15 @@ class TestConvexityProbe:
         calls = itertools.count()
 
         def grad(V):
-            sample = next(calls)  # each stencil is one call on its 4 points
-            if nan_at == "every" or sample == 3:
-                return np.full(V.shape, np.nan)
-            return -V if upper else V.copy()
+            # One call per chunk; its stencils are 4 points per sample, and
+            # all 20 samples fit in the first chunk.
+            assert next(calls) == 0 and V.shape == (20 * 4, 2)
+            G = -V if upper else V.copy()
+            if nan_at == "every":
+                G[:] = np.nan
+            else:  # one entry among sample 3's stencil points
+                G[3 * 4 + 1, 0] = np.nan
+            return G
 
         rep = _curvature_probe(grad, 2, 20, np.random.default_rng(0), upper=upper)
         assert not rep.passed
@@ -389,17 +394,54 @@ class TestConvexityProbe:
             check_log_concavity(dlr_expression(), samples=samples)
 
     def test_probe_reads_the_hessian_through_the_module_name(self, monkeypatch):
+        # One call per chunk of samples: a chunk holds 2**13 // (2 n^2)
+        # samples, 1024 on the two coordinates of dlr.
         calls = []
         real = diagnostics._central_hessian_from_grad
 
         def counted(grad, u, h):
-            calls.append(1)
+            calls.append(len(u))
             return real(grad, u, h)
 
         monkeypatch.setattr(diagnostics, "_central_hessian_from_grad", counted)
         check_log_log_convexity(dlr_expression(), samples=3)
-        check_log_concavity(dlr_expression(), samples=4)
-        assert len(calls) == 7
+        check_log_concavity(dlr_expression(), samples=2049)
+        assert calls == [3, 1024, 1024, 1]
+
+    @pytest.mark.parametrize("upper", [False, True])
+    @pytest.mark.parametrize("case", ["k4", "dlr", "indefinite"])
+    def test_chunked_probe_equals_a_loop_over_samples(self, upper, case):
+        # 400 samples span several chunks (113 per chunk on k4's six
+        # coordinates); the reference scores one sample at a time, as the
+        # probe did before it was chunked.
+        if case == "indefinite":
+            n = 2
+
+            def grad(U):
+                return np.column_stack((2.0 * U[:, 0] - 3.0 * U[:, 1], 2.0 * U[:, 1] - 3.0 * U[:, 0]))
+        else:
+            e = discriminant_expression(k4_graph()) if case == "k4" else dlr_expression()
+            n = e.n_vars
+            if upper:
+                grad = lambda X: expr_module._eval_log_gradients(e, X)[1] / X
+            else:
+                grad = lambda U: expr_module._eval_log_gradients(e, np.exp(U))[1]
+        rep = _curvature_probe(grad, n, 400, np.random.default_rng(5), upper=upper)
+
+        rng = np.random.default_rng(5)
+        worst = (math.inf, None, None)
+        for _ in range(400):
+            v = rng.uniform(*((0.2, 2.0) if upper else (-3.0, 3.0)), n)
+            H = expr_module._central_hessian_from_grad(grad, v[None], 1e-4 * v[None] if upper else 1e-4)[0]
+            eigs = np.linalg.eigvalsh(H)
+            eig = float(eigs[-1] if upper else eigs[0])
+            norm = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+            margin = (-eig if upper else eig) + 1e-6 * (1.0 + norm)
+            if margin < worst[0]:
+                worst = (margin, eig, v)
+        assert rep.worst_eigenvalue == worst[1]
+        assert np.array_equal(rep.worst_point, worst[2] if upper else np.exp(worst[2]))
+        assert rep.passed == (worst[0] >= 0.0) == (case != "indefinite")
 
     def test_json_keys(self):
         d = check_log_log_convexity(dlr_expression(), samples=10).to_json_dict()

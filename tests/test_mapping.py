@@ -30,6 +30,9 @@ from kneejerk import (
     polynomial_to_expression,
 )
 from kneejerk import mapping
+from kneejerk.cli import parse_problem
+from kneejerk.expr import _eval_log_gradients
+from kneejerk.simplex import _dirichlet_rows
 from generators import (
     dlr_expression,
     interior_point,
@@ -550,6 +553,102 @@ class TestCertifiedUpdate:
             seen["new boundary"] += x.interior and not res.x_new.interior
             seen["boundary"] += not x.interior
         assert min(seen.values()) >= 20, seen
+
+
+def _rows_of(rng, expr, st, rows, zeros):
+    """``rows`` feasible points of ``st``, with zero coordinates if
+    ``zeros``, and their gradient weights, one point evaluation each."""
+    X = np.array([interior_point(rng, st).x for _ in range(rows)])
+    if zeros:
+        X *= rng.random(X.shape) < 0.7
+        for x in X:
+            for sl in st.slices:
+                if not np.any(x[sl]):
+                    x[sl.start] = 1.0
+        X = np.array([normalize(x, st).x for x in X])
+    return X, np.array([knee_jerk_step(expr, BlockPoint(x, st)).gradient for x in X])
+
+
+def _assert_rows_equal_one_row_calls(X, G, st):
+    batch = mapping._certified_update(X, G, st)
+    assert batch[0].shape == X.shape and batch[1].shape == (len(X), st.k)
+    for r in range(len(X)):
+        x_new, masses, flags, bound, divergence, residual = mapping._certified_update(X[r], G[r], st)
+        assert batch[0][r].tobytes() == x_new.tobytes()
+        assert batch[1][r].tobytes() == masses.tobytes()
+        assert batch[2][r].tolist() == flags.tolist()
+        for got, want in zip(batch[3:], (bound, divergence, residual)):
+            assert np.ndim(want) == 0
+            assert float(got[r]).hex() == float(want).hex()
+
+
+# A two-block polynomial on 5 coordinates that reads only x0, x1 and x2: the
+# gradient's last two columns are zero padding and the second block has no
+# mass, so it is degenerate at every point.
+PADDED = (
+    '{"expression": {"polynomial": {"n": 5, "terms": [{"c": 1, "e": [1, 1, 0, 0, 0]}, '
+    '{"c": 2, "e": [2, 0, 1, 0, 0]}]}}, "blocks": [3, 2], "init": "barycenter"}'
+)
+K5_ONE_BLOCK = (
+    '{"expression": {"graph": {"vertices": 5, "edges": [[0, 1], [0, 2], [0, 3], [0, 4], '
+    '[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}}, "blocks": [10], "init": "barycenter"}'
+)
+
+
+class TestRowKernel:
+    """The certified update of ``(R, n)`` rows equals its one-row calls bit
+    for bit, and a bad row among good ones raises its own error."""
+
+    def test_random_structures_with_and_without_zero_coordinates(self):
+        rng = np.random.default_rng(1717)
+        seen = {"singleton": 0, "degenerate": 0, "long": 0}
+        for c, (st, expr, _) in enumerate(_step_cases(rng, 60)):
+            X, G = _rows_of(rng, expr, st, 7, zeros=c % 2 == 0)
+            _assert_rows_equal_one_row_calls(X, G, st)
+            seen["singleton"] += 1 in st.blocks
+            seen["degenerate"] += bool(mapping._certified_update(X, G, st)[2].any())
+            seen["long"] += max(st.blocks) >= 8
+        assert min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize("text", [PADDED, K5_ONE_BLOCK], ids=["padded", "k5"])
+    def test_batched_gradients_of_shipped_shapes(self, text):
+        p = parse_problem(text)
+        X = _dirichlet_rows(p.structure, np.random.default_rng(8), 40)
+        _, G = _eval_log_gradients(p.expression, X)
+        _assert_rows_equal_one_row_calls(X, G, p.structure)
+        degenerate = mapping._certified_update(X, G, p.structure)[2]
+        assert degenerate.any(0).tolist() == ([False, True] if text is PADDED else [False])
+
+    def test_single_coordinate_block(self):
+        st = BlockStructure((2, 1))
+        e = Prod((Var(0), Var(1), Var(2)))
+        X, G = _rows_of(np.random.default_rng(9), e, st, 6, zeros=False)
+        _assert_rows_equal_one_row_calls(X, G, st)
+        assert np.array_equal(mapping._certified_update(X, G, st)[0][:, 2], X[:, 2])
+
+    # Each bad row trips one guard: a NaN weight in a longer block (the new
+    # point's check), a NaN or inf weight in the single-coordinate block (its
+    # copy), a negative weight in a block with mass (the new point's check)
+    # and one that leaves the first block without mass (the degenerate guard).
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "index, bad",
+        [(0, math.nan), (2, math.nan), (2, math.inf), (1, -0.25), (0, -1.5)],
+    )
+    def test_bad_row_in_a_batch_raises_its_own_error(self, index, bad):
+        st = BlockStructure((2, 1))
+        e = Prod((Var(0), Var(1), Var(2)))
+        X, G = _rows_of(np.random.default_rng(10), e, st, 5, zeros=False)
+        G[2, index] = bad
+        # An inf weight meets inf / inf, which warns before any guard, so
+        # under this filter both calls raise that RuntimeWarning instead.
+        expected = RuntimeWarning if bad == math.inf else ValueError
+        with pytest.raises(expected) as one:
+            mapping._certified_update(X[2], G[2], st)
+        with pytest.raises(expected) as batch:
+            mapping._certified_update(X, G, st)
+        assert str(batch.value) == str(one.value)
+        mapping._certified_update(np.delete(X, 2, 0), np.delete(G, 2, 0), st)
 
 
 class TestPointGuard:

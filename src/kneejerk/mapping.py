@@ -148,13 +148,10 @@ def _support_residual(
     x_j > 0 (each block of a feasible ``x`` has one), per row of ``x``, given
     ``m = structure.sums(g)``; equal to criticality_residual at interior points."""
     m = masses.take(structure.index, -1)
-    w = structure.weights
-    if _least(x) > 0.0:
-        dev = np.abs(g / (w * x) - m) / (m + 1.0)
-    else:  # a zero x_j counts as 0, below every deviation
-        pos = x > 0.0
-        dev = np.zeros(x.shape)
-        dev[pos] = np.abs(g[pos] / (w * x)[pos] - m[pos]) / (m[pos] + 1.0)
+    wx = structure.weights * x
+    # A zero x_j takes the quotient m_i, so it counts as 0, below every deviation.
+    q = g / wx if _least(x) > 0.0 else np.divide(g, wx, out=m.copy(), where=x > 0.0)
+    dev = np.abs(q - m) / (m + 1.0)
     return dev[dev.argmax()] if dev.ndim == 1 else dev.max(1)  # argmax: a faster 1-D max
 
 
@@ -162,36 +159,50 @@ def _certified_update(x: np.ndarray, g: np.ndarray, structure: BlockStructure):
     """The update from the gradient weights ``g`` at the feasible ``x`` (a
     point or ``(R, n)`` rows) and its certificate, per row: the new point, the
     block masses ``m_i``, the degenerate flags, ``sum_i m_i I_i``, ``sum_i I_i``
-    and the residual at ``x``.  A bad row raises the error it raises alone."""
+    and the residual at ``x``.  A bad row raises the error it raises alone.
+    Passes that leave every bit as it is are skipped: the power-of-two shift
+    unless some block's largest weight is below 1/2 (else every shift is 0),
+    and each copy unless some block is degenerate or has one coordinate."""
     s = structure
     w = s.weights
     masses = s.sums(g)
-    # A block with no gradient signal is renormalized and flagged.  On a
-    # feasible input its weighted sum is 1, so this is the identity.
     degenerate = masses <= 0.0
+    if masses.ndim == 1:  # Python reads a few floats faster than numpy
+        flat = masses.tolist()
+        finite, lo = all(map(math.isfinite, flat)), min(flat)
+    else:
+        finite, lo = np.isfinite(masses).all(), masses.min()
+    # What the new point's check cannot see, in this order: a NaN or inf weight
+    # in a single-coordinate block (copied, its weight never read), a negative
+    # weight beside a degenerate block (which keeps its point), and any other
+    # NaN or inf mass, refused before inf / inf can warn.  Rows go one by one.
+    if not finite or lo <= 0.0 and _least(np.atleast_2d(g)[np.atleast_2d(degenerate).any(1)]) < 0.0:
+        for row in zip(x, g) if x.ndim == 2 else ():
+            _certified_update(*row, s)
+        if not np.isfinite(g[s.single]).all():
+            raise ValueError("point coordinates must be finite")
+        i = int(g.argmin())
+        if degenerate.any() and g[i] < 0.0:
+            raise ValueError(f"gradient weights must be nonnegative; g[{i}] = {g[i]}")
+        raise ValueError("point coordinates must be finite")
     # Scale each block's weights below 1/2 up by an exact power of two:
     # subnormal ones would lose bits in the weighted sum and miss the
     # normalization.  Without subnormals the quotient is unchanged.
-    shift = -np.minimum(np.frexp(np.maximum.reduceat(g, s.starts, axis=-1))[1], 0)
-    raw = np.where(degenerate.take(s.index, -1), x, np.ldexp(g, shift.take(s.index, -1)) / w)
+    top = np.maximum.reduceat(g, s.starts, axis=-1)
+    shift = -np.minimum(np.frexp(top)[1], 0) if _least(top) < 0.5 else None
+    raw = (g if shift is None else np.ldexp(g, shift.take(s.index, -1))) / w
+    # A block with no gradient signal is renormalized and flagged.  On a
+    # feasible input its weighted sum is 1, so this is the identity.
+    keep = s.single
+    if lo <= 0.0:
+        np.copyto(raw, x, where=degenerate.take(s.index, -1))
+        keep = keep & ~degenerate.take(s.index, -1)
     x_new = raw / s.sums(w * raw).take(s.index, -1)
     # A single-coordinate block admits exactly one feasible point, so the
     # update is the identity; copying avoids renormalization round-off on a
     # point that cannot move.
     if 1 in s.blocks:
-        single = np.array(s.blocks) == 1
-        # The copy never reads such a block's one weight (its mass): fail on
-        # a NaN or inf one here, as the new point of a longer block would.
-        if not all(map(math.isfinite, masses.T[single].ravel().tolist())):
-            raise ValueError("point coordinates must be finite")
-        x_new = np.where((single & ~degenerate).take(s.index, -1), x, x_new)
-    # A degenerate block keeps its point, so the new point's check never sees
-    # a negative weight there: refuse it here, as that check does elsewhere.
-    if True in degenerate.ravel().tolist():
-        for row in np.atleast_2d(g)[np.atleast_2d(degenerate).any(1)]:
-            if row[row.argmin()] < 0.0:
-                i = int(row.argmin())
-                raise ValueError(f"gradient weights must be nonnegative; g[{i}] = {row[i]}")
+        np.copyto(x_new, x, where=keep)
     _check_feasible(x_new, s)
     # Both points are feasible, so the divergence needs no further validation.
     # A block without mass adds 0 * I_i = 0; ``+ 0.0`` turns -0.0 into 0.0.
@@ -218,17 +229,9 @@ def knee_jerk_step(
     W_new, g_new = _eval_log_raw(expr, x_new)
     new_point = object.__new__(type(point))  # the update checked x_new already
     new_point.x, new_point.structure = x_new, s
-    return StepResult(
-        x_new=new_point,
-        W=W,
-        W_new=W_new,
-        masses=masses,
-        bound=float(bound),
-        degenerate=tuple(degenerate.tolist()),
-        gradient=g,
-        divergence=float(divergence),
-        gradient_new=g_new,
-        residual=float(residual),
+    return StepResult(  # in field order: keywords would cost about a microsecond a step
+        new_point, W, W_new, masses, float(bound), tuple(degenerate.tolist()),
+        g, float(divergence), g_new, float(residual),
     )
 
 

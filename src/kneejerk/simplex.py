@@ -8,7 +8,8 @@ probability simplex is the single-block, unit-weight case.
 
 Every per-block quantity is one reduction over a vector or its ``(R, n)``
 rows.  A structure carries ``index``, the block of each coordinate, and
-``starts``, the first coordinate of each block; ``BlockStructure.sums`` adds
+``starts``, the first coordinate of each block, and keeps the constants a step
+reads, ``k`` and ``single``, from their first use; ``BlockStructure.sums`` adds
 up block by block with ``np.bincount`` (rows by the index ``row * k + block``)
 in coordinate order, so a row sums as it does alone, and a block of fewer than
 8 coordinates as ``np.sum`` does (longer ones may differ in the last place).
@@ -19,6 +20,7 @@ at a third of the cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +45,8 @@ class BlockStructure:
     """Block sizes plus per-coordinate positive weights (default all ones).
 
     ``index[j]`` is the block of coordinate ``j`` and ``starts[i]`` the first
-    coordinate of block ``i``.
+    coordinate of block ``i``.  ``k`` (the block count) and ``single[j]`` (is
+    coordinate ``j`` alone in its block?) are computed on first use and kept.
     """
 
     blocks: tuple[int, ...]
@@ -79,14 +82,18 @@ class BlockStructure:
     def n(self) -> int:
         return sum(self.blocks)
 
-    @property
+    @cached_property
     def k(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def single(self) -> np.ndarray:
+        return (np.array(self.blocks) == 1)[self.index]
 
     def sums(self, v: np.ndarray) -> np.ndarray:
         """Per-block sums of a length-``n`` vector or of each row, in coordinate order."""
         if v.ndim == 1:
-            return np.bincount(self.index, weights=v, minlength=self.k)
+            return np.bincount(self.index, v, self.k)
         index = (np.arange(len(v))[:, None] * self.k + self.index).ravel()
         return np.bincount(index, v.ravel(), len(v) * self.k).reshape(-1, self.k)
 
@@ -185,12 +192,11 @@ def _divergences(y: np.ndarray, x: np.ndarray, structure: BlockStructure) -> np.
     Conventions: ``0 log 0 = 0``; ``y`` putting mass where ``x`` has none
     makes that block's divergence ``+inf``.
     """
-    # Also on positive points: y_j / x_j can underflow to 0 when x_j > 1.
+    if _least(x) > 0.0 and _least(ratio := y / x) > 0.0:  # no zero y_j, no underflow
+        return structure.sums(structure.weights * y * np.log(ratio))
+    # A zero y_j takes log 1, so its term is 0; y_j / x_j can underflow to 0.
     with np.errstate(divide="ignore"):
-        if _least(y) > 0.0 and _least(x) > 0.0:  # no mask needed
-            ratio = y / x
-        else:  # a zero y_j takes log 1, so its term is 0
-            ratio = np.divide(y, x, out=np.ones(y.shape), where=y > 0.0)
+        ratio = np.divide(y, x, out=np.ones(y.shape), where=y > 0.0)
         return structure.sums(structure.weights * y * np.log(ratio))
 
 

@@ -626,10 +626,11 @@ class TestRowKernel:
         _assert_rows_equal_one_row_calls(X, G, st)
         assert np.array_equal(mapping._certified_update(X, G, st)[0][:, 2], X[:, 2])
 
-    # Each bad row trips one guard: a NaN weight in a longer block (the new
-    # point's check), a NaN or inf weight in the single-coordinate block (its
-    # copy), a negative weight in a block with mass (the new point's check)
-    # and one that leaves the first block without mass (the degenerate guard).
+    # Each bad row trips one guard: a NaN weight in a longer block (the
+    # finite-mass guard, with the new point's message), a NaN or inf weight in
+    # the single-coordinate block (its copy's guard), a negative weight in a
+    # block with mass (the new point's check) and one that leaves the first
+    # block without mass (the degenerate guard).
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "index, bad",
@@ -640,15 +641,140 @@ class TestRowKernel:
         e = Prod((Var(0), Var(1), Var(2)))
         X, G = _rows_of(np.random.default_rng(10), e, st, 5, zeros=False)
         G[2, index] = bad
-        # An inf weight meets inf / inf, which warns before any guard, so
-        # under this filter both calls raise that RuntimeWarning instead.
-        expected = RuntimeWarning if bad == math.inf else ValueError
-        with pytest.raises(expected) as one:
+        with pytest.raises(ValueError) as one:
             mapping._certified_update(X[2], G[2], st)
-        with pytest.raises(expected) as batch:
+        with pytest.raises(ValueError) as batch:
             mapping._certified_update(X, G, st)
         assert str(batch.value) == str(one.value)
         mapping._certified_update(np.delete(X, 2, 0), np.delete(G, 2, 0), st)
+
+    # A later row with a NaN or inf mass, an inf weight in the single-coordinate
+    # block or a negative weight beside a degenerate block does not preempt an
+    # earlier row that fails the new point's check.
+    @pytest.mark.parametrize("index, bad", [(0, math.nan), (0, math.inf), (2, math.inf), (0, -1.5)])
+    def test_first_bad_row_raises_first(self, index, bad):
+        st = BlockStructure((2, 1))
+        e = Prod((Var(0), Var(1), Var(2)))
+        X, G = _rows_of(np.random.default_rng(11), e, st, 5, zeros=False)
+        G[1, 1] = -0.25
+        G[3, index] = bad
+        with pytest.raises(ValueError, match="nonnegative; x") as one:
+            mapping._certified_update(X[1], G[1], st)
+        with pytest.raises(ValueError) as batch:
+            mapping._certified_update(X, G, st)
+        assert str(batch.value) == str(one.value)
+
+
+def _every_pass_update(x, g, structure):
+    """The certified update with every pass run on every call, as it was
+    before the kernel skipped the passes that leave every bit as it is: the
+    power-of-two shift, ``np.where`` for both copies, ``min`` for every
+    branch, the divergence under ``np.errstate`` and the residual with
+    masks.  Valid input only: it has none of the kernel's guards."""
+    s = structure
+    w = s.weights
+    masses = s.sums(g)
+    degenerate = masses <= 0.0
+    shift = -np.minimum(np.frexp(np.maximum.reduceat(g, s.starts, axis=-1))[1], 0)
+    raw = np.where(degenerate.take(s.index, -1), x, np.ldexp(g, shift.take(s.index, -1)) / w)
+    x_new = raw / s.sums(w * raw).take(s.index, -1)
+    if 1 in s.blocks:
+        single = np.array(s.blocks) == 1
+        x_new = np.where((single & ~degenerate).take(s.index, -1), x, x_new)
+    with np.errstate(divide="ignore"):
+        if x_new.min() > 0.0 and x.min() > 0.0:
+            ratio = x_new / x
+        else:
+            ratio = np.divide(x_new, x, out=np.ones(x.shape), where=x_new > 0.0)
+        d = s.sums(w * x_new * np.log(ratio))
+    m = masses.take(s.index, -1)
+    if x.min() > 0.0:
+        dev = np.abs(g / (w * x) - m) / (m + 1.0)
+    else:
+        pos = x > 0.0
+        dev = np.zeros(x.shape)
+        dev[pos] = np.abs(g[pos] / (w * x)[pos] - m[pos]) / (m[pos] + 1.0)
+    bound = np.add.reduce(masses * d, -1) + 0.0
+    return x_new, masses, degenerate, bound, np.add.reduce(d, -1), dev.max(-1)
+
+
+# Largest gradient weight of a block: just below, at and just above 1/2 (the
+# shift is skipped from 1/2 up), subnormal, tiny, very large and ordinary.
+_TOPS = (
+    np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 3e-310, 5e-324, 1e-300, 1e200, 0.3, 2.0,
+)
+
+
+def _parity_row(rng, st):
+    """A feasible point of ``st`` and gradient weights for it.  Zero
+    coordinates (each block keeps a positive one) get zero weight, but now
+    and then a positive one, so the divergence meets a zero ``x_j`` under a
+    positive ``y_j``; a block is degenerate (no weight) one time in six,
+    else its largest weight is drawn from ``_TOPS`` and, half the time, one
+    weight is cut to at most 1e-300, often subnormal."""
+    x = interior_point(rng, st).x
+    if rng.random() < 0.5:
+        x = x * (rng.random(st.n) < 0.6)
+        for sl in st.slices:
+            if not np.any(x[sl]):
+                x[sl.start + int(rng.integers(sl.stop - sl.start))] = 1.0
+        x = normalize(x, st).x
+    g = rng.random(st.n) * (x > 0.0)
+    zeros = np.flatnonzero(x == 0.0)
+    if zeros.size and rng.random() < 0.2:
+        g[rng.choice(zeros)] = rng.random()
+    for sl in st.slices:
+        if rng.random() < 1 / 6:
+            g[sl] = 0.0
+        elif g[sl].max() > 0.0:
+            g[sl] *= _TOPS[int(rng.integers(len(_TOPS)))] / g[sl].max()
+            if rng.random() < 0.5:  # a tiny weight, often subnormal
+                j = sl.start + int(rng.integers(sl.stop - sl.start))
+                g[j] = min(g[j], 10.0 ** -rng.uniform(300, 324))
+    return x, g
+
+
+class TestKernelParity:
+    """The kernel equals the every-pass update bit for bit, for a point and
+    for ``(R, n)`` rows, on and off every branch it skips."""
+
+    NAMES = ("x_new", "masses", "degenerate", "bound", "divergence", "residual")
+
+    def _assert_same(self, got, want):
+        for name, a, b in zip(self.NAMES, got, want):
+            assert a.shape == np.shape(b) and a.tobytes() == np.asarray(b).tobytes(), name
+
+    def test_random_structures_points_and_rows(self):
+        rng = np.random.default_rng(1818)
+        seen = {"shift": 0, "no shift": 0, "subnormal": 0, "degenerate": 0, "singleton": 0,
+                "zero x": 0, "mass where x is 0": 0}
+        for c in range(300):
+            st = random_structure(rng, max_n=6 if c % 2 else 12, max_blocks=4)
+            if c % 3 == 0:
+                st = BlockStructure(st.blocks, rng.uniform(1e-3, 1e3, st.n))
+            rows = [_parity_row(rng, st) for _ in range(int(rng.integers(1, 6)))]
+            X, G = (np.array(v) for v in zip(*rows))
+            for x, g in rows:
+                self._assert_same(mapping._certified_update(x, g, st), _every_pass_update(x, g, st))
+                top = np.maximum.reduceat(g, st.starts)
+                seen["shift" if top.min() < 0.5 else "no shift"] += 1
+                seen["subnormal"] += bool(((g > 0.0) & (g < np.finfo(float).tiny)).any())
+                seen["degenerate"] += bool((st.sums(g) <= 0.0).any())
+                seen["singleton"] += 1 in st.blocks
+                seen["zero x"] += bool((x == 0.0).any())
+                seen["mass where x is 0"] += bool(((x == 0.0) & (g > 0.0)).any())
+            self._assert_same(mapping._certified_update(X, G, st), _every_pass_update(X, G, st))
+        assert min(seen.values()) >= 20, seen
+
+    def test_masses_near_the_largest_float(self):
+        # Each block's mass is finite, about 1.1e308, but any sum over two
+        # blocks or two rows overflows: the kernel steps, as the old one did.
+        st = BlockStructure((2, 2))
+        x = np.array([0.9, 0.1, 0.9, 0.1])
+        g = np.array([1e308, 1e307, 0.99e308, 1.1e307])
+        self._assert_same(mapping._certified_update(x, g, st), _every_pass_update(x, g, st))
+        X, G = np.array([x, x[::-1]]), np.array([g, g[::-1]])
+        self._assert_same(mapping._certified_update(X, G, st), _every_pass_update(X, G, st))
 
 
 class TestPointGuard:
@@ -663,7 +789,7 @@ class TestPointGuard:
         start = eval_log(self.EXPR, x.x)
         g_bad = start.g.copy()
         g_bad[3] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message):
             knee_jerk_step(self.EXPR, x, start=LogEval(start.W, g_bad))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -674,7 +800,7 @@ class TestPointGuard:
         start = eval_log(e, x.x)
         g_bad = start.g.copy()
         g_bad[2] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             knee_jerk_step(e, x, start=LogEval(start.W, g_bad))
 
     # The negative weight leaves its own block (g[2]) or the other one (g[0])

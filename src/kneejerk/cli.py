@@ -58,7 +58,7 @@ from .expr import (
     _term_table,
 )
 from .mapping import IterationConfig, Trace, _support_residual, iterate
-from .simplex import BlockPoint, BlockStructure, _dirichlet_rows, barycenter
+from .simplex import BlockPoint, BlockStructure, _compositions, _dirichlet_rows, barycenter
 from .simplex import random_interior  # unused here; perfbench/tracing.py wraps it by name
 
 __all__ = [
@@ -358,29 +358,6 @@ def _chunks(total: int, size: int):
         yield min(size, total - lo)
 
 
-def _compositions(r: np.ndarray, total: int, tables, out: np.ndarray) -> None:
-    """Write into each row of ``out`` the composition of ``total`` into
-    ``out.shape[1]`` parts whose rank in lexicographic order is that row's
-    entry of ``r``.
-
-    ``tables[m][s]`` counts the compositions of ``s`` into ``m`` parts, for
-    ``m`` of 3 up to the width of ``out``.  With ``t`` left over ``m`` parts,
-    a leading part ``h`` is preceded by the ``tables[m][t] - tables[m][t - h]``
-    compositions with a smaller one; the last two parts split in closed form.
-    """
-    t = total
-    width = out.shape[1]
-    for j in range(width - 2):
-        table = tables[width - j]
-        s = np.searchsorted(table, table[t] - r)
-        r = r - (table[t] - table[s])
-        out[:, j] = t - s
-        t = s
-    if width > 1:
-        out[:, -2] = r
-    out[:, -1] = t - r
-
-
 def _grid_batches(structure: BlockStructure, resolution: int):
     """The oracle grid as int64 count arrays of shape ``(rows, n)``, in
     lexicographic order (within each block, blocks in order), every array
@@ -388,24 +365,18 @@ def _grid_batches(structure: BlockStructure, resolution: int):
 
     Each batch is computed from its ranks: a rank splits by ``divmod`` into
     one index per block, the first block varying slowest, and each index
-    maps to its composition by ``_compositions``.  Memory is one batch plus
-    the count tables, which are built only for blocks of 3 or more
-    coordinates; their entries stay at or below the grid size, so under the
-    guard the int64 arithmetic is exact."""
-    blocks = structure.blocks
-    sizes = _grid_sizes(blocks, resolution)
-    tables = {}
-    if max(blocks) > 2:
-        tables[3] = np.cumsum(np.arange(1, resolution + 2, dtype=np.int64))
-        for m in range(4, max(blocks) + 1):
-            tables[m] = np.cumsum(tables[m - 1])
+    maps to its composition by ``simplex._compositions``.  Memory is one
+    batch plus the count tables, which are built only for blocks of 3 or
+    more coordinates; their entries stay at or below the grid size, so under
+    the guard the int64 arithmetic is exact."""
+    sizes = _grid_sizes(structure.blocks, resolution)
     size = math.prod(sizes)
     for lo in range(0, size, _ORACLE_BATCH):
         rank = np.arange(lo, min(lo + _ORACLE_BATCH, size), dtype=np.int64)
         counts = np.empty((len(rank), structure.n), np.int64)
         for sl, block_size in zip(structure.slices[::-1], sizes[::-1]):
             rank, r = np.divmod(rank, block_size)
-            _compositions(r, resolution, tables, counts[:, sl])
+            _compositions(r, resolution, counts[:, sl])
         yield counts
 
 
@@ -433,7 +404,7 @@ def _split_cut(blocks, resolution: int, terms: int) -> int | None:
     block boundary) gives a prefix half-grid of the blocks before ``j``
     times every way to fill those ``m`` coordinates with a sum of at most
     the resolution, and a suffix half-grid of the rest of block ``j``, filled
-    likewise, times the blocks after it (:func:`_screened_best`).  The cut
+    likewise, times the blocks after it (:func:`_screened_rows`).  The cut
     is the one whose larger half-grid is smallest, the first such on a tie.
     It is taken when each half has at most ``1 / _SPLIT_SHARE`` of the grid's
     points and the suffix's table of ``terms`` values per point fits
@@ -458,10 +429,11 @@ def _split_cut(blocks, resolution: int, terms: int) -> int | None:
     return p
 
 
-def _screened_best(expr, s, resolution, p, inv, floor):
-    """The first best grid point and its ``W`` (``-inf`` and None when the
-    screen rules out every point), for an objective in the matrix form, on a
-    grid cut before coordinate ``p``.
+def _screened_rows(expr, s, resolution, p, inv, floor):
+    """The grid points the screen cannot rule out, as int64 count arrays of
+    shape ``(rows, n)``, one per tile that has any, for an objective in the
+    matrix form, on a grid cut before coordinate ``p``.  It scores nothing
+    and keeps no best point: :func:`run_oracle` scores the rows.
 
     The cut falls after the first ``m`` coordinates of block ``j`` (``m`` is
     0 at a block boundary).  A prefix point (the blocks before ``j`` and
@@ -483,22 +455,20 @@ def _screened_best(expr, s, resolution, p, inv, floor):
     values, each sorted by ``k``, and a tile holds at most ``_ORACLE_BATCH``
     points or one prefix row.
 
-    The screen only selects points: the row kernel ``_eval_log_values``
-    re-scores them, so the result is the row path's.  A screened sum of at
-    least ``_SCREEN_TINY`` lost nothing but rounding to underflow, and its
-    ``W`` lies within a window ``delta`` of the row kernel's that grows
-    with the term bound ``B`` (the rounding of each term value), ``|W|``
-    and the term count (:func:`_screen_tile`).  Such a point is re-scored
-    when its screen is within ``delta`` of the best screen so far, or of
-    ``floor``, the barycenter's ``W``: a grid point below that loses to the
-    barycenter.  A point whose sum fell below ``_SCREEN_TINY`` is re-scored
-    when its bound ``mA + mB + log T`` (``T`` terms) reaches that and some
-    term is live in both halves; with none, the point is dead (``W = log
-    0``).  So no point that can tie or beat the best is missed.  Each tile's
-    candidates are re-scored in one batch; the row kernel gives a point the
-    same value in any batch, alone or not.  Tiles are not visited in grid
-    order, so a tie goes to the lexicographically first count row, which is
-    the first in grid order."""
+    Scored by the row kernel, the rows give the row path's result.  A
+    screened sum of at least ``_SCREEN_TINY`` lost nothing but rounding to
+    underflow, and its ``W`` lies within a window ``delta`` of the row
+    kernel's that grows with the term bound ``B`` (the rounding of each term
+    value), ``|W|`` and the term count (:func:`_screen_tile`).  Such a point
+    is yielded when its screen is within ``delta`` of the best screen so
+    far, or of ``floor``, the barycenter's ``W``: a grid point below that
+    loses to the barycenter.  A point whose sum fell below ``_SCREEN_TINY``
+    is yielded when its bound ``mA + mB + log T`` (``T`` terms) reaches that
+    and some term is live in both halves; with none, the point is dead (``W
+    = log 0``).  So no point that can tie or beat the best is missed.  Each
+    tile's candidates, in grid order, make one array; the row kernel gives a
+    point the same value in any batch, alone or not.  Tiles are not visited
+    in grid order, which :func:`run_oracle`'s tie rule allows for."""
     form = expr._form
     E, log_c, bound, S = form.E, form.log_c, form.B, form.S
     T, n = E.shape
@@ -541,8 +511,6 @@ def _screened_best(expr, s, resolution, p, inv, floor):
 
     spread = (n + 2) * bound + T + 2048
     top = floor
-    best_W = -math.inf
-    best_counts = best_point = None
     # The prefix: block j's slack, resolution - k, comes last.
     for grid_A in _grid_batches(BlockStructure(s.blocks[:j] + (m + 1,)), resolution):
         for i in range(0, len(grid_A), rows):
@@ -563,21 +531,13 @@ def _screened_best(expr, s, resolution, p, inv, floor):
                         keep = ~tiny
                         keep[tiny] = shared[a[tiny], b[tiny]] > 0.0
                         a, b = a[keep], b[keep]
-                    if not len(a):
-                        continue
-                    C = np.hstack((counts_A[A][a], counts_B[B][b]))
-                    W_x = _eval_log_values(expr, C * inv)
-                    i_best = int(np.argmax(W_x))  # the first in grid order within the tile
-                    W_i, C_i = float(W_x[i_best]), C[i_best].tolist()
-                    if W_i > best_W or (W_i == best_W > -math.inf and C_i < best_counts):
-                        best_W, best_counts = W_i, C_i
-                        best_point = C[i_best] * inv
-    return best_W, best_point
+                    if len(a):
+                        yield np.hstack((counts_A[A][a], counts_B[B][b]))
 
 
 def _screen_tile(m_A, P_A, m_B, P_B, top, spread, T):
-    """The points of one tile to re-score, as prefix and suffix indices in
-    grid order, and the best screen so far (see :func:`_screened_best`).
+    """The points of one tile to score, as prefix and suffix indices in
+    grid order, and the best screen so far (see :func:`_screened_rows`).
 
     ``top`` is the best screen before this tile (or the floor), and the
     window is ``delta = 2^-46 (spread + |top|)`` with ``spread = (n + 2) B +
@@ -610,9 +570,14 @@ def run_oracle(problem: Problem, resolution: int) -> OracleResult:
     A grid under a sum of monomials that :func:`_split_cut` can cut at a
     coordinate, at a block boundary or inside a block, is screened as two
     half-grids paired by their partial sums, with one matrix product per
-    group, and only the points the screen cannot rule out are scored by the
-    row kernel (:func:`_screened_best`): the best point and ``W`` are those
-    of scoring every point.  Any other grid is scored row by row."""
+    group, and only the points the screen cannot rule out are scored
+    (:func:`_screened_rows`).  Any other grid is scored in full
+    (:func:`_grid_batches`).  Either way one loop scores each array of count
+    rows with the row kernel.  Within an array the first best row wins;
+    across arrays a row replaces the best when its ``W`` is larger, or equal,
+    finite and its count row lexicographically smaller, which is the first in
+    grid order.  So the best point and ``W`` are those of scoring every point
+    in grid order.  The barycenter replaces them only when strictly better."""
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
         raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
     s = problem.structure
@@ -631,21 +596,17 @@ def run_oracle(problem: Problem, resolution: int) -> OracleResult:
     Wbc = float(_eval_log_values(e, bc[None, :])[0])
     form = e._form
     p = _split_cut(s.blocks, resolution, len(form.E)) if isinstance(form, _MatrixForm) else None
-    if p is not None:
-        best_W, best_point = _screened_best(e, s, resolution, p, inv, Wbc)
-    else:
-        best_W = -math.inf
-        best_point = None
-        for counts in _grid_batches(s, resolution):
-            X = counts * inv
-            W = _eval_log_values(e, X)
-            i = int(np.argmax(W))
-            if W[i] > best_W:  # the first best grid point wins a tie
-                best_W = float(W[i])
-                best_point = X[i].copy()
+    rows = _grid_batches(s, resolution) if p is None else _screened_rows(e, s, resolution, p, inv, Wbc)
+    best_W, best_counts = -math.inf, None
+    for counts in rows:
+        W = _eval_log_values(e, counts * inv)
+        i = int(np.argmax(W))
+        W_i, C_i = float(W[i]), counts[i].tolist()
+        if W_i > best_W or (W_i == best_W > -math.inf and C_i < best_counts):
+            best_W, best_counts = W_i, C_i
+    best_point = None if best_counts is None else np.array(best_counts) * inv
     if Wbc > best_W:
-        best_W = Wbc
-        best_point = bc.copy()
+        best_W, best_point = Wbc, bc.copy()
 
     trace = iterate(problem.expression, problem.init, problem.config)
     terminal_W = float(trace.W_final)

@@ -11,9 +11,10 @@ guarded) and the weighted-Laplacian cofactor (matrix-tree), which for integer
 weights uses exact fraction-free elimination.
 
 Enumeration works on integer arrays.  The (V-1)-edge subsets are unranked in
-lexicographic order, a fixed number per chunk, and each chunk is tested for
-cycles by a vectorized union-find that relabels components edge by edge; the
-surviving subsets are the spanning trees.  :func:`discriminant_polynomial`
+lexicographic order, a fixed number per chunk, as the partial sums of the
+compositions that also index the oracle's simplex grid.  Each chunk is tested
+for cycles by a vectorized union-find that relabels components edge by edge;
+the surviving subsets are the spanning trees.  :func:`discriminant_polynomial`
 counts each tree's edge variables into one exponent row and hands the rows to
 :class:`kneejerk.expr.MatrixPolynomial`, which sorts them and merges trees with
 the same monomial; a graph source in a problem file parses through it.
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import MatrixPolynomial
+from .simplex import _compositions
 
 __all__ = [
     "Graph",
@@ -141,26 +143,18 @@ def _subsets(m: int, k: int):
     """The k-subsets of ``range(m)`` as int64 arrays of shape ``(rows, k)``,
     in lexicographic order, every array ``_SUBSET_CHUNK`` rows but the last.
 
-    Each chunk is computed from its ranks.  ``below[j, a]`` counts the ways
-    to fill positions ``j`` to ``k - 1`` with increasing elements, the first
-    one below ``a``.  After element ``p`` at position ``j - 1``, the
-    completions are ranked from ``below[j, p + 1]`` on, so element ``j`` is
-    the largest ``a`` with ``below[j, a] <= r + below[j, p + 1]``, where ``r``
-    is the rank left within the prefix."""
-    below = np.zeros((k, m + 1), np.int64)
-    for j in range(k):
-        below[j, 1:] = np.cumsum([math.comb(m - 1 - a, k - 1 - j) for a in range(m)])
+    Each chunk is computed from its ranks.  A subset ``p_0 < ... < p_(k-1)``
+    is the partial sums ``p_j = c_0 + ... + c_j + j`` of a composition ``c``
+    of ``m - k`` into ``k + 1`` parts (the gaps between its elements), which
+    :func:`kneejerk.simplex._compositions` unranks.  The map keeps the order:
+    the first part where two compositions differ is the first element where
+    their subsets differ, and in the same direction."""
     total = math.comb(m, k)
     for lo in range(0, total, _SUBSET_CHUNK):
         r = np.arange(lo, min(lo + _SUBSET_CHUNK, total), dtype=np.int64)
-        out = np.empty((len(r), k), np.int64)
-        first = np.zeros(len(r), np.int64)  # smallest element allowed next
-        for j in range(k):
-            r += below[j, first]
-            out[:, j] = np.searchsorted(below[j], r, side="right") - 1
-            r -= below[j, out[:, j]]
-            first = out[:, j] + 1
-        yield out
+        c = np.empty((len(r), k + 1), np.int64)
+        _compositions(r, m - k, c)
+        yield np.cumsum(c[:, :k], axis=1) + np.arange(k)
 
 
 def _acyclic(ends: np.ndarray, vertices: int, subsets: np.ndarray) -> np.ndarray:

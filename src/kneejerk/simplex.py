@@ -14,7 +14,8 @@ up block by block with ``np.bincount`` (rows by the index ``row * k + block``)
 in coordinate order, so a row sums as it does alone, and a block of fewer than
 8 coordinates as ``np.sum`` does (longer ones may differ in the last place).
 A step reads a minimum as ``_least(v)``: the value of ``v.min()``, NaN too,
-at a third of the cost.
+at a third of the cost.  ``_compositions`` unranks simplex grid points in
+lexicographic order, for the oracle's grid and the spanning-tree edge subsets.
 """
 
 from __future__ import annotations
@@ -267,6 +268,30 @@ def i_divergence(y, x, structure: BlockStructure | None = None) -> float:
     return float(np.sum(i_divergence_blocks(y, x, structure)))
 
 
+def _compositions(r: np.ndarray, total: int, out: np.ndarray) -> None:
+    """Write into each row of ``out`` the composition of ``total`` into
+    ``out.shape[1]`` parts whose rank in lexicographic order is that row's
+    entry of ``r``: the simplex grid point ``out / total`` of that rank.
+
+    With ``t`` left over ``m`` parts, a leading part ``h`` is preceded by the
+    ``C_m(t) - C_m(t - h)`` compositions with a smaller one, where ``C_m(s)``
+    counts the compositions of ``s`` into ``m`` parts.  The count tables are
+    built for 3 parts up to the width, so none for a width of 2, whose
+    ``total`` may be large; the last two parts split in closed form."""
+    tables = []  # tables[i][s] = C_(i + 3)(s)
+    for _ in range(out.shape[1] - 2):
+        tables.append(np.cumsum(tables[-1] if tables else np.arange(1, total + 2, dtype=np.int64)))
+    t = total
+    for j, table in enumerate(reversed(tables)):
+        s = np.searchsorted(table, table[t] - r)
+        r = r - (table[t] - table[s])
+        out[:, j] = t - s
+        t = s
+    if out.shape[1] > 1:
+        out[:, -2] = r
+    out[:, -1] = t - r
+
+
 def _dirichlet_rows(structure: BlockStructure, rng: np.random.Generator, rows: int) -> np.ndarray:
     """``rows`` interior feasible points, uniform (Dirichlet) per block and
     rescaled by the weights.  Each block is drawn for all rows at once, in
@@ -276,9 +301,9 @@ def _dirichlet_rows(structure: BlockStructure, rng: np.random.Generator, rows: i
         # numpy's Dirichlet(1, ..., 1), bit for bit: exponentials over their in-order row sum.
         p = rng.standard_exponential((rows, b))
         p *= 1.0 / sum(p.T[1:], p[:, 0])[:, None]
-        # Guard against exact zeros from gamma underflow in extreme draws.
+        # Guard against exact zeros from gamma underflow in extreme draws.  No
+        # renormalization: a row sums to 1 within a few ulps, far inside _POINT_TOL.
         np.clip(p, 1e-300, None, out=p)
-        p /= p.sum(axis=1, keepdims=True)
         np.divide(p, structure.weights[sl], out=out[:, sl])
     return out
 

@@ -515,6 +515,13 @@ class TestRunOracle:
                 [2, 1, 2], [1.0, 2.0, 1.0, 0.5, 1.5], 25, id="inline-matrix-form",
             ),
             pytest.param(SLOT_TAPE_TREE, [2, 2], None, 20, id="slot-tape"),
+            # No cut at all: a lone coordinate, and a lone coordinate beside a
+            # block of 2, whose halves would be as large as the grid.
+            pytest.param({"op": "var", "index": 0}, [1], None, 5, id="one-coordinate"),
+            pytest.param(
+                _poly(3, [(1.0, [1, 1, 0]), (2.0, [1, 0, 2]), (0.5, [2, 1, 1])]),
+                [1, 2], [2.0, 0.5, 1.5], 30, id="1-2-block",
+            ),
         ],
     )
     def test_multi_block_grid_matches_the_row_path(self, expression, blocks, weights, resolution):
@@ -699,7 +706,7 @@ class TestRunOracle:
         def no_screen(*args):
             raise AssertionError("screened")
 
-        monkeypatch.setattr(cli, "_screened_best", no_screen)
+        monkeypatch.setattr(cli, "_screened_rows", no_screen)
         for name, resolution in (("triangle", 344), ("dlr", 2000)):
             p = parse_problem((problem_dir / f"{name}.json").read_text())
             _oracle_matching_the_row_path(p, resolution)
@@ -948,6 +955,49 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}")
         assert "too large" in err
+
+    @pytest.mark.parametrize(
+        "source, named",
+        [
+            ({"polynomial": 5}, "expression.polynomial"),
+            ({"polynomial": {"n": 2, "terms": [5]}}, "expression.polynomial.terms[0]"),
+            ({"polynomial": {"n": 2, "terms": [{"e": [1, 1]}]}}, "expression.polynomial.terms[0]"),
+            ({"polynomial": {"n": 2, "terms": [{"c": 1.0}]}}, "expression.polynomial.terms[0]"),
+            ({"polynomial": {"n": 2, "terms": [{"c": 1.0, "e": 3}]}}, "expression.polynomial.terms[0].e"),
+            ({"polynomial": {"n": 0, "terms": [{"c": 1.0, "e": []}]}}, "expression.polynomial"),
+            ({"polynomial": {"n": True, "terms": [{"c": 1.0, "e": [1]}]}}, "expression.polynomial"),
+            ({"polynomial": {"n": 2, "terms": [{"c": "1", "e": [1, 1]}]}}, "expression.polynomial"),
+            ({"op": "sum", "terms": [{"op": "var", "index": 0}, 5]}, "expression.terms[1]"),
+            ({"op": "var"}, "expression"),
+            ({"op": "const"}, "expression"),
+            ({"op": "pow", "exponent": 2.0}, "expression"),
+            ({"op": "pow", "base": {"op": "var", "index": 0}}, "expression"),
+            ({"op": "sum", "terms": 5}, "expression"),
+            ({"op": "prod", "factors": {}}, "expression"),
+            ({"op": "prod", "factors": [{"op": "var", "index": 0}, {"op": "const", "value": "2"}]},
+             "expression.factors[1]"),
+            ({"graph": 5}, "expression.graph"),
+            ({"graph": {"vertices": 2, "edges": [[0, 1]], "weights": [1]}}, "expression.graph"),
+            ({"graph": {"vertices": 2, "edges": 5}}, "expression.graph.edges"),
+            ({"graph": {"vertices": 2, "edges": []}}, "expression.graph"),
+            ({"index": 0}, "expression"),
+        ],
+        ids=[
+            "polynomial-not-object", "term-not-object", "term-without-c", "term-without-e", "e-not-list",
+            "n-zero", "n-true", "c-string", "node-not-object", "var-without-index", "const-without-value",
+            "pow-without-base", "pow-without-exponent", "terms-not-list", "factors-not-list",
+            "const-string", "graph-not-object", "graph-extra-field", "edges-not-list", "edges-empty",
+            "no-source",
+        ],
+    )
+    def test_malformed_objective_exits_two_naming_its_path(self, tmp_path, capsys, source, named):
+        data = {"expression": source, "blocks": [2], "init": "barycenter"}
+        code = main(["optimize", "--problem", self._write(tmp_path, "p.json", json.dumps(data))])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named}:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_verify_without_samples_exit_two(self, tmp_path, capsys, samples):

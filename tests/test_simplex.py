@@ -310,15 +310,14 @@ class TestRandomInterior:
     @pytest.mark.parametrize("b", [1, 2, 3, 7, 8, 9, 10, 16])
     def test_rows_are_numpy_dirichlet_draws_bit_for_bit(self, b):
         # The rows are numpy's own Dirichlet(1, ..., 1) draws, block by block
-        # for all rows at once, then clipped, renormalized and divided by the
-        # weights; the generator ends in the same state.
+        # for all rows at once, then clipped and divided by the weights; the
+        # generator ends in the same state.
         st = BlockStructure((b, 3), np.linspace(0.5, 2.0, b + 3))
         ours, ref = np.random.default_rng(b), np.random.default_rng(b)
         got = _dirichlet_rows(st, ours, 500)
         expected = np.empty((500, st.n))
         for size, sl in zip(st.blocks, st.slices):
             p = ref.dirichlet(np.ones(size), size=500)
-            p = np.clip(p, 1e-300, None)
-            expected[:, sl] = p / p.sum(axis=1, keepdims=True) / st.weights[sl]
+            expected[:, sl] = np.clip(p, 1e-300, None) / st.weights[sl]
         assert got.tobytes() == expected.tobytes()
         assert ours.bit_generator.state == ref.bit_generator.state

@@ -245,14 +245,13 @@ def run_optimize(problem: Problem, out_dir: Path | None = None) -> tuple[Trace, 
     """Iterate from the problem's init point; return the trace and summary,
     optionally writing ``trace.csv`` and ``summary.json``."""
     trace = iterate(problem.expression, problem.init, problem.config)
-    s = problem.structure
-    g = trace.gradient_final
+    s, g, x = problem.structure, trace.gradient_final, trace.x_final
     summary = {
         "status": trace.status,
         "iterations": trace.iterations,
         "W": float(trace.W_final),
-        "terminal_point": [float(v) for v in trace.x_final.x],
-        "residual": float(_support_residual(g, trace.x_final.x, s, s.sums(g))),
+        "terminal_point": [float(v) for v in x.x],
+        "residual": float(_support_residual(g, x.x, s, s.sums(g), x._facts())),
     }
     if out_dir is not None:
         out_dir = Path(out_dir)

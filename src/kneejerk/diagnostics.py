@@ -164,7 +164,7 @@ def _step_sweep(
     One batched gradient at the rows, one update of all rows and one
     batched ``W`` at the new points."""
     W, G = _eval_log_gradients(expr, X)
-    X_new, _, _, rhs, _, _ = _certified_update(X, G, structure)
+    X_new, _, _, rhs = _certified_update(X, G, structure)[:4]
     return _eval_log_values(expr, X_new) - W, rhs
 
 

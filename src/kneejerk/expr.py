@@ -369,12 +369,12 @@ _EXP_ZERO = -745.2  # exp(z) is exactly 0.0 for every z below this
 class _MatrixForm:
     """The matrix form of a sum of monomials (module docstring): the exponent
     matrix ``E`` (terms x variables), the log-coefficients ``log_c`` and
-    ``n``, the column count of ``E``.  The term bound ``B`` and the stand-in
-    ``S`` for log 0 are computed once, on first use: a
+    ``n``, the column count of ``E``, and ``unit``, true when every coefficient is 1.
+    ``B`` and the stand-in ``S`` for log 0 are computed on first use: a
     :class:`MatrixPolynomial` needs only ``B``, for its guard, while built."""
 
     def __init__(self, E: np.ndarray, log_c: np.ndarray):
-        self.E, self.log_c, self.n = E, log_c, E.shape[1]
+        self.E, self.log_c, self.n, self.unit = E, log_c, E.shape[1], not log_c.any()
 
     @functools.cached_property
     def B(self) -> float:
@@ -391,21 +391,24 @@ class _MatrixForm:
             return float(-(2.0 * self.B + 746.0) / e_min)
 
     def point(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """``W`` and ``g`` at ``x`` (see :func:`_eval_log_raw`)."""
+        """``W`` and ``g`` at ``x`` (see :func:`_eval_log_raw`), numpy's kernels called directly."""
         E, n = self.E, self.n
         xs = x[:n]
         if all(xs.tolist()):  # faster than ndarray.all() on short vectors
-            z = E @ np.log(xs) + self.log_c
+            z = np.dot(E, np.log(xs))  # the BLAS product that @ calls, bit for bit
         else:  # log 0 = -inf would meet exponent 0 as NaN: kill its terms instead
             zero = xs == 0.0
-            z = E @ np.log(np.where(zero, 1.0, xs)) + self.log_c
+            z = np.dot(E, np.log(np.where(zero, 1.0, xs)))
             z[E[:, zero].any(axis=1)] = -math.inf
-        m = z.max()
+        if not self.unit:  # adding log c = 0 could change only the sign of a zero
+            z += self.log_c
+        m = z[z.argmax()]  # z.max(), NaN too, at less cost
         if m == -math.inf:
             _raise_vanishes(m)
-        p = np.exp(z - m)
-        s = p.sum()
-        g = p @ E / s
+        z -= m
+        s = np.add.reduce(np.exp(z, out=z))
+        g = np.dot(z, E)
+        g /= s
         if n < x.size:
             g = np.concatenate((g, np.zeros(x.size - n)))
         return float(m + math.log(s)), g

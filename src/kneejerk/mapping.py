@@ -12,8 +12,8 @@ products of simplices.  Each step certifies the objective increase
     log Z(x') - log Z(x)  >=  sum_i m_i * I_i(x'; x)  >=  0,
 
 with ``I_i`` the per-block I-divergence of the weight-rescaled vectors, so the
-iteration ascends monotonically.  No line search, no acceleration, no damping:
-the bare update is already monotone.
+bare update ascends monotonically: no line search, acceleration or damping.
+Each new point keeps, read-only, the ``a * x'`` and ``min x'`` its check computed.
 
 A block whose gradient weights are all zero has no preferred direction; the
 conventional treatment renormalizes that block (the identity on feasible
@@ -141,28 +141,29 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _support_residual(
-    g: np.ndarray, x: np.ndarray, structure: BlockStructure, masses: np.ndarray
-):
+def _support_residual(g, x, structure: BlockStructure, masses, checked=None):
     """max_i max_j |g_j/(a_j x_j) - m_i| / (m_i + 1) over coordinates with
     x_j > 0 (each block of a feasible ``x`` has one), per row of ``x``, given
-    ``m = structure.sums(g)``; equal to criticality_residual at interior points."""
+    ``m = structure.sums(g)`` and ``checked = _check_feasible(x, structure)``
+    or None; equal to criticality_residual at interior points."""
     m = masses.take(structure.index, -1)
-    wx = structure.weights * x
+    wx, least = checked or (structure.weights * x, _least(x))
     # A zero x_j takes the quotient m_i, so it counts as 0, below every deviation.
-    q = g / wx if _least(x) > 0.0 else np.divide(g, wx, out=m.copy(), where=x > 0.0)
+    q = g / wx if least > 0.0 else np.divide(g, wx, out=m.copy(), where=x > 0.0)
     dev = np.abs(q - m) / (m + 1.0)
     return dev[dev.argmax()] if dev.ndim == 1 else dev.max(1)  # argmax: a faster 1-D max
 
 
-def _certified_update(x: np.ndarray, g: np.ndarray, structure: BlockStructure):
+def _certified_update(x, g, structure: BlockStructure, checked=None):
     """The update from the gradient weights ``g`` at the feasible ``x`` (a
     point or ``(R, n)`` rows) and its certificate, per row: the new point, the
     block masses ``m_i``, the degenerate flags, ``sum_i m_i I_i``, ``sum_i I_i``
-    and the residual at ``x``.  A bad row raises the error it raises alone.
-    Passes that leave every bit as it is are skipped: the power-of-two shift
-    unless some block's largest weight is below 1/2 (else every shift is 0),
-    and each copy unless some block is degenerate or has one coordinate."""
+    and the residual at ``x``, and last the new point's ``_check_feasible``, to
+    pass on as ``checked`` (``x``'s own, computed when None).  A bad row raises
+    the error it raises alone.  Passes that leave every bit as it is are
+    skipped: the power-of-two shift unless some block's largest weight is below
+    1/2 (else every shift is 0), and each copy unless some block is degenerate
+    or has one coordinate."""
     s = structure
     w = s.weights
     masses = s.sums(g)
@@ -203,13 +204,14 @@ def _certified_update(x: np.ndarray, g: np.ndarray, structure: BlockStructure):
     # point that cannot move.
     if 1 in s.blocks:
         np.copyto(x_new, x, where=keep)
-    _check_feasible(x_new, s)
+    checked_new = _check_feasible(x_new, s)
+    checked = checked or (w * x, _least(x))
     # Both points are feasible, so the divergence needs no further validation.
     # A block without mass adds 0 * I_i = 0; ``+ 0.0`` turns -0.0 into 0.0.
-    d = _divergences(x_new, x, s)
+    d = _divergences(x_new, x, s, checked_new[0], checked[1] > 0.0)
     bound = np.add.reduce(masses * d, -1) + 0.0
-    residual = _support_residual(g, x, s, masses)
-    return x_new, masses, degenerate, bound, np.add.reduce(d, -1), residual
+    residual = _support_residual(g, x, s, masses, checked)
+    return x_new, masses, degenerate, bound, np.add.reduce(d, -1), residual, checked_new
 
 
 def knee_jerk_step(
@@ -222,13 +224,18 @@ def knee_jerk_step(
     construction (each block is renormalized by its actual weighted sum).
     ``start`` is ``eval_log(expr, point.x)`` when the caller already has it,
     e.g. the previous step's ``W_new`` and ``gradient_new``; it changes nothing.
+    The new point is read-only and keeps what its check found for the next step.
     """
     W, g = _eval_log_raw(expr, point.x) if start is None else (start.W, start.g)
     s = point.structure
-    x_new, masses, degenerate, bound, divergence, residual = _certified_update(point.x, g, s)
+    x_new, masses, degenerate, bound, divergence, residual, checked = _certified_update(
+        point.x, g, s, point._facts()
+    )
     W_new, g_new = _eval_log_raw(expr, x_new)
+    x_new.setflags(write=False)  # so the facts it carries cannot go stale
+    checked[0].setflags(write=False)
     new_point = object.__new__(type(point))  # the update checked x_new already
-    new_point.x, new_point.structure = x_new, s
+    new_point.x, new_point.structure, new_point._checked = x_new, s, (x_new, s, checked)
     return StepResult(  # in field order: keywords would cost about a microsecond a step
         new_point, W, W_new, masses, float(bound), tuple(degenerate.tolist()),
         g, float(divergence), g_new, float(residual),

@@ -13,9 +13,10 @@ reads, ``k`` and ``single``, from their first use; ``BlockStructure.sums`` adds
 up block by block with ``np.bincount`` (rows by the index ``row * k + block``)
 in coordinate order, so a row sums as it does alone, and a block of fewer than
 8 coordinates as ``np.sum`` does (longer ones may differ in the last place).
-A step reads a minimum as ``_least(v)``: the value of ``v.min()``, NaN too,
-at a third of the cost.  ``_compositions`` unranks simplex grid points in
-lexicographic order, for the oracle's grid and the spanning-tree edge subsets.
+A step reads a minimum as ``_least(v)``: the value of ``v.min()``, NaN too, at
+a third of the cost; the feasibility check returns ``w * x`` and ``_least(x)``,
+kept by each point the update makes.  ``_compositions`` unranks simplex grid
+points in lexicographic order, for the oracle's grid and spanning-tree subsets.
 """
 
 from __future__ import annotations
@@ -114,11 +115,17 @@ class BlockStructure:
 class BlockPoint:
     """A feasible point: nonnegative, each block weighted-summing to 1.
 
-    Coordinates are stored block-major as one flat vector.
+    Coordinates are stored block-major as one flat vector.  ``_facts()`` is
+    what the check of ``x`` returned, kept read-only by the update that made
+    the point, or None: always once ``x`` or ``structure`` is replaced.
     """
 
     x: np.ndarray
     structure: BlockStructure
+
+    def _facts(self):
+        c = self.__dict__.get("_checked")  # (x, structure, facts), set by the update
+        return c[2] if c and c[0] is self.x and c[1] is self.structure else None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -138,14 +145,14 @@ def _least(v: np.ndarray):
     return v[v.argmin()]
 
 
-def _check_feasible(x: np.ndarray, structure: BlockStructure) -> None:
-    """Raise unless ``x``, one point or ``(R, n)`` rows, is feasible within
-    ``_POINT_TOL``; the first bad row raises the error it raises alone."""
-    totals = structure.sums(structure.weights * x)
+def _check_feasible(x: np.ndarray, structure: BlockStructure):
+    """Raise unless ``x``, one point or ``(R, n)`` rows, is feasible within ``_POINT_TOL``
+    (the first bad row raises its own error); else return ``w * x`` and ``_least(x)``."""
+    totals = structure.sums(wx := structure.weights * x)
     dev = np.abs(totals - 1.0)
     # One pass on good rows: a NaN total needs a NaN x, an inf x makes it inf.
-    if _least(x) >= 0.0 and True not in (dev > _POINT_TOL).ravel().tolist():
-        return
+    if (least := _least(x)) >= 0.0 and True not in (dev > _POINT_TOL).ravel().tolist():
+        return wx, least
     for x, totals, dev in zip(*map(np.atleast_2d, (x, totals, dev))):
         if not np.isfinite(x).all():
             raise ValueError("point coordinates must be finite")
@@ -187,18 +194,17 @@ def normalize(raw, structure: BlockStructure) -> BlockPoint:
     return BlockPoint(raw / totals[structure.index], structure)
 
 
-def _divergences(y: np.ndarray, x: np.ndarray, structure: BlockStructure) -> np.ndarray:
-    """Per-block ``sum_j a_j y_j log(y_j / x_j)`` of two feasible vectors or rows.
-
-    Conventions: ``0 log 0 = 0``; ``y`` putting mass where ``x`` has none
-    makes that block's divergence ``+inf``.
-    """
-    if _least(x) > 0.0 and _least(ratio := y / x) > 0.0:  # no zero y_j, no underflow
-        return structure.sums(structure.weights * y * np.log(ratio))
+def _divergences(y, x, structure: BlockStructure, wy, x_positive) -> np.ndarray:
+    """Per-block ``sum_j a_j y_j log(y_j / x_j)`` of two feasible vectors or
+    rows, given ``wy = a * y`` and ``x_positive = _least(x) > 0``.  By
+    convention ``0 log 0 = 0``, and ``y`` putting mass where ``x`` has none
+    makes that block's divergence ``+inf``."""
+    if x_positive and _least(ratio := y / x) > 0.0:  # no zero y_j, no underflow
+        return structure.sums(wy * np.log(ratio))
     # A zero y_j takes log 1, so its term is 0; y_j / x_j can underflow to 0.
     with np.errstate(divide="ignore"):
         ratio = np.divide(y, x, out=np.ones(y.shape), where=y > 0.0)
-        return structure.sums(structure.weights * y * np.log(ratio))
+        return structure.sums(wy * np.log(ratio))
 
 
 def _unwrap_points(y, x, structure):
@@ -239,7 +245,7 @@ def i_divergence_blocks(y, x, structure: BlockStructure | None = None) -> np.nda
         raise ValueError("first argument must be finite and nonnegative")
     if np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("second argument must be finite and nonnegative")
-    sy = structure.sums(structure.weights * y)
+    sy = structure.sums(wy := structure.weights * y)
     sx = structure.sums(structure.weights * x)
     bad = (np.abs(sy - 1.0) > _SUM_TOL) | (np.abs(sx - 1.0) > _SUM_TOL)
     if bad.any():
@@ -248,7 +254,7 @@ def i_divergence_blocks(y, x, structure: BlockStructure | None = None) -> np.nda
             f"block {i} is not normalized (weighted sums {float(sy[i])!r} and "
             f"{float(sx[i])!r}); divergence is only defined on the weighted simplex"
         )
-    return _divergences(y, x, structure)
+    return _divergences(y, x, structure, wy, _least(x) > 0.0)
 
 
 def i_divergence(y, x, structure: BlockStructure | None = None) -> float:

@@ -364,6 +364,25 @@ def _assert_matches_tape(e, x):
     assert np.all(g[e.n_vars :] == 0.0)
 
 
+def _plain_point(form, x):
+    """``W`` and ``g`` at ``x`` by the matrix form's plain formula, with the
+    same products as ``_MatrixForm.point``: ``z = E log x + log c`` (terms
+    that read a zero coordinate set to -inf), ``W = max z + log sum
+    exp(z - max z)`` and ``g = exp(z - max z) E / sum exp(z - max z)``."""
+    E, n = form.E, form.n
+    xs = x[:n]
+    zero = xs == 0.0
+    z = E @ np.log(np.where(zero, 1.0, xs)) + form.log_c
+    z[E[:, zero].any(axis=1)] = -math.inf
+    m = z.max()
+    if m == -math.inf:
+        expr_module._raise_vanishes(m)
+    p = np.exp(z - m)
+    s = p.sum()
+    g = p @ E / s
+    return float(m + math.log(s)), np.concatenate((g, np.zeros(x.size - n)))
+
+
 def _k6_expression():
     return discriminant_expression(Graph(6, tuple(itertools.combinations(range(6), 2))))
 
@@ -535,6 +554,37 @@ class TestMonomialForm:
     @staticmethod
     def _is_monomial_form(e):
         return type(e._form) is expr_module._MatrixForm
+
+    def test_point_equals_the_plain_formula_bit_for_bit(self):
+        rng = np.random.default_rng(36)
+        merged = MatrixPolynomial([[1, 0, 1], [0, 2, 0], [1, 0, 1]], [1.0, 1.0, 1.0])
+        assert merged.c.tolist() == [1.0, 2.0]  # the repeated row, merged: c = 2
+        k5 = discriminant_polynomial(Graph(5, tuple(itertools.combinations(range(5), 2))))
+        forms = [(merged._form, False), (k5._form, True), (_k6_expression()._form, True)]
+        for _ in range(40):
+            poly = random_polynomial(rng, int(rng.integers(1, 6)), max_degree=6, max_terms=12)
+            forms.append((poly._form, False))
+        seen = {"zero": 0, "padded": 0, "vanishes": 0}
+        for form, unit in forms:
+            assert type(form) is expr_module._MatrixForm and form.unit is unit
+            for i in range(12):
+                x = rng.uniform(0.0, 2.0, form.n + int(rng.integers(0, 3)))
+                if i % 2:
+                    x[rng.random(x.size) < 0.5] = 0.0
+                seen["zero"] += bool((x == 0.0).any())
+                seen["padded"] += form.n < x.size
+                try:
+                    W_ref, g_ref = _plain_point(form, x)
+                except ValueError as err:
+                    with pytest.raises(ValueError) as got:
+                        form.point(x)
+                    assert str(got.value) == str(err)
+                    seen["vanishes"] += 1
+                    continue
+                W, g = form.point(x)
+                assert type(W) is float and W.hex() == W_ref.hex()
+                assert g.shape == g_ref.shape and g.tobytes() == g_ref.tobytes()
+        assert min(seen.values()) >= 20, seen
 
     def test_polynomials_take_the_matrix_form_and_other_trees_the_tape(self):
         poly = polynomial_to_expression(random_polynomial(np.random.default_rng(30), 3))

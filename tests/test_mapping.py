@@ -32,7 +32,7 @@ from kneejerk import (
 from kneejerk import mapping
 from kneejerk.cli import parse_problem
 from kneejerk.expr import _eval_log_gradients
-from kneejerk.simplex import _dirichlet_rows
+from kneejerk.simplex import _check_feasible, _dirichlet_rows
 from generators import (
     dlr_expression,
     interior_point,
@@ -573,7 +573,9 @@ def _assert_rows_equal_one_row_calls(X, G, st):
     batch = mapping._certified_update(X, G, st)
     assert batch[0].shape == X.shape and batch[1].shape == (len(X), st.k)
     for r in range(len(X)):
-        x_new, masses, flags, bound, divergence, residual = mapping._certified_update(X[r], G[r], st)
+        x_new, masses, flags, bound, divergence, residual = mapping._certified_update(
+            X[r], G[r], st
+        )[:6]
         assert batch[0][r].tobytes() == x_new.tobytes()
         assert batch[1][r].tobytes() == masses.tobytes()
         assert batch[2][r].tolist() == flags.tolist()
@@ -755,7 +757,9 @@ class TestKernelParity:
             rows = [_parity_row(rng, st) for _ in range(int(rng.integers(1, 6)))]
             X, G = (np.array(v) for v in zip(*rows))
             for x, g in rows:
-                self._assert_same(mapping._certified_update(x, g, st), _every_pass_update(x, g, st))
+                want = _every_pass_update(x, g, st)
+                self._assert_same(mapping._certified_update(x, g, st), want)
+                self._assert_same(mapping._certified_update(x, g, st, _check_feasible(x, st)), want)
                 top = np.maximum.reduceat(g, st.starts)
                 seen["shift" if top.min() < 0.5 else "no shift"] += 1
                 seen["subnormal"] += bool(((g > 0.0) & (g < np.finfo(float).tiny)).any())
@@ -763,7 +767,9 @@ class TestKernelParity:
                 seen["singleton"] += 1 in st.blocks
                 seen["zero x"] += bool((x == 0.0).any())
                 seen["mass where x is 0"] += bool(((x == 0.0) & (g > 0.0)).any())
-            self._assert_same(mapping._certified_update(X, G, st), _every_pass_update(X, G, st))
+            want = _every_pass_update(X, G, st)
+            self._assert_same(mapping._certified_update(X, G, st), want)
+            self._assert_same(mapping._certified_update(X, G, st, _check_feasible(X, st)), want)
         assert min(seen.values()) >= 20, seen
 
     def test_masses_near_the_largest_float(self):
@@ -775,6 +781,80 @@ class TestKernelParity:
         self._assert_same(mapping._certified_update(x, g, st), _every_pass_update(x, g, st))
         X, G = np.array([x, x[::-1]]), np.array([g, g[::-1]])
         self._assert_same(mapping._certified_update(X, G, st), _every_pass_update(X, G, st))
+
+
+def _fresh_steps(expr, x0, cfg):
+    """``iterate`` as a plain loop of steps, each from a new ``BlockPoint``
+    of a copy of the last point, so no step reuses what a check found: the
+    records, the terminal point and each step's result."""
+    s = x0.structure
+    x, records, steps = x0, [], []
+    for k in range(1, cfg.max_iters + 1):
+        res = knee_jerk_step(expr, x)
+        records.append((k, res.W_new, res.bound, res.divergence, res.residual))
+        steps.append((x.x, res))
+        x = BlockPoint(res.x_new.x.copy(), s)
+        if any(res.degenerate) or res.divergence < cfg.tol_div or res.W_new - res.W < cfg.tol_w:
+            break
+    return records, x, steps
+
+
+class TestCarriedFacts:
+    """A step reuses the ``w * x`` and the sign test that the check of its
+    point returned, and gives what a step that computes them afresh gives."""
+
+    def test_iterate_equals_a_loop_of_fresh_steps(self):
+        rng = np.random.default_rng(2020)
+        cfg = IterationConfig(max_iters=30, tol_div=1e-13)
+        seen = {"boundary start": 0, "new zero": 0, "singleton": 0, "degenerate": 0,
+                "shift": 0, "carried": 0}
+        for c in range(150):
+            st = random_structure(rng, max_n=8, max_blocks=4)
+            x0 = interior_point(rng, st).x
+            if c % 3 == 0:  # a boundary start; each block keeps a positive coordinate
+                x0 = x0 * (rng.random(st.n) < 0.6)
+                for sl in st.slices:
+                    if not np.any(x0[sl]):
+                        x0[sl.start] = 1.0
+                x0 = normalize(x0, st).x
+            terms = poly_terms(random_polynomial(rng, st.n, max_terms=8), st.n)
+            if c % 3 == 1:  # no term reads x_j: x_j is 0 after the first step
+                j = int(rng.integers(st.n))
+                terms = [(a, e[:j] + [0] + e[j + 1:]) for a, e in terms]
+            if c % 10 == 2:  # no term reads a block: it is degenerate
+                sl = st.slices[int(rng.integers(st.k))]
+                terms = [t for t in terms if not any(t[1][sl])]
+            terms.append((1.0, [0] * st.n))
+            expr = MatrixPolynomial([e for _, e in terms], [a for a, _ in terms])
+            trace = iterate(expr, BlockPoint(x0, st), cfg)
+            want, x_end, steps = _fresh_steps(expr, BlockPoint(x0, st), cfg)
+            got = [(r.iteration, r.W, r.bound, r.divergence, r.residual) for r in trace.records]
+            assert [(k, *map(float.hex, v)) for k, *v in got] == [
+                (k, *map(float.hex, v)) for k, *v in want
+            ]
+            assert trace.x_final.x.tobytes() == x_end.x.tobytes()
+            seen["boundary start"] += not np.all(x0 > 0.0)
+            seen["singleton"] += 1 in st.blocks
+            seen["carried"] += len(steps) > 2
+            for x, res in steps:
+                seen["new zero"] += bool(np.any((x > 0.0) & (res.x_new.x == 0.0)))
+                seen["degenerate"] += any(res.degenerate)
+                seen["shift"] += bool(np.maximum.reduceat(res.gradient, st.starts).min() < 0.5)
+        assert min(seen.values()) >= 15, seen
+
+    def test_a_new_point_keeps_no_fact_that_no_longer_holds(self):
+        rng = np.random.default_rng(2021)
+        st = BlockStructure((3, 2), np.array([1.0, 2.0, 0.5, 1.0, 1.5]))
+        expr = polynomial_to_expression(random_polynomial(rng, st.n))
+        res = knee_jerk_step(expr, interior_point(rng, st))
+        with pytest.raises(ValueError, match="read-only"):
+            res.x_new.x[0] = 0.5
+        other = interior_point(rng, st)
+        res.x_new.x = other.x  # the facts kept with the point describe the old x
+        a, b = knee_jerk_step(expr, res.x_new), knee_jerk_step(expr, other)
+        assert a.x_new.x.tobytes() == b.x_new.x.tobytes()
+        for name in ("W_new", "bound", "divergence", "residual"):
+            assert getattr(a, name).hex() == getattr(b, name).hex(), name
 
 
 class TestPointGuard:

@@ -128,6 +128,15 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(type(v) in (int, float) for v in value)
 
 
+def _graph_polynomial(graph: Graph, path: str) -> MatrixPolynomial:
+    """:func:`discriminant_polynomial`, with its size guards' errors naming
+    the graph's field."""
+    try:
+        return discriminant_polynomial(graph)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def parse_problem(text: str) -> Problem:
     """Parse and validate a problem from JSON text.
 
@@ -162,7 +171,7 @@ def parse_problem(text: str) -> Problem:
         _require(set(src) == {"graph"}, "expression: 'graph' must be the only key")
         graph = Graph.from_json_dict(src["graph"], path="expression.graph")
         declared_n = graph.n_vars
-        expr = discriminant_polynomial(graph)
+        expr = _graph_polynomial(graph, "expression.graph")
     else:
         raise ValueError(
             "expression: must be an inline tree ({'op': ...}), {'polynomial': ...}, "
@@ -688,7 +697,7 @@ def _cmd_discriminant(args) -> int:
     except RecursionError:
         raise ValueError("graph: nested too deeply to parse") from None
     graph = Graph.from_json_dict(data)
-    poly = discriminant_polynomial(graph)
+    poly = _graph_polynomial(graph, "graph")
     _emit(_dumps(poly.to_json_dict(graph.n_vars)), args.out, "discriminant.json")
     return 0
 

@@ -10,14 +10,23 @@ cross-check each other: explicit enumeration of spanning trees (exponential,
 guarded) and the weighted-Laplacian cofactor (matrix-tree), which for integer
 weights uses exact fraction-free elimination.
 
-Enumeration works on integer arrays.  The (V-1)-edge subsets are unranked in
-lexicographic order, a fixed number per chunk, as the partial sums of the
-compositions that also index the oracle's simplex grid.  Each chunk is tested
-for cycles by a vectorized union-find that relabels components edge by edge;
-the surviving subsets are the spanning trees.  :func:`discriminant_polynomial`
-counts each tree's edge variables into one exponent row and hands the rows to
-:class:`kneejerk.expr.MatrixPolynomial`, which sorts them and merges trees with
-the same monomial; a graph source in a problem file parses through it.
+Enumeration works on integer arrays, over the graph's vertex pairs.  The
+edges are grouped by their (sorted) endpoint pair; a spanning tree of the
+multigraph is a spanning tree of the pair graph with one of each pair's
+parallel edges chosen, so only the pair graph is searched.  Its (V-1)-pair
+subsets are unranked in lexicographic order, a fixed number per chunk, as the
+partial sums of the compositions that also index the oracle's simplex grid.
+Each chunk is tested for cycles by a vectorized union-find that relabels
+components pair by pair; the surviving subsets are the pair trees, and each
+expands into every choice of one edge per pair, counted off in mixed-radix
+digits over the pair multiplicities.  :func:`discriminant_polynomial` counts
+each tree's edge variables into one exponent row and hands the rows to
+:class:`kneejerk.expr.MatrixPolynomial`, which sorts them and merges trees
+with the same monomial; a graph source in a problem file parses through it.
+Two guards run first: at most 24 vertex pairs, however many parallel edges,
+and a term table (trees x edges) of at most 2^26 entries.  Where the subset
+bound C(E, V-1) on the tree count does not settle the second, it reads the
+exact Kirchhoff tree count of the multiplicity-weighted Laplacian.
 """
 
 from __future__ import annotations
@@ -38,10 +47,18 @@ __all__ = [
     "eval_matrix_tree_log",
 ]
 
-# Enumeration is Theta(C(E, V-1)); past this many edges callers should use the
-# matrix-tree route instead.
-_MAX_ENUM_EDGES = 24
-# Edge subsets tested per chunk: at most a few MB of working arrays.
+# The pair search is Theta(C(P, V-1)) over P vertex pairs, so past this many
+# pairs callers should use the matrix-tree route instead.  Parallel edges do
+# not count: they only widen the expansion, which the term cap bounds.
+_MAX_ENUM_PAIRS = 24
+# The expanded term table (trees x edges) holds at most this many entries,
+# 512 MiB as float64.  It is checked before anything is allocated: on the
+# bound C(E, V-1) x E, then, where that bound passes the cap, on the exact
+# Kirchhoff tree count.  No graph of at most 24 edges reaches it (at most
+# C(24, 12) trees of 24 edges), so every graph the old 24-edge wall accepted
+# still parses.
+_MAX_TERM_ENTRIES = 2**26
+# Pair subsets tested per chunk: at most a few MB of working arrays.
 _SUBSET_CHUNK = 2**14
 
 
@@ -148,56 +165,97 @@ def _subsets(m: int, k: int):
     of ``m - k`` into ``k + 1`` parts (the gaps between its elements), which
     :func:`kneejerk.simplex._compositions` unranks.  The map keeps the order:
     the first part where two compositions differ is the first element where
-    their subsets differ, and in the same direction."""
+    their subsets differ, and in the same direction.  Each array is the
+    transpose of a C-ordered ``(k, rows)`` one, so a column is contiguous."""
     total = math.comb(m, k)
     for lo in range(0, total, _SUBSET_CHUNK):
         r = np.arange(lo, min(lo + _SUBSET_CHUNK, total), dtype=np.int64)
-        c = np.empty((len(r), k + 1), np.int64)
-        _compositions(r, m - k, c)
-        yield np.cumsum(c[:, :k], axis=1) + np.arange(k)
+        c = np.empty((k + 1, len(r)), np.int64)
+        _compositions(r, m - k, c.T)
+        yield (np.cumsum(c[:k], axis=0) + np.arange(k)[:, None]).T
 
 
 def _acyclic(ends: np.ndarray, vertices: int, subsets: np.ndarray) -> np.ndarray:
-    """The rows of ``subsets`` (edge positions) whose edges close no cycle.
+    """The rows of ``subsets`` (positions in ``ends``) that close no cycle.
 
-    Union-find on integer arrays: row ``i`` of ``comp`` labels the component
-    of each vertex.  Edge by edge, a row whose edge joins two vertices with
-    the same label fails, and every row relabels one endpoint's component to
-    the other's.  Labels are vertices, at most 25 under the edge guard."""
-    comp = np.tile(np.arange(vertices, dtype=np.int8), (len(subsets), 1))
+    Union-find on integer arrays: column ``i`` of ``comp`` labels the
+    component of each vertex in row ``i``, so every pass runs along the rows.
+    Pair by pair, a row whose pair joins two vertices with the same label
+    fails, and every row relabels one endpoint's component to the other's
+    (adding ``cu - cv`` where the label is ``cv``).  Labels are vertices, at
+    most 25 under the pair guard."""
+    rows = len(subsets)
+    comp = np.repeat(np.arange(vertices, dtype=np.int8), rows).reshape(vertices, rows)
     flat = comp.reshape(-1)
-    base = np.arange(len(subsets)) * vertices
-    ok = np.ones(len(subsets), dtype=bool)
+    at = ends * rows  # where each endpoint's label starts in flat
+    lane = np.arange(rows)
+    ok = np.ones(rows, dtype=bool)
     for col in subsets.T:
-        cu = flat[base + ends[col, 0]]
-        cv = flat[base + ends[col, 1]]
+        cu = flat[at[col, 0] + lane]
+        cv = flat[at[col, 1] + lane]
         ok &= cu != cv
-        np.copyto(comp, cu[:, None], where=comp == cv[:, None])
-    return subsets[ok]
+        comp += (comp == cv) * (cu - cv)
+    return subsets.compress(ok, axis=0)
 
 
 def _spanning_tree_array(graph: Graph) -> np.ndarray:
-    """Every spanning tree as a row of sorted edge positions (int64, shape
-    ``(trees, V - 1)``), in lexicographic order."""
-    m = len(graph.edges)
-    if m > _MAX_ENUM_EDGES:
+    """Every spanning tree as a row of edge positions (int64, shape
+    ``(trees, V - 1)``), grouped by pair tree; neither the rows nor the
+    positions within a row are sorted.
+
+    Raises ValueError past :data:`_MAX_ENUM_PAIRS` vertex pairs, or when the
+    term table (trees x edges) would pass :data:`_MAX_TERM_ENTRIES`."""
+    V, m = graph.vertices, len(graph.edges)
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for k, (u, v) in enumerate(graph.edges):
+        pairs.setdefault((u, v) if u < v else (v, u), []).append(k)
+    if len(pairs) > _MAX_ENUM_PAIRS:
         raise ValueError(
-            f"enumeration over {m} edges is intractable (limit {_MAX_ENUM_EDGES}); "
-            "use eval_matrix_tree for large graphs"
+            f"enumeration over {len(pairs)} vertex pairs is intractable "
+            f"(limit {_MAX_ENUM_PAIRS}); use eval_matrix_tree for large graphs"
         )
-    ends = np.array(graph.edges, dtype=np.int64)
-    V = graph.vertices
-    return np.concatenate([_acyclic(ends, V, s) for s in _subsets(m, V - 1)])
+    # Trees are (V-1)-edge subsets, so the exact count is needed only when
+    # that bound does not already keep the term table under the cap.
+    if math.comb(m, V - 1) * m > _MAX_TERM_ENTRIES:
+        trees = _bareiss_det(_laplacian_minor(graph, [1] * graph.n_vars, as_int=True))
+        if trees * m > _MAX_TERM_ENTRIES:
+            raise ValueError(
+                f"{trees} spanning trees over {m} edges would make a term table of "
+                f"{trees * m} entries (limit {_MAX_TERM_ENTRIES}); use eval_matrix_tree "
+                "for large graphs"
+            )
+    # The edges of pair p are members[first[p]:first[p] + mult[p]].
+    members = np.array([k for edges in pairs.values() for k in edges])
+    pair_ends = np.array(list(pairs), dtype=np.int64)
+    pair_trees = np.concatenate([_acyclic(pair_ends, V, s) for s in _subsets(len(pairs), V - 1)])
+    if len(pairs) == m:  # no parallel edges: each pair tree is one tree
+        return members[pair_trees]
+    mult = np.array([len(edges) for edges in pairs.values()])
+    first = np.cumsum(mult) - mult
+    # span[:, j]: the ways to pick one edge for each of columns j, j+1, ...
+    # (the product of their multiplicities), so an expansion of rank r picks
+    # edge r % span_j // (span_j / radix_j) of column j's pair.
+    radix = mult[pair_trees]
+    span = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1]
+    at = np.repeat(np.arange(len(pair_trees)), span[:, 0])
+    rank = np.arange(len(at)) - (np.cumsum(span[:, 0]) - span[:, 0])[at]
+    span, radix = span[at], radix[at]
+    return members[first[pair_trees[at]] + rank[:, None] % span // (span // radix)]
 
 
 def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:
     """All spanning trees, as sorted tuples of edge positions.
 
-    Complete and duplicate-free; deterministic lexicographic order.  Guarded
-    to at most 24 edges - beyond that use :func:`eval_matrix_tree`, which
-    computes the same total weight without enumeration.
+    Complete and duplicate-free; deterministic lexicographic order.  The
+    search runs over the vertex-pair graph and expands each pair tree into
+    every choice of one parallel edge per pair, so the guard counts vertex
+    pairs, at most 24, however many parallel edges there are; the expanded
+    trees times edges must also stay within a fixed term cap.  Past either,
+    use :func:`eval_matrix_tree`, which computes the same total weight
+    without enumeration.
     """
-    return list(map(tuple, _spanning_tree_array(graph).tolist()))
+    trees = np.sort(_spanning_tree_array(graph), axis=1)
+    return list(map(tuple, trees[np.lexsort(trees.T[::-1])].tolist()))
 
 
 def discriminant_polynomial(graph: Graph) -> MatrixPolynomial:

@@ -28,6 +28,7 @@ from kneejerk import (
 )
 from kneejerk import MatrixPolynomial, eval_log, polynomial_to_expression
 from kneejerk import cli, mapping
+from kneejerk import discriminant as discriminant_module
 from kneejerk import expr as expr_module
 from kneejerk.discriminant import Graph, discriminant_polynomial
 from kneejerk.simplex import barycenter
@@ -1057,6 +1058,49 @@ class TestMain:
             path = "graph"
         assert main([command] + args) == 2
         assert capsys.readouterr().err == f"error: {path}: graph is not connected; the discriminant is zero\n"
+
+    @pytest.mark.parametrize("command", ["optimize", "discriminant"])
+    @pytest.mark.parametrize(
+        "graph, cap, message",
+        [
+            # A path on 26 vertices: 25 vertex pairs, one past the guard.
+            ({"vertices": 26, "edges": [[i, i + 1] for i in range(25)]}, None,
+             "enumeration over 25 vertex pairs is intractable (limit 24)"),
+            # K4 at a term cap one below its 16 trees times 6 edges.
+            ({"vertices": 4, "edges": [list(e) for e in itertools.combinations(range(4), 2)]}, 95,
+             "16 spanning trees over 6 edges would make a term table of 96 entries (limit 95)"),
+        ],
+        ids=["pairs", "term-cap"],
+    )
+    def test_graph_past_a_size_guard_exits_two_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, command, graph, cap, message
+    ):
+        if cap is not None:
+            monkeypatch.setattr(discriminant_module, "_MAX_TERM_ENTRIES", cap)
+        if command == "optimize":
+            problem = {"expression": {"graph": graph}, "blocks": [len(graph["edges"])], "init": "barycenter"}
+            args = ["--problem", self._write(tmp_path, "p.json", json.dumps(problem))]
+            path = "expression.graph"
+        else:
+            args = ["--graph", self._write(tmp_path, "g.json", json.dumps(graph))]
+            path = "graph"
+        assert main([command] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: {message}")
+        assert captured.out == ""
+
+    def test_multigraph_past_24_edges_optimizes(self, tmp_path, capsys):
+        # 30 parallel edges on the 3 pairs of a path: past the old 24-edge
+        # wall, well inside the 24-pair one.
+        graph = {"vertices": 4, "edges": [[i, i + 1] for i in range(3) for _ in range(10)]}
+        problem = {"expression": {"graph": graph}, "blocks": [30], "init": "barycenter"}
+        args = ["--problem", self._write(tmp_path, "p.json", json.dumps(problem))]
+        assert main(["optimize"] + args + ["--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["status"] == "converged"
+        # Each tree picks one edge per pair; the optimum spreads each pair's
+        # third of the mass evenly: W = 3 log(10 * 1/30).
+        assert_allclose(summary["W"], 3 * math.log(1 / 3), rtol=1e-9)
 
     def test_over_deep_graph_file_exit_two(self, tmp_path, capsys):
         depth = 100_000

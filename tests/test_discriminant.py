@@ -1,6 +1,7 @@
 """Tests for spanning-tree polynomials and their determinant evaluation."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from generators import (
     triangle_graph,
 )
 from kneejerk import discriminant as discriminant_module
+from kneejerk.cli import parse_problem
 
 
 class TestGraphValidation:
@@ -101,9 +103,36 @@ class TestEnumeration:
         assert sorted(enumerate_spanning_trees(g)) == [(0,), (1,)]
 
     def test_enumeration_guard(self):
-        g = Graph(2, tuple((0, 1) for _ in range(25)))
-        with pytest.raises(ValueError, match="eval_matrix_tree"):
+        # A path on 26 vertices: 25 vertex pairs, one past the guard.
+        g = Graph(26, tuple((i, i + 1) for i in range(25)))
+        with pytest.raises(ValueError, match="25 vertex pairs .* eval_matrix_tree"):
             enumerate_spanning_trees(g)
+
+
+def _parallel_multigraph(rng, max_v=6, max_pairs=8, max_edges=16):
+    """A connected multigraph whose vertex pairs carry 1 to 4 parallel edges:
+    each edge's endpoints in either order, the edges shuffled (so neither
+    the pairs nor the edges come sorted) and variable indices drawn with
+    repeats."""
+    V = int(rng.integers(2, max_v + 1))
+    pairs = {(int(rng.integers(v)), v) for v in range(1, V)}
+    all_pairs = list(itertools.combinations(range(V), 2))
+    for k in rng.permutation(len(all_pairs))[: int(rng.integers(0, max_pairs - V + 2))]:
+        pairs.add(all_pairs[k])
+    edges = []
+    for u, v in sorted(pairs):
+        for _ in range(int(rng.integers(1, 5))):
+            edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    edges = [edges[k] for k in rng.permutation(len(edges))[:max_edges]]
+    var_indices = tuple(int(k) for k in rng.integers(0, len(edges), len(edges)))
+    try:
+        return Graph(V, tuple(edges), var_indices=var_indices)
+    except ValueError:  # the cut to max_edges disconnected it
+        return _parallel_multigraph(rng, max_v, max_pairs, max_edges)
+
+
+def _pairs(graph):
+    return len({tuple(sorted(e)) for e in graph.edges})
 
 
 def _reference_cases():
@@ -114,6 +143,8 @@ def _reference_cases():
     cases.append(Graph(3, ((0, 1), (1, 2), (0, 1), (1, 2), (0, 2)), var_indices=(0, 0, 1, 1, 2)))
     rng = np.random.default_rng(85)
     cases += [random_multigraph(rng) for _ in range(40)]
+    rng = np.random.default_rng(86)
+    cases += [_parallel_multigraph(rng) for _ in range(40)]
     return cases
 
 
@@ -128,10 +159,15 @@ class TestArrayEnumeration:
     @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
     def test_matches_the_reference_across_chunk_boundaries(self, monkeypatch, chunk):
         monkeypatch.setattr(discriminant_module, "_SUBSET_CHUNK", chunk)
+        expanded = 0
         for g in _reference_cases():
-            if math.comb(len(g.edges), g.vertices - 1) > 50 * chunk:
+            if math.comb(_pairs(g), g.vertices - 1) > 50 * chunk:
                 continue  # keep the chunk count, and the test, small
             assert enumerate_spanning_trees(g) == reference_spanning_trees(g)
+            assert discriminant_polynomial(g) == reference_discriminant(g)
+            if math.comb(_pairs(g), g.vertices - 1) > chunk and _pairs(g) < len(g.edges):
+                expanded += 1  # pair trees from several chunks, then expanded
+        assert expanded > 0
 
     def test_trees_are_python_int_tuples(self):
         trees = enumerate_spanning_trees(k4_graph())
@@ -152,6 +188,63 @@ class TestArrayEnumeration:
     def test_guard_keeps_24_edges(self):
         g = Graph(2, tuple((0, 1) for _ in range(24)))
         assert enumerate_spanning_trees(g) == [(k,) for k in range(24)]
+
+
+class TestPairEnumeration:
+    """Trees are searched on the vertex-pair graph and expanded over the
+    parallel edges; the result must be the multigraph's own tree set."""
+
+    def test_multigraphs_match_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(87)
+        for _ in range(60):
+            g = _parallel_multigraph(rng)
+            got, want = discriminant_polynomial(g), reference_discriminant(g)
+            for a, b in ((got.E, want.E), (got.c, want.c), (got.log_c, want.log_c)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert enumerate_spanning_trees(g) == reference_spanning_trees(g)
+
+    def test_parallel_edges_past_24_enumerate(self):
+        g = Graph(2, tuple((1, 0) if k % 2 else (0, 1) for k in range(25)))
+        assert enumerate_spanning_trees(g) == [(k,) for k in range(25)]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            # 10 parallel edges on each pair of a 3-edge path: 30 edges.
+            Graph(4, tuple((i, i + 1) for i in range(3) for _ in range(10))),
+            # K4 with every pair 5 times over: 30 edges, 16 * 5^3 trees.
+            Graph(4, tuple(e for e in itertools.combinations(range(4), 2) for _ in range(5))),
+            # A path on 25 vertices (24 pairs, the guard) with 3 more
+            # parallel edges on two of its pairs: 27 edges.
+            Graph(25, tuple((i, i + 1) for i in range(24)) + ((0, 1), (1, 0), (23, 24))),
+        ],
+        ids=["path-30", "k4-30", "path-24-pairs"],
+    )
+    def test_more_than_24_edges_on_at_most_24_pairs_parse(self, graph):
+        assert len(graph.edges) > 24 and _pairs(graph) <= 24
+        problem = {"expression": {"graph": graph.to_json_dict()},
+                   "blocks": [len(graph.edges)], "init": "barycenter"}
+        poly = parse_problem(json.dumps(problem)).expression
+        assert len(poly.c) == eval_matrix_tree(graph, [1] * graph.n_vars)
+        assert set(poly.E.sum(axis=1).tolist()) == {graph.vertices - 1}
+
+    def test_term_cap_refuses_before_enumerating(self, monkeypatch):
+        def never(m, k):
+            raise AssertionError("enumerated past the term cap")
+
+        monkeypatch.setattr(discriminant_module, "_MAX_TERM_ENTRIES", 16 * 6 - 1)
+        monkeypatch.setattr(discriminant_module, "_subsets", never)
+        with pytest.raises(ValueError, match=r"16 spanning trees over 6 edges .* \(limit 95\)"):
+            discriminant_polynomial(k4_graph())
+
+    def test_term_cap_keeps_a_graph_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(discriminant_module, "_MAX_TERM_ENTRIES", 16 * 6)
+        assert discriminant_polynomial(k4_graph()) == reference_discriminant(k4_graph())
+
+    def test_no_graph_of_24_edges_reaches_the_cap(self):
+        # The guard replaces a 24-edge wall: at most C(24, 12) trees of 24
+        # edges each, so everything that wall let through still parses.
+        assert math.comb(24, 12) * 24 <= discriminant_module._MAX_TERM_ENTRIES
 
 
 class TestDiscriminantPolynomial:

@@ -21,8 +21,11 @@ components pair by pair; the surviving subsets are the pair trees, and each
 expands into every choice of one edge per pair, counted off in mixed-radix
 digits over the pair multiplicities.  :func:`discriminant_polynomial` counts
 each tree's edge variables into one exponent row and hands the rows to
-:class:`kneejerk.expr.MatrixPolynomial`, which sorts them and merges trees
-with the same monomial; a graph source in a problem file parses through it.
+:class:`kneejerk.expr.MatrixPolynomial`, which sorts them by one stable
+argsort of a mixed-radix key per row (``np.lexsort`` past a radix product
+of 2^53) and merges trees with the same monomial; a graph source in a
+problem file parses through it.  :func:`enumerate_spanning_trees` sorts its
+trees with the same key.
 Two guards run first: at most 24 vertex pairs, however many parallel edges,
 and a term table (trees x edges) of at most 2^26 entries.  Where the subset
 bound C(E, V-1) on the tree count does not settle the second, it reads the
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import MatrixPolynomial
+from .expr import MatrixPolynomial, _lex_order
 from .simplex import _compositions
 
 __all__ = [
@@ -255,7 +258,8 @@ def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:
     without enumeration.
     """
     trees = np.sort(_spanning_tree_array(graph), axis=1)
-    return list(map(tuple, trees[np.lexsort(trees.T[::-1])].tolist()))
+    order, _ = _lex_order(trees, trees.max(axis=0).tolist())
+    return list(map(tuple, trees[order].tolist()))
 
 
 def discriminant_polynomial(graph: Graph) -> MatrixPolynomial:

@@ -199,15 +199,22 @@ class MatrixPolynomial(KneeJerkExpr):
 
     ``E`` (terms x variables, nonnegative integer exponents) and ``c``
     (positive coefficients) are stored as read-only float64 arrays, with
-    ``log_c`` the log of each coefficient.  The rows are put in canonical
-    order once, here: sorted lexicographically, with rows equal as float64
-    merged into one whose coefficient is their sum, added in input order.
-    Trailing variables with exponent 0 in every term are dropped, so
-    ``n_vars`` and the arrays equal those :func:`polynomial_to_expression`
-    and the tree compile give for the same terms.  The compiled form is the
-    matrix form over these arrays, except for a polynomial whose terms could
-    overflow it or whose ``E`` would hold far more entries than nonzero
-    exponents: that keeps the slot tape of its tree.
+    ``log_c`` the log of each coefficient (zeros, with no log taken, when
+    every coefficient is 1).  The rows are put in canonical order once, here:
+    sorted lexicographically, with rows equal as float64 merged into one
+    whose coefficient is their sum, added in input order.  The sort is one
+    stable argsort of a mixed-radix key per row, ``E @ place`` with column
+    ``j`` a digit of radix ``max_j + 1``, exact while the radices multiply to
+    at most 2^53, and equal keys find the repeats; past that bound it is
+    ``np.lexsort``, one stable sort per column, and the repeats are found by
+    comparing rows (:func:`_lex_order`).  An integer-dtype ``E`` is checked
+    for its sign only.  Trailing variables with exponent 0 in every term are
+    dropped, so ``n_vars`` and the arrays equal those
+    :func:`polynomial_to_expression` and the tree compile give for the same
+    terms.  The compiled form is the matrix form over these arrays, except
+    for a polynomial whose terms could overflow it or whose ``E`` would hold
+    far more entries than nonzero exponents: that keeps the slot tape of its
+    tree.
 
     It is a leaf (no children), equality compares the arrays, and a
     ``Sum``, ``Prod`` or ``Pow`` refuses it as a child.
@@ -218,6 +225,7 @@ class MatrixPolynomial(KneeJerkExpr):
     log_c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        integral = isinstance(self.E, np.ndarray) and self.E.dtype.kind in "biu"
         try:
             E = np.array(self.E, dtype=float)
         except OverflowError:
@@ -228,27 +236,31 @@ class MatrixPolynomial(KneeJerkExpr):
                 f"expected a (terms, variables) exponent matrix and one coefficient per "
                 f"term, got shapes {E.shape} and {c.shape}"
             )
-        # floor(e) == |e| exactly for a nonnegative integer or +inf, never for NaN.
-        if not ((np.floor(E) == np.abs(E)).all() and E.max(initial=0.0) < math.inf):
+        top = E.max(axis=0).tolist()  # each column's largest exponent
+        if integral:  # integers are finite and whole: only the sign is left
+            ok = E.min(initial=0.0) >= 0.0
+        else:  # floor(e) == |e| exactly for a nonnegative integer or +inf, never for NaN.
+            ok = (np.floor(E) == np.abs(E)).all() and max(top, default=0.0) < math.inf
+        if not ok:
             raise ValueError("exponents must be nonnegative integers")
-        if not 0.0 < c.min() <= c.max() < math.inf:
+        lo, hi = c.min(), c.max()
+        if not 0.0 < lo <= hi < math.inf:
             raise ValueError("coefficients must be finite and positive")
-        used = E.any(axis=0).tolist()
-        while used and not used[-1]:
-            used.pop()
-        E = E[:, : len(used)]
+        while top and not top[-1]:
+            top.pop()
+        E = E[:, : len(top)]
         if len(E) > 1:
-            if used:  # with no variable left, every row is the same
-                order = np.lexsort(E.T[::-1])  # stable: repeats stay in input order
-                E, c = E[order], c[order]
-            same = (E[1:] == E[:-1]).all(axis=1)
+            order, key = _lex_order(E, top)
+            E, c = E[order], c[order]
+            same = key[1:] == key[:-1] if key is not None else (E[1:] == E[:-1]).all(axis=1)
             if same.any():  # add each repeat to its row's first copy, in order
                 first = np.append(True, ~same)
                 merged = c[first]
                 np.add.at(merged, np.cumsum(first)[~first] - 1, c[~first])
                 E, c = E[first], merged
+                lo, hi = c.min(), c.max()  # unit repeats add up to 2
         E = np.ascontiguousarray(E)
-        log_c = np.array([math.log(v) for v in c.tolist()])
+        log_c = np.zeros(len(c)) if lo == hi == 1.0 else np.array([math.log(v) for v in c.tolist()])
         for a in (E, c, log_c):
             a.setflags(write=False)
         self.E, self.c, self.log_c = E, c, log_c
@@ -312,6 +324,34 @@ class MatrixPolynomial(KneeJerkExpr):
                 for c, e in zip(self.c.tolist(), self.E.tolist())
             ],
         }
+
+
+def _lex_order(rows: np.ndarray, top: list) -> tuple[np.ndarray, np.ndarray | None]:
+    """The stable lexicographic order of ``rows``, first column first (that
+    of ``np.lexsort(rows.T[::-1])``), and the sorted row keys, or None.
+
+    ``rows`` holds nonnegative integer values and the list ``top`` its
+    column maxima.  Each row is read as a mixed-radix number: column ``j`` is
+    a digit of radix ``top[j] + 1`` whose place value is the product of the
+    radices after it.  When the radices multiply to at most 2^53, every
+    partial sum of ``rows @ place`` is an integer of at most 2^53, exact in
+    any order of summation, so one stable argsort of the keys is the
+    lexicographic order, ties included, and equal keys mean equal rows.
+    Past that bound (an overflow reads ``inf``: the places are Python floats)
+    it falls back to ``np.lexsort``, one stable sort per column, and returns
+    no key.  Rounding lets no larger product through: a radix or a product
+    rounds to at most 2^53 only from 2^53 + 1, where the largest key is 2^53
+    (a column whose maximum is 2^53 passes only when every other column is
+    zero, and its key is then the column itself)."""
+    place, span = [], 1.0
+    for t in reversed(top):
+        place.append(span)
+        span *= t + 1.0
+    if span <= 2.0**53:
+        key = rows.dot(place[::-1])
+        order = key.argsort(kind="stable")
+        return order, key[order]
+    return np.lexsort(rows.T[::-1]), None
 
 
 def _require_child(node, what: str) -> None:

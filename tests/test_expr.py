@@ -467,6 +467,44 @@ class TestMatrixPolynomial:
         p = MatrixPolynomial([[2**53, 0], [0, 1], [2**53 + 1, 0]], [1.0, 1.0, 2.0])
         assert p.E.tolist() == [[0.0, 1.0], [2.0**53, 0.0]]
         assert p.c.tolist() == [1.0, 3.0]
+        # The same rows as an int64 array, where they differ: still merged.
+        q = MatrixPolynomial(np.array([[2**53, 0], [0, 1], [2**53 + 1, 0]], dtype=np.int64), [1.0, 1.0, 2.0])
+        assert q == p and q.E.dtype == np.float64
+
+    def test_unit_coefficients_skip_the_logs(self):
+        for E in ([[1, 0, 2], [0, 1, 0], [2, 2, 0]], [[0, 0]], [[3, 1], [1, 3]]):
+            p = MatrixPolynomial(E, [1.0] * len(E))
+            ref = np.array([math.log(v) for v in p.c.tolist()])
+            assert p.log_c.tobytes() == ref.tobytes() and p.log_c.dtype == ref.dtype
+            assert p._form.unit
+
+    def test_merged_unit_coefficients_take_their_log(self):
+        # Unit rows before the merge, but 1 + 1 = 2 after it.
+        p = MatrixPolynomial([[1, 0], [0, 1], [1, 0]], [1.0, 1.0, 1.0])
+        assert p.c.tolist() == [1.0, 2.0]
+        assert p.log_c.tolist() == [0.0, math.log(2.0)]
+        assert not p._form.unit
+        assert MatrixPolynomial([[2, 2], [2, 2]], [1.0, 1.0]).log_c.tolist() == [math.log(2.0)]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
+    def test_integer_arrays_build_what_float_lists_build(self, dtype):
+        rng = np.random.default_rng(38)
+        top = 2 if dtype is np.bool_ else 4
+        for _ in range(20):
+            E = rng.integers(0, top, (int(rng.integers(1, 12)), int(rng.integers(0, 6))))
+            c = rng.choice([1.0, 1.0, 2.5], len(E))
+            a = MatrixPolynomial(E.astype(dtype), c)
+            b = MatrixPolynomial(E.astype(float).tolist(), c)
+            for x, y in ((a.E, b.E), (a.c, b.c), (a.log_c, b.log_c)):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert type(a._form) is type(b._form)
+
+    def test_negative_integer_array_is_refused_as_a_list_is(self):
+        for E in ([[1, -1]], [[0, 2], [-3, 0]]):
+            with pytest.raises(ValueError, match="^exponents must be nonnegative integers$"):
+                MatrixPolynomial(np.array(E, dtype=np.int64), [1.0] * len(E))
+            with pytest.raises(ValueError, match="^exponents must be nonnegative integers$"):
+                MatrixPolynomial(E, [1.0] * len(E))
 
     def test_rejects_bad_terms(self):
         def poly(*terms, n=2):
@@ -548,6 +586,72 @@ class TestMatrixPolynomial:
         for x in X[1:]:
             a, b = eval_log(e, x), eval_log(tree, x)
             assert a.W == b.W and np.array_equal(a.g, b.g)
+
+
+def _lexsort_reference(rows):
+    # np.lexsort takes at least one key; with no column every row is the same.
+    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+
+
+class TestLexOrder:
+    """``expr._lex_order`` against ``np.lexsort``: the same permutation, ties
+    in input order, with a key exactly where the radix product allows one."""
+
+    @staticmethod
+    def _check(rows, keyed):
+        top = rows.max(axis=0).tolist()
+        order, key = expr_module._lex_order(rows, top)
+        ref = _lexsort_reference(rows)
+        assert order.dtype == ref.dtype and np.array_equal(order, ref)
+        assert (key is not None) is keyed
+        if key is not None:
+            s = rows[order]
+            assert np.array_equal(key[1:] == key[:-1], (s[1:] == s[:-1]).all(axis=1))
+            assert (key[1:] >= key[:-1]).all()
+        return key
+
+    def test_random_tables_with_ties(self):
+        rng = np.random.default_rng(39)
+        for i in range(300):
+            t, n = int(rng.integers(1, 3000 if i % 10 == 0 else 60)), int(rng.integers(0, 7))
+            rows = rng.integers(0, int(rng.choice([1, 2, 3, 50])), (t, n))
+            if n > 2:
+                rows[:, 1] = 0  # an all-zero column between used ones
+            if i % 2:
+                rows = rows.astype(float)
+                rows[rows == 0.0] = rng.choice([0.0, -0.0], int((rows == 0.0).sum()))
+            self._check(rows, True)
+
+    def test_many_ties_keep_input_order(self):
+        # Only a stable sort of the keys keeps the repeats in input order.
+        rng = np.random.default_rng(40)
+        rows = rng.integers(0, 2, (5000, 3)).astype(float)
+        self._check(rows, True)
+        self._check(rows.astype(np.int64), True)
+
+    def test_a_single_column_at_two_to_the_53(self):
+        # Its radix 2^53 + 1 rounds to 2^53; the other columns are zero, so the
+        # key is the column itself.
+        rows = np.array([[0.0, 2.0**53, 0.0], [0.0, 5.0, 0.0], [0.0, 2.0**53, 0.0], [0.0, 0.0, 0.0]])
+        key = self._check(rows, True)
+        assert key.tolist() == [0.0, 5.0, 2.0**53, 2.0**53]
+
+    def test_radix_product_at_and_past_two_to_the_53(self):
+        at = np.array([[2.0**26 - 1, 2.0**27 - 1], [2.0**26 - 1, 0.0], [0.0, 2.0**27 - 1], [2.0**26 - 1, 2.0**27 - 1]])
+        key = self._check(at, True)
+        assert key[-1] == 2.0**53 - 1
+        self._check(at.astype(np.int64), True)
+        past = at.copy()
+        past[2, 1] = 2.0**27  # radices 2^26 and 2^27 + 1
+        self._check(past, False)
+        self._check(np.array([[1.0, 2.0**53 - 1], [0.0, 2.0**53 - 1]]), False)
+
+    def test_overflowing_radix_product_falls_back(self):
+        rows = np.array([[1e300, 0.0, 1e300], [0.0, 1.0, 1e300], [1e300, 0.0, 0.0], [1e300, 0.0, 1e300]])
+        self._check(rows, False)
+        p = MatrixPolynomial(rows, [1.0, 2.0, 3.0, 4.0])
+        assert p.E.tolist() == [[0.0, 1.0, 1e300], [1e300, 0.0, 0.0], [1e300, 0.0, 1e300]]
+        assert p.c.tolist() == [2.0, 3.0, 5.0]
 
 
 class TestMonomialForm:

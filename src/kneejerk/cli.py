@@ -36,10 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
-    _MARGIN_TOL,
-    _argmax_sweep,
-    _curvature_probe,
-    _step_sweep,
+    _negative_control,
+    _require_samples,
+    _step_certificates,
     check_log_concavity,
     check_log_log_convexity,
     verify_argmax_property,  # unused here; perfbench/tracing.py wraps it by name
@@ -58,7 +57,7 @@ from .expr import (
     _term_table,
 )
 from .mapping import IterationConfig, Trace, _support_residual, iterate
-from .simplex import BlockPoint, BlockStructure, _compositions, _dirichlet_rows, barycenter
+from .simplex import BlockPoint, BlockStructure, _compositions, barycenter
 from .simplex import random_interior  # unused here; perfbench/tracing.py wraps it by name
 
 __all__ = [
@@ -79,9 +78,6 @@ _SPLIT_SHARE = 8  # a split grid's halves hold at most 1/8 of its points each
 _SCREEN_TINY = 2.0**-600  # a screened sum this small may have lost terms
 _TOO_DEEP = "expression: nested too deeply to parse"
 _TOO_MANY = "blocks: sum to {} coordinates, too many to allocate"
-_ARGMAX_COMPETITORS = 1000
-_SWEEP_ROWS = 256  # base points per chunk of the inequality sweep
-_SWEEP_VALUES = 2**16  # competitor coordinates (512 KB) per chunk of the argmax sweep
 
 
 @dataclass(eq=False)
@@ -280,66 +276,30 @@ def run_verify(
     """Seeded randomized sweeps of every certificate; deterministic per seed.
 
     Checks the step inequality and the argmax property at ``samples`` random
-    interior points, then runs the curvature probes.  ``inject_negative``
-    additionally runs the convexity probe's sampling loop on the gradient of
-    an indefinite function, which must fail - proving the pipeline detects
-    violations.  ``samples`` must be at least 1 and ``seed`` a nonnegative
-    integer.
-
-    Each sweep runs in chunks of a fixed number of base points, so memory
-    does not grow with ``samples``: 256 for the inequality sweep, and for
-    the argmax sweep as many as keep the chunk's competitors within
-    ``_SWEEP_VALUES`` coordinates.  A chunk draws its base points with one
-    :func:`_dirichlet_rows` call and, for the argmax sweep, all its
-    competitors with one more, and is scored by one worker call of
-    :mod:`kneejerk.diagnostics`.
+    interior points, both read off one batched step per point, then runs
+    the curvature probes.  ``inject_negative`` additionally runs the
+    convexity probe's sampling loop on the gradient of an indefinite
+    function, which must fail - proving the pipeline detects violations.
+    ``samples`` must be a positive integer and ``seed`` a nonnegative
+    integer.  The step sweep, its chunks and draws and both certificates'
+    pass rules are :mod:`kneejerk.diagnostics`'s ``_step_certificates``.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    samples = _require_samples(samples)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     e = problem.expression
-    s = problem.structure
-
-    worst_margin = min_rhs = math.inf
-    ineq_ok = True
-    for rows in _chunks(samples, _SWEEP_ROWS):
-        lhs, rhs = _step_sweep(e, s, _dirichlet_rows(s, rng, rows))
-        margin = lhs - rhs
-        worst_margin = min(worst_margin, float(margin.min()))
-        min_rhs = min(min_rhs, float(rhs.min()))
-        ineq_ok = ineq_ok and bool((margin >= -_MARGIN_TOL).all())
-    ineq_ok = ineq_ok and min_rhs >= -1e-12
-
-    argmax_margin = math.inf
-    argmax_ok = True
-    per_chunk = max(1, _SWEEP_VALUES // (_ARGMAX_COMPETITORS * s.n))
-    for rows in _chunks(samples, per_chunk):
-        base = _dirichlet_rows(s, rng, rows)
-        competitors = _dirichlet_rows(s, rng, rows * _ARGMAX_COMPETITORS)
-        margin, _ = _argmax_sweep(e, s, base, competitors.reshape(rows, _ARGMAX_COMPETITORS, s.n))
-        argmax_margin = min(argmax_margin, float(margin.min()))
-        argmax_ok = argmax_ok and bool((margin >= -_MARGIN_TOL).all())
-
+    inequality, argmax = _step_certificates(e, problem.structure, samples, rng)
     convexity = check_log_log_convexity(e, samples=samples, rng=rng)
 
     report = {
         "seed": seed,
         "samples": samples,
-        "inequality": {
-            "worst_margin": worst_margin,
-            "min_rhs": min_rhs,
-            "pass": ineq_ok,
-        },
-        "argmax": {
-            "worst_margin": argmax_margin,
-            "competitors": _ARGMAX_COMPETITORS,
-            "pass": argmax_ok,
-        },
+        "inequality": inequality,
+        "argmax": argmax,
         "log_log_convexity": convexity.to_json_dict(),
     }
-    overall = ineq_ok and argmax_ok and convexity.passed
+    overall = inequality["pass"] and argmax["pass"] and convexity.passed
 
     if include_concavity:
         concavity = check_log_concavity(e, samples=samples, rng=rng)
@@ -347,23 +307,12 @@ def run_verify(
         overall = overall and concavity.passed
 
     if inject_negative:
-        # W(u) = u0^2 + u1^2 - 3 u0 u1 is indefinite (Hessian eigenvalues -1
-        # and 5), so the log-log convexity probe must reject its gradient.
-        negative = _curvature_probe(
-            lambda U: np.column_stack((2.0 * U[:, 0] - 3.0 * U[:, 1], 2.0 * U[:, 1] - 3.0 * U[:, 0])),
-            2, samples, rng, upper=False,
-        )
+        negative = _negative_control(samples, rng)
         report["negative_control"] = negative.to_json_dict()
         overall = overall and negative.passed
 
     report["pass"] = overall
     return report
-
-
-def _chunks(total: int, size: int):
-    """Row counts of ``total`` rows taken ``size`` at a time."""
-    for lo in range(0, total, size):
-        yield min(size, total - lo)
 
 
 def _grid_batches(structure: BlockStructure, resolution: int):

@@ -14,19 +14,20 @@ Four probes, each checking one face of the theory on concrete points:
 Both curvature probes share one sampling loop, ``_curvature_probe``, which
 takes a gradient callable and the end of the spectrum to bound.  Probe
 failures on valid expressions indicate a bug; the probes are given teeth by
-negative controls (the indefinite ``u0^2 + u1^2 - 3 u0 u1`` fed to the
-sampling loop directly, and the ``x^2 + y^2`` concavity counterexample).
+negative controls (``_negative_control`` feeds the indefinite
+``u0^2 + u1^2 - 3 u0 u1`` to the sampling loop directly; ``x^2 + y^2`` is the
+concavity counterexample).
 
 Every probe evaluates in batches, through
-:func:`kneejerk.expr._eval_log_gradients`, with no loop over points.  The
-two certificate checks are one-row calls of the sweep workers
-``_step_sweep`` and ``_argmax_sweep``, which ``kneejerk.cli.run_verify``
-calls on chunks of base points: one batched gradient at the rows, one call
-of the step's kernel ``_certified_update`` on all of them (every guard holds
-row by row), then one batched ``W`` at the new points or every competitor's
-bound in one matrix product.  The caller draws the rows and competitors, so
-memory follows its chunk, never the sample count.  The curvature probes draw
-a chunk of samples at once, score all their ``2n``-point stencils with one
+:func:`kneejerk.expr._eval_log_gradients`, with no loop over points.  Both
+step certificates are read off one batched step, ``_step_sweep``: one
+gradient at the rows, one call of the step's kernel ``_certified_update``
+on all of them (every guard holds row by row) and one ``W`` at the new
+points; ``_argmax_sweep`` scores every competitor's bound against that step
+in one matrix product.  ``kneejerk.cli.run_verify`` calls
+``_step_certificates``, one step per chunk of random base points, so memory
+follows the chunk, never the sample count.  The curvature probes draw a
+chunk of samples at once, score all their ``2n``-point stencils with one
 gradient call and take one stacked ``eigvalsh``.  A batched value can
 differ from the point evaluation in its last bits.
 """
@@ -34,6 +35,7 @@ differ from the point evaluation in its last bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,6 +65,8 @@ __all__ = [
 ]
 
 _MARGIN_TOL = 1e-9
+_ARGMAX_COMPETITORS = 1000  # random competitors per base point in verify's sweep
+_SWEEP_VALUES = 2**16  # competitor coordinates (512 KB) per chunk of verify's sweep
 _EIG_TOL = 1e-6
 # Central-difference step of the curvature probes (relative in x for concavity).
 _STENCIL_H = 1e-4
@@ -78,7 +82,8 @@ class InequalityReport:
     """Both sides of the per-step certificate at one point.
 
     ``lhs = log Z(x') - log Z(x)``, ``rhs = sum_i m_i I_i(x'; x)``,
-    ``margin = lhs - rhs``.  Passes iff the margin is above ``-1e-9``.
+    ``margin = lhs - rhs``.  Passes iff the margin is at least ``-1e-9``
+    and ``rhs`` at least ``-1e-12`` (:func:`_inequality_passed`).
     """
 
     lhs: float
@@ -155,32 +160,41 @@ def tangent_lower_bound(expr: KneeJerkExpr, x, x_bar) -> float:
     return float(np.sum(g[live] * np.log(x_bar[live] / x[live])))
 
 
+def _require_samples(samples) -> int:
+    """``samples`` as a Python int, if it is a positive integer of any
+    integral type but bool."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    return int(samples)
+
+
+def _inequality_passed(margin: float, rhs: float) -> bool:
+    """The step certificate's pass rule, on one point's values or a sweep's worst."""
+    return bool(margin >= -_MARGIN_TOL and rhs >= -1e-12)
+
+
 def _step_sweep(
     expr: KneeJerkExpr, structure: BlockStructure, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the per-step certificate at each row of ``X``, interior
-    feasible points: ``lhs = W(x') - W(x)`` and ``rhs = sum_i m_i I_i``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One step from each row of ``X``, interior feasible points: both sides
+    of its certificate, ``lhs = W(x') - W(x)`` and ``rhs = sum_i m_i I_i``,
+    then its gradients ``G`` and new points ``X_new`` for the argmax scorer.
 
     One batched gradient at the rows, one update of all rows and one
     batched ``W`` at the new points."""
     W, G = _eval_log_gradients(expr, X)
     X_new, _, _, rhs = _certified_update(X, G, structure)[:4]
-    return _eval_log_values(expr, X_new) - W, rhs
+    return _eval_log_values(expr, X_new) - W, rhs, G, X_new
 
 
 def _argmax_sweep(
-    expr: KneeJerkExpr, structure: BlockStructure, X: np.ndarray, C: np.ndarray
+    X: np.ndarray, G: np.ndarray, X_new: np.ndarray, C: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``X``, an interior feasible point, and its feasible
-    competitors ``C[r]`` (competitors x coordinates): the margin
-    ``bound(x') - max_k bound(C[r, k])`` of the tangent-plane bound
-    ``bound(y) = g . (log y - log x)``, and the index of that worst
-    competitor.
-
-    One batched gradient at the rows, one update of all rows, and every
-    competitor's bound in one product."""
-    _, G = _eval_log_gradients(expr, X)
-    X_new = _certified_update(X, G, structure)[0]
+    """For each row of ``X``, an interior feasible point stepped to ``X_new``
+    with gradient ``G``, and its feasible competitors ``C[r]`` (competitors x
+    coordinates): the margin ``bound(x') - max_k bound(C[r, k])`` of the
+    tangent-plane bound ``bound(y) = g . (log y - log x)``, and the index of
+    that worst competitor.  Evaluates nothing: the bounds are one product."""
     log_X = np.log(X)
     with np.errstate(divide="ignore"):
         D = np.log(X_new) - log_X  # -inf where g = 0 sent x' to 0
@@ -192,15 +206,38 @@ def _argmax_sweep(
     return b_star - bounds[np.arange(len(X)), worst], worst
 
 
+def _step_certificates(
+    expr: KneeJerkExpr, structure: BlockStructure, samples: int, rng: np.random.Generator
+) -> tuple[dict, dict]:
+    """verify's ``inequality`` and ``argmax`` sections at ``samples`` random
+    interior points.  A chunk holds as many points as keep their competitors
+    within ``_SWEEP_VALUES`` coordinates; it draws its points with one
+    :func:`_dirichlet_rows` call, then their competitors with one more, and
+    takes one :func:`_step_sweep`.  A NaN margin or bound is reported and fails."""
+    n = structure.n
+    per_chunk = max(1, _SWEEP_VALUES // (_ARGMAX_COMPETITORS * n))
+    worst = np.full(3, math.inf)  # inequality margin, rhs, argmax margin
+    for lo in range(0, samples, per_chunk):
+        rows = min(per_chunk, samples - lo)
+        X = _dirichlet_rows(structure, rng, rows)
+        C = _dirichlet_rows(structure, rng, rows * _ARGMAX_COMPETITORS)
+        lhs, rhs, G, X_new = _step_sweep(expr, structure, X)
+        margin = _argmax_sweep(X, G, X_new, C.reshape(rows, _ARGMAX_COMPETITORS, n))[0]
+        worst = np.minimum(worst, [(lhs - rhs).min(), rhs.min(), margin.min()])
+    step, min_rhs, argmax = worst.tolist()
+    return (
+        {"worst_margin": step, "min_rhs": min_rhs, "pass": _inequality_passed(step, min_rhs)},
+        {"worst_margin": argmax, "competitors": _ARGMAX_COMPETITORS, "pass": argmax >= -_MARGIN_TOL},
+    )
+
+
 def verify_step_inequality(expr: KneeJerkExpr, point: BlockPoint) -> InequalityReport:
     """Evaluate the per-step certificate at one interior point."""
     if not point.interior:
         raise ValueError("the step inequality is checked at interior points")
-    lhs, rhs = (float(v[0]) for v in _step_sweep(expr, point.structure, point.x[None]))
+    lhs, rhs = (float(v[0]) for v in _step_sweep(expr, point.structure, point.x[None])[:2])
     margin = lhs - rhs
-    return InequalityReport(
-        lhs=lhs, rhs=rhs, margin=margin, passed=margin >= -_MARGIN_TOL
-    )
+    return InequalityReport(lhs=lhs, rhs=rhs, margin=margin, passed=_inequality_passed(margin, rhs))
 
 
 def verify_argmax_property(
@@ -214,14 +251,17 @@ def verify_argmax_property(
     The update maximizes the tangent-plane bound over the feasible set, so
     ``tangent_lower_bound(expr, x, x')`` must be at least the bound at every
     competitor (within 1e-9).  Competitors are drawn Dirichlet-style per
-    block and rescaled by the weights.  ``samples`` must be at least 1.
+    block and rescaled by the weights.  ``samples`` must be a positive
+    integer.  The step's one evaluation is its gradient at ``x``.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    _require_samples(samples)
     if not point.interior:
         raise ValueError("the argmax check needs an interior base point")
     competitors = _dirichlet_rows(point.structure, rng, samples)
-    margin, worst = _argmax_sweep(expr, point.structure, point.x[None], competitors[None])
+    X = point.x[None]
+    _, G = _eval_log_gradients(expr, X)
+    X_new = _certified_update(X, G, point.structure)[0]
+    margin, worst = _argmax_sweep(X, G, X_new, competitors[None])
     margin = float(margin[0])
     return ArgmaxReport(
         passed=margin >= -_MARGIN_TOL,
@@ -260,8 +300,7 @@ def _curvature_probe(
     numbers as one draw per sample), scores every stencil with one ``grad``
     call and takes one stacked ``eigvalsh``, so memory is flat in ``samples``.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    samples = _require_samples(samples)
     if rng is None:
         rng = np.random.default_rng(0)
     box = _X_BOX if upper else _LOG_BOX
@@ -286,6 +325,16 @@ def _curvature_probe(
         worst_eigenvalue=eig,
         worst_point=v if upper else np.exp(v),
         passed=margin >= 0.0,
+    )
+
+
+def _negative_control(samples: int, rng: np.random.Generator) -> ConvexityReport:
+    """The sampling loop of the convexity probe on the gradient of
+    ``W(u) = u0^2 + u1^2 - 3 u0 u1``, indefinite (Hessian eigenvalues -1 and
+    5): a report that must fail, proving the probe detects violations."""
+    return _curvature_probe(
+        lambda U: np.column_stack((2.0 * U[:, 0] - 3.0 * U[:, 1], 2.0 * U[:, 1] - 3.0 * U[:, 0])),
+        2, samples, rng, upper=False,
     )
 
 

@@ -260,11 +260,12 @@ class MatrixPolynomial(KneeJerkExpr):
                 E, c = E[first], merged
                 lo, hi = c.min(), c.max()  # unit repeats add up to 2
         E = np.ascontiguousarray(E)
-        log_c = np.zeros(len(c)) if lo == hi == 1.0 else np.array([math.log(v) for v in c.tolist()])
+        unit = bool(lo == hi == 1.0)
+        log_c = np.zeros(len(c)) if unit else np.array([math.log(v) for v in c.tolist()])
         for a in (E, c, log_c):
             a.setflags(write=False)
         self.E, self.c, self.log_c = E, c, log_c
-        form = _MatrixForm(E, log_c)
+        form = _MatrixForm(E, log_c, unit)
         if not (_dense_enough(E.shape, np.count_nonzero(E)) and form.B < _MAX_BOUND):
             form = _SlotTape(polynomial_to_expression(self))
         self._form = form
@@ -413,8 +414,8 @@ class _MatrixForm:
     ``B`` and the stand-in ``S`` for log 0 are computed on first use: a
     :class:`MatrixPolynomial` needs only ``B``, for its guard, while built."""
 
-    def __init__(self, E: np.ndarray, log_c: np.ndarray):
-        self.E, self.log_c, self.n, self.unit = E, log_c, E.shape[1], not log_c.any()
+    def __init__(self, E: np.ndarray, log_c: np.ndarray, unit: bool):
+        self.E, self.log_c, self.n, self.unit = E, log_c, E.shape[1], unit
 
     @functools.cached_property
     def B(self) -> float:
@@ -580,9 +581,7 @@ class _SlotTape:
             g = G[rows]
             adj: list = [None] * (len(args) - 1) + [np.ones(R)]
             for k in range(len(args) - 1, -1, -1):
-                a = adj[k]
-                if a is None:
-                    continue  # no live parent reaches this slot
+                a = adj[k]  # every slot but the root has a parent later in the order
                 t, arg = kinds[k], args[k]
                 if t is Var:
                     g[:, arg] += a
@@ -636,7 +635,7 @@ def _monomials(expr: KneeJerkExpr) -> _MatrixForm | None:
     E = np.zeros((len(terms), n))
     with np.errstate(over="ignore"):  # an infinite exponent sum fails the guard
         np.add.at(E, (rows, cols), exps)
-    form = _MatrixForm(E, np.array(log_c))
+    form = _MatrixForm(E, np.array(log_c), not any(log_c))
     # Unlike a MatrixPolynomial's integer exponents (e_min >= 1), a fractional
     # one can be too small for log 0 to have a finite stand-in.
     return form if form.B < _MAX_BOUND and math.isfinite(form.S) else None

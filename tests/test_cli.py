@@ -27,7 +27,7 @@ from kneejerk import (
     serialize_problem,
 )
 from kneejerk import MatrixPolynomial, eval_log, polynomial_to_expression
-from kneejerk import cli, mapping
+from kneejerk import cli, diagnostics, mapping
 from kneejerk import discriminant as discriminant_module
 from kneejerk import expr as expr_module
 from kneejerk.discriminant import Graph, discriminant_polynomial
@@ -347,10 +347,31 @@ class TestRunVerify:
         with_c = run_verify(p, samples=5, seed=0, include_concavity=True)
         assert with_c["log_concavity"]["pass"] is True
 
-    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, "3"])
     def test_rejects_no_samples(self, samples):
-        with pytest.raises(ValueError, match="samples"):
+        with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples!r}"):
             run_verify(parse_problem(GRAPH_PROBLEM), samples=samples)
+
+    def test_accepts_numpy_integer_samples(self):
+        report = run_verify(parse_problem(GRAPH_PROBLEM), samples=np.int64(3), seed=0)
+        assert report["samples"] == 3 and type(report["samples"]) is int
+        assert json.dumps(report) == json.dumps(run_verify(parse_problem(GRAPH_PROBLEM), samples=3, seed=0))
+
+    def test_one_step_per_chunk(self, problem_dir, monkeypatch):
+        # Both certificates are read off one batched step per chunk of base
+        # points; a chunk of k4 holds 10 points with 1000 competitors each
+        # (6 coordinates), so 25 samples take 3 steps.
+        calls = []
+        real = diagnostics._certified_update
+
+        def counted(X, G, structure):
+            calls.append(len(X))
+            return real(X, G, structure)
+
+        monkeypatch.setattr(diagnostics, "_certified_update", counted)
+        report = run_verify(parse_problem((problem_dir / "k4.json").read_text()), samples=25, seed=0)
+        assert report["pass"] is True
+        assert calls == [10, 10, 5]
 
     def test_injected_negative_control_fails_the_run(self):
         p = parse_problem(GRAPH_PROBLEM)
@@ -378,10 +399,10 @@ class TestRunVerify:
             run_verify(parse_problem(GRAPH_PROBLEM), samples=2, seed=seed)
 
     def test_memory_does_not_grow_with_samples(self, problem_dir):
-        # Both sweeps draw and score a fixed number of base points per
+        # The step sweep draws and scores a fixed number of base points per
         # chunk, and the curvature probes draw one point per sample, so ten
         # times the samples must not raise the peak.  Unchunked, the argmax
-        # sweep of 4000 samples would hold 4 million competitors (190 MB).
+        # competitors of 4000 samples would number 4 million (190 MB).
         p = parse_problem((problem_dir / "k4.json").read_text())
         run_verify(p, samples=2, seed=0)  # compile outside the trace
         peaks = []

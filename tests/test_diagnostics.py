@@ -101,6 +101,13 @@ class TestTangentBound:
         with pytest.raises(ValueError):
             tangent_lower_bound(Var(0), np.array([1.0]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "x_bar", [[-0.5, 1.5], [0.5, np.inf], [np.nan, 0.5]], ids=["negative", "inf", "nan"]
+    )
+    def test_bad_competitor_rejected(self, x_bar):
+        with pytest.raises(ValueError, match="x_bar must be finite and nonnegative"):
+            tangent_lower_bound(dlr_expression(), np.array([0.5, 0.5]), np.array(x_bar))
+
 
 class TestStepInequality:
     def test_product_example_report(self):
@@ -143,6 +150,15 @@ class TestStepInequality:
         point = BlockPoint(np.array([1.0, 0.0]), s)
         with pytest.raises(ValueError):
             verify_step_inequality(Sum((Var(0), Var(1))), point)
+
+    def test_negative_bound_fails_within_the_margin(self, monkeypatch):
+        # A bound below -1e-12 fails the certificate even when the margin
+        # lhs - rhs = 0 passes: both halves of the one pass rule apply.
+        sides = (np.array([-2e-12]), np.array([-2e-12]))
+        monkeypatch.setattr(diagnostics, "_step_sweep", lambda e, s, X: sides)
+        point = BlockPoint(np.array([0.5, 0.5]), BlockStructure((2,)))
+        rep = verify_step_inequality(dlr_expression(), point)
+        assert (rep.margin, rep.passed) == (0.0, False)
 
     def test_fixed_point_has_both_sides_zero(self):
         s = BlockStructure((3,))
@@ -211,8 +227,8 @@ class TestArgmaxProperty:
 
     def test_rejects_zero_competitors(self):
         point = BlockPoint(np.array([0.5, 0.5]), BlockStructure((2,)))
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="samples"):
+        for bad in (0, -3, 2.5, True, "3"):
+            with pytest.raises(ValueError, match=f"samples must be a positive integer, got {bad!r}"):
                 verify_argmax_property(dlr_expression(), point, bad, np.random.default_rng(0))
 
     def test_one_evaluation_per_call(self, monkeypatch):
@@ -281,10 +297,14 @@ class TestBatchedSweeps:
             steps = [knee_jerk_step(expr, BlockPoint(x, s)) for x in X]
             lhs_ref = np.array([r.W_new - r.W for r in steps])
             rhs_ref = np.array([r.bound for r in steps])
-            _, X, lhs_ref, rhs_ref = self._middle_worst(lhs_ref - rhs_ref, X, lhs_ref, rhs_ref)
-            lhs, rhs = diagnostics._step_sweep(expr, s, X)
+            new_ref = np.stack([r.x_new.x for r in steps])
+            _, X, lhs_ref, rhs_ref, new_ref = self._middle_worst(
+                lhs_ref - rhs_ref, X, lhs_ref, rhs_ref, new_ref
+            )
+            lhs, rhs, _, X_new = diagnostics._step_sweep(expr, s, X)
             assert_allclose(lhs, lhs_ref, rtol=0, atol=1e-12)
             assert_allclose(rhs, rhs_ref, rtol=0, atol=1e-12)
+            assert_allclose(X_new, new_ref, rtol=0, atol=1e-12)
             assert np.argmin(lhs - rhs) == self.ROWS // 2
 
     def test_argmax_sweep_matches_explicit_bounds(self):
@@ -300,7 +320,8 @@ class TestBatchedSweeps:
                 margin_ref.append(tangent_lower_bound(expr, x, x_new) - bounds[k])
                 worst_ref.append(k)
             margin_ref, X, C, worst_ref = self._middle_worst(margin_ref, X, C, np.array(worst_ref))
-            margin, worst = diagnostics._argmax_sweep(expr, s, X, C)
+            G, X_new = diagnostics._step_sweep(expr, s, X)[2:]
+            margin, worst = diagnostics._argmax_sweep(X, G, X_new, C)
             assert_allclose(margin, margin_ref, rtol=0, atol=1e-12)
             assert np.array_equal(worst, worst_ref)
             assert np.argmin(margin) == self.ROWS // 2
@@ -310,11 +331,11 @@ class TestBatchedSweeps:
         for expr, s in self._cases():
             point = interior_point(rng, s)
             rep = verify_step_inequality(expr, point)
-            lhs, rhs = diagnostics._step_sweep(expr, s, point.x[None])
+            lhs, rhs, G, X_new = diagnostics._step_sweep(expr, s, point.x[None])
             assert (rep.lhs, rep.rhs) == (lhs[0], rhs[0])
             rep = verify_argmax_property(expr, point, 30, np.random.default_rng(1))
             competitors = diagnostics._dirichlet_rows(s, np.random.default_rng(1), 30)
-            margin, worst = diagnostics._argmax_sweep(expr, s, point.x[None], competitors[None])
+            margin, worst = diagnostics._argmax_sweep(point.x[None], G, X_new, competitors[None])
             assert rep.margin == margin[0]
             assert np.array_equal(rep.worst_competitor, competitors[worst[0]])
 
@@ -386,12 +407,21 @@ class TestConvexityProbe:
         with pytest.raises(ValueError, match="expected an expression"):
             check_log_log_convexity(object())
 
-    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, "3"])
     def test_rejects_no_samples(self, samples):
-        with pytest.raises(ValueError, match="samples"):
+        message = f"samples must be a positive integer, got {samples!r}"
+        with pytest.raises(ValueError, match=message):
             check_log_log_convexity(dlr_expression(), samples=samples)
-        with pytest.raises(ValueError, match="samples"):
+        with pytest.raises(ValueError, match=message):
             check_log_concavity(dlr_expression(), samples=samples)
+
+    def test_accepts_numpy_integer_samples(self):
+        a = check_log_log_convexity(dlr_expression(), samples=np.int64(3), rng=np.random.default_rng(0))
+        b = check_log_log_convexity(dlr_expression(), samples=3, rng=np.random.default_rng(0))
+        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+        point = BlockPoint(np.array([0.5, 0.5]), BlockStructure((2,)))
+        c = verify_argmax_property(dlr_expression(), point, np.int64(3), np.random.default_rng(0))
+        assert c.passed
 
     def test_probe_reads_the_hessian_through_the_module_name(self, monkeypatch):
         # One call per chunk of samples: a chunk holds 2**13 // (2 n^2)
@@ -470,3 +500,4 @@ class TestConcavityProbe:
     def test_rejects_non_expression(self):
         with pytest.raises(ValueError):
             check_log_concavity(object())
+

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -373,3 +374,19 @@ class TestMatrixTree:
         with pytest.raises(ValueError):
             eval_matrix_tree(g, [2.0])
         assert eval_matrix_tree(g, [2, 7]) == 4
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Graph(3, ((0, 1), (1, 2)), var_indices=(0,)),
+                     "var_indices must have one entry per edge (2), got 1", id="var-indices-length"),
+        pytest.param(lambda: eval_matrix_tree(triangle_graph(), [1, True, 1]),
+                     "weight 1 must be a number, got True", id="bool-weight"),
+        pytest.param(lambda: eval_matrix_tree(triangle_graph(), [1, 1, "1"]),
+                     "weight 2 must be a number, got '1'", id="string-weight"),
+    ],
+)
+def test_input_errors_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

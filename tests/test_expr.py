@@ -3,6 +3,7 @@
 import copy
 import math
 import os
+import re
 import sys
 import itertools
 import threading
@@ -1053,3 +1054,18 @@ class TestSerialization:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             construct_expression({"op": "var", "index": 0, "extra": 1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Sum((1,)), "sum term must be an expression node, got 1", id="non-node-child"),
+        pytest.param(lambda: eval_log(dlr_expression(), np.full((1, 2), 0.5)),
+                     "expected a 1-D point, got shape (1, 2)", id="2-d-point"),
+        pytest.param(lambda: expression_to_json_dict(object()),
+                     "not an expression node: <object", id="non-node"),
+    ],
+)
+def test_input_errors_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

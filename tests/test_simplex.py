@@ -1,6 +1,7 @@
 """Tests for block structures, feasible points, and the divergence measure."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -321,3 +322,38 @@ class TestRandomInterior:
             expected[:, sl] = np.clip(p, 1e-300, None) / st.weights[sl]
         assert got.tobytes() == expected.tobytes()
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: BlockPoint(np.array([0.5, 0.5]), BlockStructure((3,))),
+                     "point must have length 3, got shape (2,)", id="point-length"),
+        pytest.param(lambda: normalize([1.0, 1.0], BlockStructure((3,))),
+                     "raw vector must have length 3, got shape (2,)", id="normalize-length"),
+        pytest.param(lambda: normalize([1.0, np.inf], BlockStructure((2,))),
+                     "raw coordinates must be finite", id="normalize-non-finite"),
+        pytest.param(lambda: i_divergence_blocks(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+                     "a block structure is required when passing raw arrays", id="no-structure"),
+        pytest.param(lambda: i_divergence_blocks([0.5, 0.5], [0.25, 0.25, 0.5], BlockStructure((2,))),
+                     "arguments must match the structure length 2, got shapes (2,) and (3,)", id="length"),
+        pytest.param(lambda: i_divergence_blocks([-0.5, 1.5], [0.5, 0.5], BlockStructure((2,))),
+                     "first argument must be finite and nonnegative", id="negative-first"),
+        pytest.param(lambda: i_divergence_blocks([np.nan, 0.5], [0.5, 0.5], BlockStructure((2,))),
+                     "first argument must be finite and nonnegative", id="non-finite-first"),
+        pytest.param(lambda: i_divergence_blocks([0.5, 0.5], [1.5, -0.5], BlockStructure((2,))),
+                     "second argument must be finite and nonnegative", id="negative-second"),
+        pytest.param(lambda: i_divergence_blocks([0.5, 0.5], [0.5, np.inf], BlockStructure((2,))),
+                     "second argument must be finite and nonnegative", id="non-finite-second"),
+    ],
+)
+def test_input_errors_name_the_bad_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_raw_arrays_default_to_one_probability_vector():
+    # Without a structure, raw arrays form one unweighted block.
+    y, x = np.array([0.5, 0.5]), np.array([0.25, 0.75])
+    assert_allclose(i_divergence(y, x), 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0), rtol=1e-15)
+    assert i_divergence(y, x) == i_divergence(y, x, BlockStructure((2,)))

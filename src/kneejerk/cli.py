@@ -321,8 +321,9 @@ def _grid_batches(structure: BlockStructure, resolution: int):
     ``_ORACLE_BATCH`` rows but the last.
 
     Each batch is computed from its ranks: a rank splits by ``divmod`` into
-    one index per block, the first block varying slowest, and each index
-    maps to its composition by ``simplex._compositions``.  Memory is one
+    one index per block, the first block varying slowest (its index is what
+    the later blocks leave), and each index maps to its composition by
+    ``simplex._compositions``.  Memory is one
     batch plus the count tables, which are built only for blocks of 3 or
     more coordinates; their entries stay at or below the grid size, so under
     the guard the int64 arithmetic is exact."""
@@ -331,9 +332,10 @@ def _grid_batches(structure: BlockStructure, resolution: int):
     for lo in range(0, size, _ORACLE_BATCH):
         rank = np.arange(lo, min(lo + _ORACLE_BATCH, size), dtype=np.int64)
         counts = np.empty((len(rank), structure.n), np.int64)
-        for sl, block_size in zip(structure.slices[::-1], sizes[::-1]):
+        for sl, block_size in zip(structure.slices[:0:-1], sizes[:0:-1]):
             rank, r = np.divmod(rank, block_size)
             _compositions(r, resolution, counts[:, sl])
+        _compositions(rank, resolution, counts[:, structure.slices[0]])
         yield counts
 
 

@@ -23,8 +23,10 @@ Every probe evaluates in batches, through
 step certificates are read off one batched step, ``_step_sweep``: one
 gradient at the rows, one call of the step's kernel ``_certified_update``
 on all of them (every guard holds row by row) and one ``W`` at the new
-points; ``_argmax_sweep`` scores every competitor's bound against that step
-in one matrix product.  ``kneejerk.cli.run_verify`` calls
+points; ``_argmax_margins`` scores every competitor against that step
+straight from the competitor's exponential draws, one ``log`` and one
+matrix product per block, without building the competitor.
+``kneejerk.cli.run_verify`` calls
 ``_step_certificates``, one step per chunk of random base points, so memory
 follows the chunk, never the sample count.  The curvature probes draw a
 chunk of samples at once, score all their ``2n``-point stencils with one
@@ -51,7 +53,14 @@ from .expr import (
 from .mapping import _certified_update
 # Unused here; perfbench/tracing.py wraps this name in this module.
 from .mapping import knee_jerk_step  # noqa: F401
-from .simplex import BlockPoint, BlockStructure, _dirichlet_rows
+from .simplex import (
+    BlockPoint,
+    BlockStructure,
+    _dirichlet_points,
+    _dirichlet_rows,
+    _exponential_draws,
+    _row_sums,
+)
 
 __all__ = [
     "InequalityReport",
@@ -67,6 +76,8 @@ __all__ = [
 _MARGIN_TOL = 1e-9
 _ARGMAX_COMPETITORS = 1000  # random competitors per base point in verify's sweep
 _SWEEP_VALUES = 2**16  # competitor coordinates (512 KB) per chunk of verify's sweep
+# Least exponential a competitor's bound reads, as _dirichlet_points clips coordinates.
+_EXP_FLOOR = 1e-300
 _EIG_TOL = 1e-6
 # Central-difference step of the curvature probes (relative in x for concavity).
 _STENCIL_H = 1e-4
@@ -187,23 +198,42 @@ def _step_sweep(
     return _eval_log_values(expr, X_new) - W, rhs, G, X_new
 
 
-def _argmax_sweep(
-    X: np.ndarray, G: np.ndarray, X_new: np.ndarray, C: np.ndarray
+def _argmax_margins(
+    structure: BlockStructure, G: np.ndarray, X_new: np.ndarray, draws: list
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``X``, an interior feasible point stepped to ``X_new``
-    with gradient ``G``, and its feasible competitors ``C[r]`` (competitors x
-    coordinates): the margin ``bound(x') - max_k bound(C[r, k])`` of the
-    tangent-plane bound ``bound(y) = g . (log y - log x)``, and the index of
-    that worst competitor.  Evaluates nothing: the bounds are one product."""
-    log_X = np.log(X)
-    with np.errstate(divide="ignore"):
-        D = np.log(X_new) - log_X  # -inf where g = 0 sent x' to 0
-    b_star = np.multiply(G, D, out=np.zeros_like(G), where=G > 0.0).sum(axis=1)
-    D = np.log(C)  # one array the size of C, reused in place
-    D -= log_X[:, None, :]
-    bounds = np.matmul(D, G[:, :, None])[..., 0]
+    """For each row ``r`` of ``G``, the gradient weights of a step to the new
+    point ``X_new[r]``, and its competitors, drawn as rows ``r K`` to
+    ``r K + K - 1`` of the per-block exponential ``draws`` (the points
+    :func:`_dirichlet_points` makes of them): the margin ``bound(x') -
+    max_k bound(y_k)`` of the tangent-plane bound ``bound(y) = g . (log y -
+    log x)``, and the index of that worst competitor.
+
+    No competitor point is built.  In block ``B`` a competitor is ``y = e /
+    (S_B w)``, its exponentials ``e`` over their in-order sum ``S_B``, so
+    ``bound(y) = sum_B (g_B . log e - m_B log S_B) - g . log(w x)`` with
+    ``m_B`` the block's gradient mass, and the margin is ``g . log(w x')``
+    less the largest of those sums: one ``log`` and one matrix product per
+    block, and nothing evaluated.  Each exponential is first floored at
+    ``_EXP_FLOOR`` (as a point's coordinates are clipped), so an exact zero
+    never meets ``g_j = 0`` as ``0 * -inf``.  The draws are overwritten with
+    their floored logs."""
+    rows = len(G)
+    with np.errstate(divide="ignore"):  # -inf only where g > 0 underflowed x' to 0
+        log_new = np.log(structure.weights * X_new, out=np.zeros_like(G), where=G > 0.0)
+    bounds = None
+    for E, sl, m in zip(draws, structure.slices, structure.sums(G).T):
+        np.maximum(E, _EXP_FLOOR, out=E)
+        log_sums = np.log(_row_sums(E)).reshape(rows, -1)
+        log_sums *= m[:, None]
+        np.log(E, out=E)
+        block = np.matmul(E.reshape(rows, -1, E.shape[1]), G[:, sl, None])[..., 0]
+        block -= log_sums
+        if bounds is None:
+            bounds = block
+        else:
+            bounds += block
     worst = bounds.argmax(axis=1)
-    return b_star - bounds[np.arange(len(X)), worst], worst
+    return (G * log_new).sum(axis=1) - bounds[np.arange(rows), worst], worst
 
 
 def _step_certificates(
@@ -212,17 +242,19 @@ def _step_certificates(
     """verify's ``inequality`` and ``argmax`` sections at ``samples`` random
     interior points.  A chunk holds as many points as keep their competitors
     within ``_SWEEP_VALUES`` coordinates; it draws its points with one
-    :func:`_dirichlet_rows` call, then their competitors with one more, and
-    takes one :func:`_step_sweep`.  A NaN margin or bound is reported and fails."""
-    n = structure.n
-    per_chunk = max(1, _SWEEP_VALUES // (_ARGMAX_COMPETITORS * n))
+    :func:`_dirichlet_rows` call, then their competitors' exponentials with
+    one :func:`_exponential_draws` call (the numbers a ``_dirichlet_rows``
+    call of the competitors would draw), takes one :func:`_step_sweep` and
+    scores the competitors against it with :func:`_argmax_margins`.  A NaN
+    margin or bound is reported and fails."""
+    per_chunk = max(1, _SWEEP_VALUES // (_ARGMAX_COMPETITORS * structure.n))
     worst = np.full(3, math.inf)  # inequality margin, rhs, argmax margin
     for lo in range(0, samples, per_chunk):
         rows = min(per_chunk, samples - lo)
         X = _dirichlet_rows(structure, rng, rows)
-        C = _dirichlet_rows(structure, rng, rows * _ARGMAX_COMPETITORS)
+        draws = _exponential_draws(structure, rng, rows * _ARGMAX_COMPETITORS)
         lhs, rhs, G, X_new = _step_sweep(expr, structure, X)
-        margin = _argmax_sweep(X, G, X_new, C.reshape(rows, _ARGMAX_COMPETITORS, n))[0]
+        margin = _argmax_margins(structure, G, X_new, draws)[0]
         worst = np.minimum(worst, [(lhs - rhs).min(), rhs.min(), margin.min()])
     step, min_rhs, argmax = worst.tolist()
     return (
@@ -251,22 +283,25 @@ def verify_argmax_property(
     The update maximizes the tangent-plane bound over the feasible set, so
     ``tangent_lower_bound(expr, x, x')`` must be at least the bound at every
     competitor (within 1e-9).  Competitors are drawn Dirichlet-style per
-    block and rescaled by the weights.  ``samples`` must be a positive
-    integer.  The step's one evaluation is its gradient at ``x``.
+    block and rescaled by the weights; only the reported worst one is built,
+    from its own draws.  ``samples`` must be a positive integer.  The step's
+    one evaluation is its gradient at ``x``.
     """
     _require_samples(samples)
     if not point.interior:
         raise ValueError("the argmax check needs an interior base point")
-    competitors = _dirichlet_rows(point.structure, rng, samples)
+    s = point.structure
+    draws = _exponential_draws(s, rng, samples)
     X = point.x[None]
     _, G = _eval_log_gradients(expr, X)
-    X_new = _certified_update(X, G, point.structure)[0]
-    margin, worst = _argmax_sweep(X, G, X_new, competitors[None])
-    margin = float(margin[0])
+    X_new = _certified_update(X, G, s)[0]
+    # The scorer overwrites what it reads; the worst competitor needs its draws.
+    margin, worst = _argmax_margins(s, G, X_new, [E.copy() for E in draws])
+    margin, k = float(margin[0]), int(worst[0])
     return ArgmaxReport(
         passed=margin >= -_MARGIN_TOL,
         margin=margin,
-        worst_competitor=competitors[worst[0]],
+        worst_competitor=_dirichlet_points(s, [E[k : k + 1] for E in draws])[0],
         samples=samples,
     )
 

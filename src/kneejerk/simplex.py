@@ -298,20 +298,37 @@ def _compositions(r: np.ndarray, total: int, out: np.ndarray) -> None:
     out[:, -1] = t - r
 
 
-def _dirichlet_rows(structure: BlockStructure, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` interior feasible points, uniform (Dirichlet) per block and
-    rescaled by the weights.  Each block is drawn for all rows at once, in
-    block order."""
-    out = np.empty((rows, structure.n))
-    for b, sl in zip(structure.blocks, structure.slices):
-        # numpy's Dirichlet(1, ..., 1), bit for bit: exponentials over their in-order row sum.
-        p = rng.standard_exponential((rows, b))
-        p *= 1.0 / sum(p.T[1:], p[:, 0])[:, None]
+def _exponential_draws(structure: BlockStructure, rng: np.random.Generator, rows: int) -> list:
+    """Per block, in block order, a ``(rows, block size)`` array of standard
+    exponentials: the raw draws behind :func:`_dirichlet_rows`."""
+    return [rng.standard_exponential((rows, b)) for b in structure.blocks]
+
+
+def _row_sums(p: np.ndarray) -> np.ndarray:
+    """The in-order row sums ``((p0 + p1) + p2) + ...`` of a 2-D array."""
+    return sum(p.T[1:], p[:, 0])
+
+
+def _dirichlet_points(structure: BlockStructure, draws: list) -> np.ndarray:
+    """The interior feasible points of per-block exponential draws (as from
+    :func:`_exponential_draws`): numpy's Dirichlet(1, ..., 1) bit for bit,
+    each block's exponentials over their in-order row sum, then rescaled by
+    the weights.  The draws are left as they are."""
+    out = np.empty((len(draws[0]), structure.n))
+    for p, sl in zip(draws, structure.slices):
+        p = p * (1.0 / _row_sums(p))[:, None]
         # Guard against exact zeros from gamma underflow in extreme draws.  No
         # renormalization: a row sums to 1 within a few ulps, far inside _POINT_TOL.
         np.clip(p, 1e-300, None, out=p)
         np.divide(p, structure.weights[sl], out=out[:, sl])
     return out
+
+
+def _dirichlet_rows(structure: BlockStructure, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """``rows`` interior feasible points, uniform (Dirichlet) per block and
+    rescaled by the weights.  Each block is drawn for all rows at once, in
+    block order."""
+    return _dirichlet_points(structure, _exponential_draws(structure, rng, rows))
 
 
 def random_interior(structure: BlockStructure, rng: np.random.Generator) -> BlockPoint:

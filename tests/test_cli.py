@@ -31,7 +31,7 @@ from kneejerk import cli, diagnostics, mapping
 from kneejerk import discriminant as discriminant_module
 from kneejerk import expr as expr_module
 from kneejerk.discriminant import Graph, discriminant_polynomial
-from kneejerk.simplex import barycenter
+from kneejerk.simplex import _compositions, barycenter
 from generators import random_multigraph, random_polynomial
 
 INLINE_PROBLEM = """
@@ -781,6 +781,22 @@ class TestGridBatches:
         assert all(b.dtype == np.int64 for b in batches)
         assert [len(b) for b in batches[:-1]] == [batch] * (len(batches) - 1)
         assert np.array_equal(np.concatenate(batches), _grid_reference(blocks, 9))
+
+    # The first block takes what the later blocks' divmods leave of the rank,
+    # with no divmod of its own: the rows are those of a full divmod per rank.
+    @pytest.mark.parametrize("blocks", [[3], [2, 3, 1]])
+    def test_matches_per_rank_unranking(self, blocks, monkeypatch):
+        monkeypatch.setattr(cli, "_ORACLE_BATCH", 7)
+        s = BlockStructure(blocks)
+        sizes = cli._grid_sizes(blocks, 5)
+        rows = np.empty((math.prod(sizes), s.n), np.int64)
+        for rank, row in enumerate(rows):
+            for sl, size in zip(s.slices[::-1], sizes[::-1]):
+                rank, digit = divmod(rank, size)
+                _compositions(np.array([digit]), 5, row[None, sl])
+        batches = list(cli._grid_batches(s, 5))
+        assert len(batches) > 1
+        assert np.array_equal(np.concatenate(batches), rows)
 
     @pytest.mark.parametrize("resolution", [65534, 65535, 65536])
     def test_every_batch_but_the_last_is_full(self, resolution):

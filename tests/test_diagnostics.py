@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from kneejerk import (
 from kneejerk import diagnostics, mapping
 from kneejerk import expr as expr_module
 from kneejerk.diagnostics import _curvature_probe
+from kneejerk.simplex import _dirichlet_points, _dirichlet_rows, _exponential_draws
 from generators import (
     dlr_expression,
     discriminant_expression,
@@ -311,7 +313,8 @@ class TestBatchedSweeps:
         rng = np.random.default_rng(85)
         for expr, s in self._cases():
             X = np.stack([interior_point(rng, s).x for _ in range(self.ROWS)])
-            C = np.stack([np.stack([interior_point(rng, s).x for _ in range(50)]) for _ in X])
+            draws = [E.reshape(self.ROWS, 50, -1) for E in _exponential_draws(s, rng, self.ROWS * 50)]
+            C = _dirichlet_points(s, [E.reshape(-1, E.shape[2]) for E in draws]).reshape(self.ROWS, 50, -1)
             margin_ref, worst_ref = [], []
             for x, competitors in zip(X, C):
                 x_new = knee_jerk_step(expr, BlockPoint(x, s)).x_new.x
@@ -319,9 +322,9 @@ class TestBatchedSweeps:
                 k = int(np.argmax(bounds))
                 margin_ref.append(tangent_lower_bound(expr, x, x_new) - bounds[k])
                 worst_ref.append(k)
-            margin_ref, X, C, worst_ref = self._middle_worst(margin_ref, X, C, np.array(worst_ref))
+            margin_ref, X, worst_ref, *draws = self._middle_worst(margin_ref, X, np.array(worst_ref), *draws)
             G, X_new = diagnostics._step_sweep(expr, s, X)[2:]
-            margin, worst = diagnostics._argmax_sweep(X, G, X_new, C)
+            margin, worst = diagnostics._argmax_margins(s, G, X_new, [E.reshape(-1, E.shape[2]) for E in draws])
             assert_allclose(margin, margin_ref, rtol=0, atol=1e-12)
             assert np.array_equal(worst, worst_ref)
             assert np.argmin(margin) == self.ROWS // 2
@@ -334,10 +337,66 @@ class TestBatchedSweeps:
             lhs, rhs, G, X_new = diagnostics._step_sweep(expr, s, point.x[None])
             assert (rep.lhs, rep.rhs) == (lhs[0], rhs[0])
             rep = verify_argmax_property(expr, point, 30, np.random.default_rng(1))
-            competitors = diagnostics._dirichlet_rows(s, np.random.default_rng(1), 30)
-            margin, worst = diagnostics._argmax_sweep(point.x[None], G, X_new, competitors[None])
+            draws = _exponential_draws(s, np.random.default_rng(1), 30)
+            margin, worst = diagnostics._argmax_margins(s, G, X_new, draws)
+            competitors = _dirichlet_rows(s, np.random.default_rng(1), 30)
             assert rep.margin == margin[0]
             assert np.array_equal(rep.worst_competitor, competitors[worst[0]])
+
+    def test_dominated_new_points_fail_the_argmax(self, monkeypatch):
+        # x' pulled halfway to each block's first vertex, or x itself, is
+        # dominated: handed as the new point, it must fail the argmax check,
+        # in the scorer and in verify's section.
+        rng = np.random.default_rng(87)
+        for expr, s in self._cases():
+            X = np.stack([interior_point(rng, s).x for _ in range(self.ROWS)])
+            G, X_new = diagnostics._step_sweep(expr, s, X)[2:]
+            vertex = np.zeros(s.n)
+            vertex[s.starts] = 1.0 / s.weights[s.starts]
+            pulled = 0.5 * X_new + 0.5 * vertex
+            draws = _exponential_draws(s, rng, self.ROWS * 1000)
+            margin = diagnostics._argmax_margins(s, G, pulled, draws)[0]
+            assert (margin < -1e-9).all(), margin
+        step_sweep = diagnostics._step_sweep
+        monkeypatch.setattr(diagnostics, "_step_sweep", lambda e, s, X: step_sweep(e, s, X)[:3] + (X,))
+        argmax = diagnostics._step_certificates(dlr_expression(), BlockStructure((2,)), 40, rng)[1]
+        assert argmax["worst_margin"] < -1e-9
+        assert argmax["pass"] is False
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_verify_draws_the_stream_of_its_points(self, case):
+        # Per chunk, the base points and then their competitors, as
+        # _dirichlet_rows would draw them: one block, several blocks and
+        # weighted structures, across several chunks (32 rows a chunk on 2
+        # coordinates, 10 on 6, 13 on 5).
+        expr, s = self._cases()[case]
+        rng, ref = np.random.default_rng(88), np.random.default_rng(88)
+        diagnostics._step_certificates(expr, s, 40, rng)
+        per_chunk = 2**16 // (1000 * s.n)
+        for lo in range(0, 40, per_chunk):
+            rows = min(per_chunk, 40 - lo)
+            _dirichlet_rows(s, ref, rows)
+            _dirichlet_rows(s, ref, rows * 1000)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_zero_exponential_against_zero_gradient(self):
+        # x3 is in no term, so g_3 = 0; every competitor draws an exact 0.0
+        # for it.  log 0 would make 0 * -inf, a NaN margin, and a warning.
+        class ZeroLast:
+            def __init__(self):
+                self.rng = np.random.default_rng(89)
+
+            def standard_exponential(self, size):
+                E = self.rng.standard_exponential(size)
+                E[:, -1] = 0.0
+                return E
+
+        expr = MatrixPolynomial([[1, 1, 0], [2, 0, 1]], [1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argmax = diagnostics._step_certificates(expr, BlockStructure((4,)), 40, ZeroLast())[1]
+        assert math.isfinite(argmax["worst_margin"])
+        assert argmax["pass"]
 
 
 class TestConvexityProbe:

@@ -18,6 +18,8 @@ Subcommands: ``optimize`` (iterate, write trace CSV + JSON summary),
 ``verify`` (seeded randomized certificate sweeps; deterministic given the
 seed), ``discriminant`` (graph file to polynomial JSON), ``oracle``
 (exhaustive grid search, reports the gap to the iteration's terminal value).
+``optimize`` and ``oracle`` iterate through :func:`_solve`, which solves a
+graph source with parallel edges on its edge classes.
 
 Exit codes: 0 success / converged, 1 verification failure or iteration cap
 reached, 2 input error (including an expression nested too deeply to parse),
@@ -44,7 +46,7 @@ from .diagnostics import (
     verify_argmax_property,  # unused here; perfbench/tracing.py wraps it by name
     verify_step_inequality,  # unused here; perfbench/tracing.py wraps it by name
 )
-from .discriminant import Graph, discriminant_polynomial
+from .discriminant import Graph, _expand, discriminant_polynomial
 from .expr import (
     KneeJerkExpr,
     MatrixPolynomial,
@@ -53,8 +55,10 @@ from .expr import (
     polynomial_to_expression,  # unused here; perfbench/tracing.py wraps it by name
     _eval_log_raw,
     _eval_log_values,
+    _dense_enough,
     _MatrixForm,
     _term_table,
+    _unit_monomials,
 )
 from .mapping import IterationConfig, Trace, _support_residual, iterate
 from .simplex import BlockPoint, BlockStructure, _compositions, barycenter
@@ -82,10 +86,19 @@ _TOO_MANY = "blocks: sum to {} coordinates, too many to allocate"
 
 @dataclass(eq=False)
 class Problem:
+    """A parsed problem.  ``_classes()`` is the class coordinates that
+    :func:`parse_problem` built for a graph source with parallel edges
+    (:func:`_edge_classes`), or None: always once ``expression`` or
+    ``structure`` is replaced."""
+
     expression: KneeJerkExpr
     structure: BlockStructure
     init: BlockPoint
     config: IterationConfig
+
+    def _classes(self):
+        c = self.__dict__.get("_lumped")  # (expression, structure, classes), set by parse_problem
+        return c[2] if c and c[0] is self.expression and c[1] is self.structure else None
 
 
 @dataclass(eq=False)
@@ -153,7 +166,7 @@ def parse_problem(text: str) -> Problem:
 
     src = data["expression"]
     _require(isinstance(src, dict), "expression: must be an object")
-    declared_n = None
+    declared_n = graph = None
     if "op" in src:
         try:
             expr = construct_expression(src, path="expression")
@@ -224,7 +237,58 @@ def parse_problem(text: str) -> Problem:
     except (ValueError, TypeError) as err:
         raise ValueError(f"config: {err}") from None
 
-    return Problem(expression=expr, structure=structure, init=init_point, config=config)
+    problem = Problem(expression=expr, structure=structure, init=init_point, config=config)
+    classes = None if graph is None else _edge_classes(graph, structure)
+    if classes is not None:
+        problem._lumped = (expr, structure, classes)
+    return problem
+
+
+def _edge_classes(graph: Graph, s: BlockStructure):
+    """A graph source's class coordinates, or None when no class has two
+    edges (or the class objective would be too sparse for the matrix form).
+
+    A class is the edges of one vertex pair in one block with one weight.
+    The discriminant sees them only through their sum ``y_C``, and the
+    update moves them by the same factor ``(dW/dy_C) / (a_C m_B)``, so
+    iterating on the class sums takes the same steps.  Returns the class of
+    each edge, the objective over the class sums and their structure.
+    Classes are numbered by their first edge, so each block's classes are
+    contiguous, and each takes its edges' weight.  The objective's terms are
+    the graph's pair trees, from the search its discriminant made: each
+    expanded, as :func:`kneejerk.discriminant._expand` expands it over
+    parallel edges, into every choice of one class per pair (one term, when
+    each pair is one class), so its exponents are 0 and 1 and no two terms
+    are alike."""
+    groups, pair_trees = graph._pair_trees
+    if len(groups) == s.n:  # no parallel edges
+        return None
+    ids: dict = {}
+    cls = [
+        ids.setdefault(((u, v) if u < v else (v, u), b, w), len(ids))
+        for (u, v), b, w in zip(graph.edges, s.index.tolist(), s.weights.tolist())
+    ]
+    n = len(ids)
+    if n == s.n:
+        return None
+    if n == len(groups):  # class c is pair c: pairs are numbered by their first edge too
+        trees = pair_trees
+    else:
+        pairs: dict = {}  # each pair's classes, pairs met in the order of their first edge
+        for c, (pair, _, _) in enumerate(ids):
+            pairs.setdefault(pair, []).append(c)
+        trees = _expand(list(pairs.values()), pair_trees)
+    if not _dense_enough((len(trees), n), trees.size):
+        return None
+    E = np.zeros((len(trees), n))
+    E[np.arange(len(trees))[:, None], trees] = 1.0
+    sizes = [0] * s.k
+    for _, b, _ in ids:
+        sizes[b] += 1
+    weights = [w for _, _, w in ids]
+    # Unit weights need no second check.
+    structure = BlockStructure(tuple(sizes), None if weights.count(1.0) == n else np.array(weights))
+    return np.array(cls), _unit_monomials(E), structure
 
 
 def serialize_problem(problem: Problem) -> dict:
@@ -246,10 +310,34 @@ def serialize_problem(problem: Problem) -> dict:
     }
 
 
+def _solve(problem: Problem) -> Trace:
+    """:func:`iterate` from the problem's init point, in the problem's class
+    coordinates when it has them (:meth:`Problem._classes`).
+
+    There the start is ``y0_C``, the class sums of ``init``, and each edge
+    keeps its share ``s_j = x0_j / y0_C`` of its class (0 where ``y0_C`` is
+    0: such a class stays 0).  The trace's records are the class solve's,
+    and its terminal point and gradient are expanded back to edges as
+    ``x_j = y_C s_j`` and ``g_j = G_C s_j``."""
+    classes = problem._classes()
+    if classes is None:
+        return iterate(problem.expression, problem.init, problem.config)
+    cls, objective, structure = classes
+    x0 = problem.init.x
+    y0 = np.bincount(cls, x0, structure.n)
+    sums = y0[cls]
+    share = np.divide(x0, sums, out=np.zeros(len(x0)), where=sums > 0.0)
+    trace = iterate(objective, BlockPoint(y0, structure), problem.config)
+    x = BlockPoint(trace.x_final.x[cls] * share, problem.structure)
+    return Trace(trace.records, trace.status, x, trace.gradient_final[cls] * share)
+
+
 def run_optimize(problem: Problem, out_dir: Path | None = None) -> tuple[Trace, dict]:
     """Iterate from the problem's init point; return the trace and summary,
-    optionally writing ``trace.csv`` and ``summary.json``."""
-    trace = iterate(problem.expression, problem.init, problem.config)
+    optionally writing ``trace.csv`` and ``summary.json``.  A graph source
+    with parallel edges iterates on its class sums (:func:`_solve`); the
+    summary's residual is taken on edges."""
+    trace = _solve(problem)
     s, g, x = problem.structure, trace.gradient_final, trace.x_final
     summary = {
         "status": trace.status,
@@ -567,7 +655,7 @@ def run_oracle(problem: Problem, resolution: int) -> OracleResult:
     if Wbc > best_W:
         best_W, best_point = Wbc, bc.copy()
 
-    trace = iterate(problem.expression, problem.init, problem.config)
+    trace = _solve(problem)
     terminal_W = float(trace.W_final)
 
     h = float(np.max(inv))

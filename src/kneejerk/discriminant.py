@@ -17,10 +17,15 @@ parallel edges chosen, so only the pair graph is searched.  Its (V-1)-pair
 subsets are unranked in lexicographic order, a fixed number per chunk, as the
 partial sums of the compositions that also index the oracle's simplex grid.
 Each chunk is tested for cycles by a vectorized union-find that relabels
-components pair by pair; the surviving subsets are the pair trees, and each
-expands into every choice of one edge per pair, counted off in mixed-radix
-digits over the pair multiplicities.  :func:`discriminant_polynomial` counts
-each tree's edge variables into one exponent row and hands the rows to
+components pair by pair; the surviving subsets are the pair trees, which a
+graph keeps once searched (``Graph._pair_trees``).  Each pair tree expands
+into every choice of one edge per pair, counted off in mixed-radix digits
+over the pair multiplicities (``_expand``).  The same expansion, over each
+pair's edge classes instead of its edges (the parallel edges in one block
+with one weight), gives the objective over the class sums that
+:mod:`kneejerk.cli` solves a problem's graph source on: a graph parsed from
+a problem file is searched once for both.  :func:`discriminant_polynomial`
+counts each tree's edge variables into one exponent row and hands the rows to
 :class:`kneejerk.expr.MatrixPolynomial`, which sorts them by one stable
 argsort of a mixed-radix key per row (``np.lexsort`` past a radix product
 of 2^53) and merges trees with the same monomial; a graph source in a
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +144,13 @@ class Graph:
     def n_vars(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _pair_trees(self) -> tuple[list[list[int]], np.ndarray]:
+        """:func:`_pair_tree_search` of this graph, run on first use and kept,
+        so a graph's discriminant and a problem's class coordinates share one
+        search."""
+        return _pair_tree_search(self)
+
     @classmethod
     def from_json_dict(cls, data, path: str = "graph") -> "Graph":
         if not isinstance(data, dict):
@@ -201,10 +214,11 @@ def _acyclic(ends: np.ndarray, vertices: int, subsets: np.ndarray) -> np.ndarray
     return subsets.compress(ok, axis=0)
 
 
-def _spanning_tree_array(graph: Graph) -> np.ndarray:
-    """Every spanning tree as a row of edge positions (int64, shape
-    ``(trees, V - 1)``), grouped by pair tree; neither the rows nor the
-    positions within a row are sorted.
+def _pair_tree_search(graph: Graph) -> tuple[list[list[int]], np.ndarray]:
+    """The graph's edges grouped by sorted vertex pair (a list of edge
+    positions per pair, pairs in order of first appearance) and the pair
+    trees, as rows of pair positions (int64, shape ``(trees, V - 1)``), in
+    lexicographic order.
 
     Raises ValueError past :data:`_MAX_ENUM_PAIRS` vertex pairs, or when the
     term table (trees x edges) would pass :data:`_MAX_TERM_ENTRIES`."""
@@ -227,23 +241,41 @@ def _spanning_tree_array(graph: Graph) -> np.ndarray:
                 f"{trees * m} entries (limit {_MAX_TERM_ENTRIES}); use eval_matrix_tree "
                 "for large graphs"
             )
-    # The edges of pair p are members[first[p]:first[p] + mult[p]].
-    members = np.array([k for edges in pairs.values() for k in edges])
     pair_ends = np.array(list(pairs), dtype=np.int64)
     pair_trees = np.concatenate([_acyclic(pair_ends, V, s) for s in _subsets(len(pairs), V - 1)])
-    if len(pairs) == m:  # no parallel edges: each pair tree is one tree
+    return list(pairs.values()), pair_trees
+
+
+def _expand(groups: list[list[int]], pair_trees: np.ndarray) -> np.ndarray:
+    """Every choice of one member of each pair's group, for each pair tree:
+    rows of members (int64, shape ``(rows, V - 1)``), grouped by pair tree.
+
+    ``groups[p]`` lists pair ``p``'s members: its parallel edges, for the
+    spanning trees, or its edge classes, for a problem's class coordinates.
+    A pair tree expands into the product of its pairs' group sizes, counted
+    off in mixed-radix digits, the last column fastest."""
+    members = np.array([k for group in groups for k in group])
+    if len(members) == len(groups):  # one member per pair: each pair tree is one row
         return members[pair_trees]
-    mult = np.array([len(edges) for edges in pairs.values()])
-    first = np.cumsum(mult) - mult
-    # span[:, j]: the ways to pick one edge for each of columns j, j+1, ...
-    # (the product of their multiplicities), so an expansion of rank r picks
-    # edge r % span_j // (span_j / radix_j) of column j's pair.
+    mult = np.array([len(group) for group in groups])
+    first = np.cumsum(mult) - mult  # pair p's members are members[first[p]:first[p] + mult[p]]
+    # span[:, j]: the ways to pick one member for each of columns j, j+1, ...
+    # (the product of their group sizes), so an expansion of rank r picks
+    # member r % span_j // (span_j / radix_j) of column j's pair.  A pair
+    # tree's rows are copied out by np.repeat, faster than gathering them.
     radix = mult[pair_trees]
     span = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1]
-    at = np.repeat(np.arange(len(pair_trees)), span[:, 0])
-    rank = np.arange(len(at)) - (np.cumsum(span[:, 0]) - span[:, 0])[at]
-    span, radix = span[at], radix[at]
-    return members[first[pair_trees[at]] + rank[:, None] % span // (span // radix)]
+    count = span[:, 0]
+    rank = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    span, inner, base = (np.repeat(a, count, axis=0) for a in (span, span // radix, first[pair_trees]))
+    return members[base + rank[:, None] % span // inner]
+
+
+def _spanning_tree_array(graph: Graph) -> np.ndarray:
+    """Every spanning tree as a row of edge positions (int64, shape
+    ``(trees, V - 1)``), grouped by pair tree; neither the rows nor the
+    positions within a row are sorted.  Raises as :func:`_pair_tree_search`."""
+    return _expand(*graph._pair_trees)
 
 
 def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:

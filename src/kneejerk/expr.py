@@ -310,7 +310,12 @@ class MatrixPolynomial(KneeJerkExpr):
                         raise ValueError(f"exponents must be nonnegative integers, got {k!r} in {tuple(e)!r}")
             if not terms:
                 raise ValueError("polynomial requires at least one term")
-            return cls([t["e"] for t in terms], c)
+            rows = [t["e"] for t in terms]
+            try:  # an integer array is checked for its sign only
+                E = np.array(rows, dtype=np.int64)
+            except OverflowError:  # an exponent past int64 takes the float path and its errors
+                E = rows
+            return cls(E, c)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
 
@@ -639,6 +644,17 @@ def _monomials(expr: KneeJerkExpr) -> _MatrixForm | None:
     # Unlike a MatrixPolynomial's integer exponents (e_min >= 1), a fractional
     # one can be too small for log 0 to have a finite stand-in.
     return form if form.B < _MAX_BOUND and math.isfinite(form.S) else None
+
+
+def _unit_monomials(E: np.ndarray) -> KneeJerkExpr:
+    """The objective ``sum_r prod_i x_i ** E[r, i]``, compiled straight to
+    the matrix form over the float64 ``E`` as given: no canonical order, no
+    merge and none of :class:`MatrixPolynomial`'s guards.  The caller vouches
+    for them: rows of small integer exponents, no two equal, dense enough."""
+    E.setflags(write=False)
+    objective = KneeJerkExpr()
+    objective._form = _MatrixForm(E, np.zeros(len(E)), True)
+    return objective
 
 
 def _dense_enough(shape: tuple[int, int], entries: int) -> bool:

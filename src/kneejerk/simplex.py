@@ -21,8 +21,10 @@ points in lexicographic order, for the oracle's grid and spanning-tree subsets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,21 +66,22 @@ class BlockStructure:
         for b in self.blocks:
             if isinstance(b, bool) or not isinstance(b, int) or b < 1:
                 raise ValueError(f"block sizes must be positive integers, got {b!r}")
-        n = sum(self.blocks)
+        ends = list(accumulate(self.blocks))
+        n = ends[-1]
         if self.weights is None:
             self.weights = np.ones(n)
         else:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (n,):
                 raise ValueError(f"weights must have length {n}, got shape {w.shape}")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+            if not (0.0 < w.min() and w.max() < math.inf):  # a NaN fails both
                 raise ValueError("weights must be finite and strictly positive")
             self.weights = w
-        sizes = np.array(self.blocks)
-        ends = np.cumsum(sizes)
-        self.starts = ends - sizes
-        self.index = np.repeat(np.arange(len(sizes)), sizes)
-        self.slices = tuple(map(slice, self.starts.tolist(), ends.tolist()))
+        # A few Python ints add up faster than numpy's cumsum.
+        starts = [e - b for e, b in zip(ends, self.blocks)]
+        self.starts = np.array(starts)
+        self.index = np.repeat(np.arange(len(ends)), self.blocks)
+        self.slices = tuple(map(slice, starts, ends))
 
     @property
     def n(self) -> int:

@@ -7,6 +7,8 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +33,9 @@ from kneejerk import cli, diagnostics, mapping
 from kneejerk import discriminant as discriminant_module
 from kneejerk import expr as expr_module
 from kneejerk.discriminant import Graph, discriminant_polynomial
-from kneejerk.simplex import _compositions, barycenter
-from generators import random_multigraph, random_polynomial
+from kneejerk.mapping import iterate
+from kneejerk.simplex import _compositions, barycenter, random_interior
+from generators import random_connected_graph, random_multigraph, random_polynomial, random_structure
 
 INLINE_PROBLEM = """
 {
@@ -322,6 +325,175 @@ class TestRunOptimize:
         _, summary = run_optimize(p)
         assert summary["status"] == "converged"
         assert summary["iterations"] == 1
+
+
+def _graph_problem(graph, blocks, weights=None, init="barycenter", config=None):
+    data = {"expression": {"graph": graph.to_json_dict()}, "blocks": list(blocks), "init": init}
+    if weights is not None:
+        data["weights"] = list(weights)
+    if config is not None:
+        data["config"] = config
+    return parse_problem(json.dumps(data))
+
+
+def _has_parallel_edges(graph):
+    return len({tuple(sorted(e)) for e in graph.edges}) < len(graph.edges)
+
+
+# Pair (0, 1) is split by block ({0, 1} | {3}), pair (1, 2) by block and by
+# weight ({2} | {4} | {5}), and (0, 2) is one edge: six classes.
+SPLIT_GRAPH = Graph(3, ((0, 1), (1, 0), (1, 2), (0, 1), (2, 1), (2, 1), (0, 2)))
+SPLIT_BLOCKS, SPLIT_WEIGHTS = [3, 4], [1, 1, 1, 1, 1, 2, 1]
+
+
+class TestClassSolve:
+    """A graph source with parallel edges is solved on its class sums and
+    expanded back to edges: the same steps as iterating on the edges."""
+
+    # The two routes add the same terms in different orders.
+    W_ULPS = 4
+    # Bounds and divergences agree to 1e-12 relative above this floor, below
+    # which both are rounding: the edge update renormalizes a class that the
+    # class update moves as one coordinate.
+    RECORD_FLOOR = 1e-14
+
+    def _assert_solves_like_the_edges(self, problem):
+        assert problem._classes() is not None
+        plain = iterate(problem.expression, problem.init, problem.config)
+        trace, summary = run_optimize(problem)
+        assert (trace.status, trace.iterations) == (plain.status, plain.iterations)
+        assert len(trace.records) == len(plain.records)
+        assert abs(summary["W"] - plain.W_final) <= self.W_ULPS * math.ulp(max(abs(plain.W_final), 1.0))
+        for a, b in zip(trace.records, plain.records):
+            assert a.iteration == b.iteration
+            for f in ("bound", "divergence"):
+                assert_allclose(getattr(a, f), getattr(b, f), rtol=1e-12, atol=self.RECORD_FLOOR)
+        assert_allclose(trace.x_final.x, plain.x_final.x, rtol=0, atol=1e-12)
+        assert_allclose(trace.gradient_final, plain.gradient_final, rtol=0, atol=1e-12)
+        assert trace.x_final.structure is problem.structure
+        return trace, plain
+
+    def test_random_multigraphs_solve_like_their_edges(self):
+        rng = np.random.default_rng(90)
+        solved = 0
+        while solved < 25:
+            g = random_connected_graph(rng, 2, 6)
+            if not _has_parallel_edges(g):
+                continue
+            s = random_structure(rng, n=len(g.edges), weighted=False)
+            # Weights from a small set: some parallel edges share a class,
+            # others are split by weight.
+            weights = rng.choice([1.0, 1.0, 2.0], len(g.edges)).tolist() if solved % 2 else None
+            s = BlockStructure(s.blocks, weights)
+            init = random_interior(s, rng).x.tolist()
+            problem = _graph_problem(g, s.blocks, weights, init, {"max_iters": 500})
+            if problem._classes() is None:
+                continue
+            self._assert_solves_like_the_edges(problem)
+            solved += 1
+
+    def test_pairs_split_by_block_and_by_weight(self):
+        problem = _graph_problem(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS)
+        cls, objective, structure = problem._classes()
+        assert cls.tolist() == [0, 0, 1, 2, 3, 4, 5]
+        assert structure.blocks == (2, 4)
+        assert structure.weights.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0, 1.0]
+        # Pair trees {01, 12}, {01, 02}, {12, 02}, each expanded over its
+        # pairs' classes: 2 * 3 + 2 * 1 + 3 * 1 terms of exponents 0 and 1.
+        E = objective._form.E
+        assert E.shape == (11, 6) and set(E.ravel().tolist()) == {0.0, 1.0}
+        assert len({tuple(r) for r in E.tolist()}) == 11
+        # The class objective at the class sums is the discriminant at the edges.
+        rng = np.random.default_rng(91)
+        for _ in range(20):
+            x = random_interior(problem.structure, rng).x
+            W_edges = expr_module._eval_log_raw(problem.expression, x)[0]
+            W_classes = expr_module._eval_log_raw(objective, np.bincount(cls, x))[0]
+            assert_allclose(W_classes, W_edges, rtol=1e-14)
+        self._assert_solves_like_the_edges(problem)
+
+    def test_a_class_all_zero_at_the_start_stays_zero(self):
+        init = [0.0, 0.0, 1.0, 0.25, 0.25, 0.125, 0.25]  # class {0, 1} is 0
+        problem = _graph_problem(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS, init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace, _ = self._assert_solves_like_the_edges(problem)
+            _, summary = run_optimize(problem)
+        assert trace.x_final.x[:2].tolist() == [0.0, 0.0]
+        assert trace.gradient_final[:2].tolist() == [0.0, 0.0]
+        assert summary["terminal_point"][:2] == [0.0, 0.0]
+
+    def test_a_zero_member_of_a_live_class_stays_zero(self):
+        init = [0.0, 0.5, 0.5, 0.25, 0.25, 0.125, 0.25]  # edge 0 is 0, edge 1 carries class {0, 1}
+        problem = _graph_problem(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS, init)
+        trace, _ = self._assert_solves_like_the_edges(problem)
+        assert trace.x_final.x[0] == 0.0 and trace.gradient_final[0] == 0.0
+        assert trace.x_final.x[1] > 0.0
+
+    @pytest.mark.parametrize(
+        "graph, blocks, weights",
+        [
+            (Graph(5, tuple(itertools.combinations(range(5), 2))), [10], None),
+            (Graph(4, tuple(itertools.combinations(range(4), 2))), [3, 1, 2], [1, 2, 1, 1, 0.5, 1]),
+            (Graph(3, ((0, 1), (0, 2), (1, 2))), [3], None),
+        ],
+        ids=["K5", "K4-blocks", "triangle"],
+    )
+    def test_graphs_without_parallel_edges_write_identical_outputs(self, tmp_path, graph, blocks, weights):
+        problem = _graph_problem(graph, blocks, weights)
+        assert problem._classes() is None
+        run_optimize(problem, tmp_path / "parsed")
+        run_optimize(replace(problem), tmp_path / "plain")  # a copy drops any class coordinates
+        for name in ("trace.csv", "summary.json"):
+            assert (tmp_path / "parsed" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_parallel_edges_in_other_blocks_or_weights_are_not_lumped(self):
+        g = Graph(3, ((0, 1), (1, 2), (0, 1), (0, 2), (2, 1)))
+        assert _graph_problem(g, [2, 3])._classes() is None
+        assert _graph_problem(g, [5], [1, 1, 2, 1, 3])._classes() is None
+        assert _graph_problem(g, [5])._classes() is not None
+
+    @pytest.mark.parametrize("classes, lumped", [(249, True), (299, False)])
+    def test_class_terms_too_sparse_for_the_matrix_form_solve_on_edges(self, classes, lumped):
+        # One pair, 300 parallel edges: the first 301 - classes share weight
+        # 1, and each of the rest has a weight of its own.  Each class is a
+        # term of one exponent, so E holds classes^2 entries for as many
+        # exponents: 249 classes pass the matrix form's density guard, 299
+        # do not.
+        weights = [1.0] * (301 - classes) + [1.0 + k / 1000 for k in range(1, classes)]
+        problem = _graph_problem(Graph(2, ((0, 1),) * 300), [300], weights)
+        assert (problem._classes() is not None) == lumped
+        if lumped:
+            assert problem._classes()[1]._form.E.shape == (classes, classes)
+
+    def test_a_replaced_objective_or_structure_solves_the_plain_way(self):
+        problem = _graph_problem(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS)
+        assert problem._classes() is not None
+        problem.expression = MatrixPolynomial([[1, 0, 0, 0, 1, 0, 0], [0, 2, 0, 0, 0, 1, 1]], [1.0, 3.0])
+        assert problem._classes() is None
+        want = iterate(problem.expression, problem.init, problem.config)
+        trace, summary = run_optimize(problem)
+        assert (summary["status"], summary["iterations"]) == (want.status, want.iterations)
+        assert summary["W"] == want.W_final
+        assert trace.x_final.x.tolist() == want.x_final.x.tolist()
+
+        problem = _graph_problem(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS)
+        problem.structure = BlockStructure((7,))
+        problem.init = barycenter(problem.structure)
+        assert problem._classes() is None
+        want = iterate(problem.expression, problem.init, problem.config)
+        _, summary = run_optimize(problem)
+        assert (summary["status"], summary["iterations"]) == (want.status, want.iterations)
+        assert summary["W"] == want.W_final
+
+    def test_oracle_gap_uses_the_optimize_W(self):
+        # A triangle with two pairs doubled: the class solve's W differs in
+        # its last bits from iterating on the edges.
+        problem = _graph_problem(Graph(3, ((0, 1), (0, 2), (1, 2), (0, 1), (0, 2))), [5])
+        _, summary = run_optimize(problem)
+        oracle = run_oracle(problem, 20)
+        assert oracle.gap == summary["W"] - oracle.best_W
+        assert summary["W"] != iterate(problem.expression, problem.init, problem.config).W_final
 
 
 class TestRunVerify:

@@ -524,6 +524,29 @@ class TestMatrixPolynomial:
             with pytest.raises(ValueError, match="coefficients|exponents"):
                 MatrixPolynomial(E, c)
 
+    def test_json_exponents_reach_the_constructor_as_int64(self):
+        # The constructor checks an integer array for its sign only; an
+        # exponent past int64 keeps the float path and its overflow error.
+        seen = []
+
+        class Spy(MatrixPolynomial):
+            def __post_init__(self):
+                seen.append(self.E.dtype if isinstance(self.E, np.ndarray) else type(self.E))
+                super().__post_init__()
+
+        def poly(top):
+            return {"n": 2, "terms": [{"c": 1.0, "e": [top, 0]}, {"c": 2.0, "e": [0, 1]}]}
+
+        for top, route in ((3, np.int64), (2**63 - 1, np.int64), (2**63, list), (10**298, list)):
+            seen.clear()
+            p = Spy.from_json_dict(poly(top), "poly")
+            assert seen == [route]
+            want = MatrixPolynomial([[top, 0], [0, 1]], [1.0, 2.0])
+            for a, b in ((p.E, want.E), (p.c, want.c), (p.log_c, want.log_c)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError, match="^poly: exponent is an integer too large for a float$"):
+            MatrixPolynomial.from_json_dict(poly(10**400), "poly")
+
     def test_json_round_trip(self):
         p = MatrixPolynomial([[1, 0, 2], [0, 3, 0]], [1.5, 2.0])
         data = p.to_json_dict(3)

@@ -57,6 +57,10 @@ class TestBlockStructure:
             BlockStructure((2,), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             BlockStructure((2,), np.array([1.0, 1.0, 1.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            for w in ([bad, 1.0], [1.0, bad]):
+                with pytest.raises(ValueError, match="^weights must be finite and strictly positive$"):
+                    BlockStructure((1, 1), np.array(w))
 
     def test_equality(self):
         a = BlockStructure((2, 1), np.array([1.0, 2.0, 1.0]))

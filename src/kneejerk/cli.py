@@ -19,7 +19,8 @@ Subcommands: ``optimize`` (iterate, write trace CSV + JSON summary),
 seed), ``discriminant`` (graph file to polynomial JSON), ``oracle``
 (exhaustive grid search, reports the gap to the iteration's terminal value).
 ``optimize`` and ``oracle`` iterate through :func:`_solve`, which solves a
-graph source with parallel edges on its edge classes.
+graph source with parallel edges on its edge classes.  Such a source parses
+to its class objective alone: its edge polynomial is built on first read.
 
 Exit codes: 0 success / converged, 1 verification failure or iteration cap
 reached, 2 input error (including an expression nested too deeply to parse),
@@ -46,7 +47,7 @@ from .diagnostics import (
     verify_argmax_property,  # unused here; perfbench/tracing.py wraps it by name
     verify_step_inequality,  # unused here; perfbench/tracing.py wraps it by name
 )
-from .discriminant import Graph, _expand, discriminant_polynomial
+from .discriminant import Graph, _edge_classes, discriminant_polynomial
 from .expr import (
     KneeJerkExpr,
     MatrixPolynomial,
@@ -55,10 +56,8 @@ from .expr import (
     polynomial_to_expression,  # unused here; perfbench/tracing.py wraps it by name
     _eval_log_raw,
     _eval_log_values,
-    _dense_enough,
     _MatrixForm,
     _term_table,
-    _unit_monomials,
 )
 from .mapping import IterationConfig, Trace, _support_residual, iterate
 from .simplex import BlockPoint, BlockStructure, _compositions, barycenter
@@ -88,17 +87,27 @@ _TOO_MANY = "blocks: sum to {} coordinates, too many to allocate"
 class Problem:
     """A parsed problem.  ``_classes()`` is the class coordinates that
     :func:`parse_problem` built for a graph source with parallel edges
-    (:func:`_edge_classes`), or None: always once ``expression`` or
-    ``structure`` is replaced."""
+    (:func:`kneejerk.discriminant._edge_classes`), or None: always once
+    ``expression`` or ``structure`` is replaced.  That parse leaves
+    ``expression``, the graph's :func:`discriminant_polynomial`, to be built
+    on first read, from the classes' pair-tree search, and kept."""
 
     expression: KneeJerkExpr
     structure: BlockStructure
     init: BlockPoint
     config: IterationConfig
 
+    def __getattr__(self, name):
+        c = self.__dict__.get("_lumped")  # (expression or None, structure, classes, graph)
+        if name != "expression" or c is None or c[0] is not None:
+            raise AttributeError(f"'Problem' object has no attribute {name!r}")
+        self.expression = discriminant_polynomial(c[3])
+        self._lumped = (self.expression, *c[1:])
+        return self.expression
+
     def _classes(self):
-        c = self.__dict__.get("_lumped")  # (expression, structure, classes), set by parse_problem
-        return c[2] if c and c[0] is self.expression and c[1] is self.structure else None
+        c = self.__dict__.get("_lumped")
+        return c[2] if c and self.__dict__.get("expression") is c[0] and c[1] is self.structure else None
 
 
 @dataclass(eq=False)
@@ -137,19 +146,21 @@ def _is_number_list(value) -> bool:
     return isinstance(value, list) and all(type(v) in (int, float) for v in value)
 
 
-def _graph_polynomial(graph: Graph, path: str) -> MatrixPolynomial:
-    """:func:`discriminant_polynomial`, with its size guards' errors naming
-    the graph's field."""
+def _searched(graph: Graph, path: str) -> Graph:
+    """The graph, its pair trees searched (``Graph._pair_trees``), with the
+    search's size guards' errors naming the graph's field."""
     try:
-        return discriminant_polynomial(graph)
+        graph._pair_trees
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+    return graph
 
 
 def parse_problem(text: str) -> Problem:
     """Parse and validate a problem from JSON text.
 
-    Polynomial and graph sources become a :class:`MatrixPolynomial`.
+    Polynomial and graph sources become a :class:`MatrixPolynomial`; a graph
+    source with edge classes, only its class objective (:class:`Problem`).
     Raises ValueError naming the offending field on any schema violation.
     """
     try:
@@ -166,7 +177,7 @@ def parse_problem(text: str) -> Problem:
 
     src = data["expression"]
     _require(isinstance(src, dict), "expression: must be an object")
-    declared_n = graph = None
+    declared_n = graph = expr = None
     if "op" in src:
         try:
             expr = construct_expression(src, path="expression")
@@ -178,9 +189,8 @@ def parse_problem(text: str) -> Problem:
         declared_n = src["polynomial"]["n"]
     elif "graph" in src:
         _require(set(src) == {"graph"}, "expression: 'graph' must be the only key")
-        graph = Graph.from_json_dict(src["graph"], path="expression.graph")
+        graph = _searched(Graph.from_json_dict(src["graph"], path="expression.graph"), "expression.graph")
         declared_n = graph.n_vars
-        expr = _graph_polynomial(graph, "expression.graph")
     else:
         raise ValueError(
             "expression: must be an inline tree ({'op': ...}), {'polynomial': ...}, "
@@ -209,11 +219,13 @@ def parse_problem(text: str) -> Problem:
         raise ValueError(_TOO_MANY.format(sum(blocks))) from None
 
     n = structure.n
-    # Reading n_vars compiles a tree objective, so no solve compiles.
-    _require(
-        expr.n_vars <= n,
-        f"blocks: sum to {n} but the expression references variable {expr.n_vars - 1}",
-    )
+    # Reading n_vars compiles a tree objective, so no solve compiles.  A
+    # graph's edges all lie in spanning trees, so its blocks' sum covers them.
+    if graph is None:
+        _require(
+            expr.n_vars <= n,
+            f"blocks: sum to {n} but the expression references variable {expr.n_vars - 1}",
+        )
 
     init = data["init"]
     if init == "barycenter":
@@ -237,58 +249,14 @@ def parse_problem(text: str) -> Problem:
     except (ValueError, TypeError) as err:
         raise ValueError(f"config: {err}") from None
 
-    problem = Problem(expression=expr, structure=structure, init=init_point, config=config)
     classes = None if graph is None else _edge_classes(graph, structure)
+    if graph is not None and classes is None:
+        expr = discriminant_polynomial(graph)
+    problem = Problem(expression=expr, structure=structure, init=init_point, config=config)
     if classes is not None:
-        problem._lumped = (expr, structure, classes)
+        del problem.expression  # built on first read: Problem.__getattr__
+        problem._lumped = (None, structure, classes, graph)
     return problem
-
-
-def _edge_classes(graph: Graph, s: BlockStructure):
-    """A graph source's class coordinates, or None when no class has two
-    edges (or the class objective would be too sparse for the matrix form).
-
-    A class is the edges of one vertex pair in one block with one weight.
-    The discriminant sees them only through their sum ``y_C``, and the
-    update moves them by the same factor ``(dW/dy_C) / (a_C m_B)``, so
-    iterating on the class sums takes the same steps.  Returns the class of
-    each edge, the objective over the class sums and their structure.
-    Classes are numbered by their first edge, so each block's classes are
-    contiguous, and each takes its edges' weight.  The objective's terms are
-    the graph's pair trees, from the search its discriminant made: each
-    expanded, as :func:`kneejerk.discriminant._expand` expands it over
-    parallel edges, into every choice of one class per pair (one term, when
-    each pair is one class), so its exponents are 0 and 1 and no two terms
-    are alike."""
-    groups, pair_trees = graph._pair_trees
-    if len(groups) == s.n:  # no parallel edges
-        return None
-    ids: dict = {}
-    cls = [
-        ids.setdefault(((u, v) if u < v else (v, u), b, w), len(ids))
-        for (u, v), b, w in zip(graph.edges, s.index.tolist(), s.weights.tolist())
-    ]
-    n = len(ids)
-    if n == s.n:
-        return None
-    if n == len(groups):  # class c is pair c: pairs are numbered by their first edge too
-        trees = pair_trees
-    else:
-        pairs: dict = {}  # each pair's classes, pairs met in the order of their first edge
-        for c, (pair, _, _) in enumerate(ids):
-            pairs.setdefault(pair, []).append(c)
-        trees = _expand(list(pairs.values()), pair_trees)
-    if not _dense_enough((len(trees), n), trees.size):
-        return None
-    E = np.zeros((len(trees), n))
-    E[np.arange(len(trees))[:, None], trees] = 1.0
-    sizes = [0] * s.k
-    for _, b, _ in ids:
-        sizes[b] += 1
-    weights = [w for _, _, w in ids]
-    # Unit weights need no second check.
-    structure = BlockStructure(tuple(sizes), None if weights.count(1.0) == n else np.array(weights))
-    return np.array(cls), _unit_monomials(E), structure
 
 
 def serialize_problem(problem: Problem) -> dict:
@@ -735,8 +703,8 @@ def _cmd_discriminant(args) -> int:
         data = json.loads(Path(args.graph).read_text())
     except RecursionError:
         raise ValueError("graph: nested too deeply to parse") from None
-    graph = Graph.from_json_dict(data)
-    poly = _graph_polynomial(graph, "graph")
+    graph = _searched(Graph.from_json_dict(data), "graph")
+    poly = discriminant_polynomial(graph)
     _emit(_dumps(poly.to_json_dict(graph.n_vars)), args.out, "discriminant.json")
     return 0
 

@@ -22,15 +22,16 @@ graph keeps once searched (``Graph._pair_trees``).  Each pair tree expands
 into every choice of one edge per pair, counted off in mixed-radix digits
 over the pair multiplicities (``_expand``).  The same expansion, over each
 pair's edge classes instead of its edges (the parallel edges in one block
-with one weight), gives the objective over the class sums that
-:mod:`kneejerk.cli` solves a problem's graph source on: a graph parsed from
-a problem file is searched once for both.  :func:`discriminant_polynomial`
-counts each tree's edge variables into one exponent row and hands the rows to
-:class:`kneejerk.expr.MatrixPolynomial`, which sorts them by one stable
-argsort of a mixed-radix key per row (``np.lexsort`` past a radix product
-of 2^53) and merges trees with the same monomial; a graph source in a
-problem file parses through it.  :func:`enumerate_spanning_trees` sorts its
-trees with the same key.
+with one weight), gives the objective over the class sums
+(``_edge_classes``) that :mod:`kneejerk.cli` solves a problem's graph source
+on: a graph parsed from a problem file is searched once for both.
+:func:`discriminant_polynomial` counts each tree's edge variables into one
+exponent row and hands the rows to :class:`kneejerk.expr.MatrixPolynomial`,
+which sorts them by one stable argsort of a mixed-radix key per row
+(``np.lexsort`` past a radix product of 2^53) and merges trees with the same
+monomial.  A graph source with no edge classes parses through it; one with
+classes builds only the class objective, and its polynomial on first read.
+:func:`enumerate_spanning_trees` sorts its trees with the same key.
 Two guards run first: at most 24 vertex pairs, however many parallel edges,
 and a term table (trees x edges) of at most 2^26 entries.  Where the subset
 bound C(E, V-1) on the tree count does not settle the second, it reads the
@@ -45,8 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import MatrixPolynomial, _lex_order
-from .simplex import _compositions
+from .expr import MatrixPolynomial, _dense_enough, _lex_order, _unit_monomials
+from .simplex import BlockStructure, _compositions
 
 __all__ = [
     "Graph",
@@ -271,11 +272,43 @@ def _expand(groups: list[list[int]], pair_trees: np.ndarray) -> np.ndarray:
     return members[base + rank[:, None] % span // inner]
 
 
-def _spanning_tree_array(graph: Graph) -> np.ndarray:
-    """Every spanning tree as a row of edge positions (int64, shape
-    ``(trees, V - 1)``), grouped by pair tree; neither the rows nor the
-    positions within a row are sorted.  Raises as :func:`_pair_tree_search`."""
-    return _expand(*graph._pair_trees)
+def _edge_classes(graph: Graph, s: BlockStructure):
+    """The graph's class coordinates under ``s``, the block structure of its
+    edges, or None when no class has two edges (or the class objective would
+    be too sparse for the matrix form).
+
+    A class is the edges of one vertex pair in one block with one weight.
+    The discriminant sees them only through their sum ``y_C``, and the
+    update moves them by the same factor ``(dW/dy_C) / (a_C m_B)``, so
+    iterating on the class sums takes the same steps.  Returns the class of
+    each edge, the objective over the class sums and their structure.
+    Classes are numbered by their first edge, so each block's classes are
+    contiguous, and each takes its edges' weight.  The objective's terms are
+    the graph's pair trees (``Graph._pair_trees``), each expanded by
+    :func:`_expand` into every choice of one class per pair (one term, when
+    each pair is one class), so its exponents are 0 and 1 and no two terms
+    are alike.  Raises as :func:`_pair_tree_search`."""
+    groups, pair_trees = graph._pair_trees
+    pair = {k: p for p, group in enumerate(groups) for k in group}  # each edge's pair
+    ids: dict = {}
+    keys = zip(map(pair.get, range(s.n)), s.index.tolist(), s.weights.tolist())
+    cls = [ids.setdefault(key, len(ids)) for key in keys]
+    n = len(ids)
+    if n == s.n:
+        return None
+    classes: list[list[int]] = [[] for _ in groups]  # each pair's classes
+    for c, (p, _, _) in enumerate(ids):
+        classes[p].append(c)
+    trees = _expand(classes, pair_trees)
+    if not _dense_enough((len(trees), n), trees.size):
+        return None
+    E = np.zeros((len(trees), n))
+    E[np.arange(len(trees))[:, None], trees] = 1.0
+    sizes = tuple(np.bincount([b for _, b, _ in ids], minlength=s.k).tolist())
+    weights = [w for _, _, w in ids]
+    # Unit weights need no second check.
+    structure = BlockStructure(sizes, None if weights.count(1.0) == n else np.array(weights))
+    return np.array(cls), _unit_monomials(E), structure
 
 
 def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:
@@ -289,7 +322,7 @@ def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:
     use :func:`eval_matrix_tree`, which computes the same total weight
     without enumeration.
     """
-    trees = np.sort(_spanning_tree_array(graph), axis=1)
+    trees = np.sort(_expand(*graph._pair_trees), axis=1)
     order, _ = _lex_order(trees, trees.max(axis=0).tolist())
     return list(map(tuple, trees[order].tolist()))
 
@@ -301,7 +334,7 @@ def discriminant_polynomial(graph: Graph) -> MatrixPolynomial:
     coefficient is 1 unless edges sharing a variable index let distinct trees
     produce the same monomial.
     """
-    trees = _spanning_tree_array(graph)
+    trees = _expand(*graph._pair_trees)  # grouped by pair tree, unsorted
     t, n = len(trees), graph.n_vars
     var = np.asarray(graph.var_indices)[trees]
     flat = (np.arange(t)[:, None] * n + var).ravel()

@@ -264,7 +264,10 @@ def iterate(
     ``config.tol_div`` or the objective improvement falls below
     ``config.tol_w``; with status "degenerate" on the first degenerate block
     (after its conventional renormalization step); with "max-iterations" at
-    the cap.  The objective column of the trace is nondecreasing.
+    the cap.  The objective column of the trace is nondecreasing up to the
+    rounding of ``W``: near the optimum a step can record ``W' - W`` an ulp
+    or so below 0, as ``problems/triangle.json`` does at its last step.
+    ROADMAP item 12 plans a bound on that rounding.
     """
     cfg = config if config is not None else IterationConfig()
     records: list[TraceRecord] = []

@@ -495,6 +495,50 @@ class TestClassSolve:
         assert oracle.gap == summary["W"] - oracle.best_W
         assert summary["W"] != iterate(problem.expression, problem.init, problem.config).W_final
 
+    def test_the_edge_polynomial_is_built_on_first_read_only(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return discriminant_polynomial(graph)
+
+        monkeypatch.setattr(cli, "discriminant_polynomial", counted)
+        rng = np.random.default_rng(92)
+        cases = [(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS)]
+        while len(cases) < 12:
+            g = random_multigraph(rng)
+            g = Graph(g.vertices, g.edges)  # a problem file gives each edge its own variable
+            weights = rng.choice([1.0, 2.0], len(g.edges)).tolist() if len(cases) % 2 else None
+            if _graph_problem(g, [len(g.edges)], weights)._classes() is not None:
+                cases.append((g, [len(g.edges)], weights))
+        for g, blocks, weights in cases:
+            calls.clear()
+            problem = _graph_problem(g, blocks, weights)
+            classes = problem._classes()
+            assert classes is not None and calls == []
+            e = problem.expression
+            assert e == discriminant_polynomial(g) and problem.expression is e
+            assert len(calls) == 1 and problem._classes() is classes
+            f = tmp_path / "g.json"
+            f.write_text(json.dumps(g.to_json_dict()))
+            assert main(["discriminant", "--graph", str(f)]) == 0
+            assert serialize_problem(problem)["expression"] == {"polynomial": json.loads(capsys.readouterr().out)}
+            problem.expression = e
+            assert problem._classes() is classes
+            problem.expression = discriminant_polynomial(g)
+            assert problem._classes() is None
+
+            # Replaced before its first read: the plain solve, and no build.
+            problem = _graph_problem(g, blocks, weights)
+            problem.expression = discriminant_polynomial(g)
+            assert problem._classes() is None
+            want = iterate(problem.expression, problem.init, problem.config)
+            trace, summary = run_optimize(problem)
+            assert (summary["status"], summary["iterations"], summary["W"]) == (
+                want.status, want.iterations, want.W_final)
+            assert trace.x_final.x.tolist() == want.x_final.x.tolist()
+            assert len(calls) == 2
+
 
 class TestRunVerify:
     def test_passes_on_valid_problem(self):
@@ -1268,7 +1312,7 @@ class TestMain:
         assert main([command] + args) == 2
         assert capsys.readouterr().err == f"error: {path}: graph is not connected; the discriminant is zero\n"
 
-    @pytest.mark.parametrize("command", ["optimize", "discriminant"])
+    @pytest.mark.parametrize("command", ["optimize", "discriminant", "verify"])
     @pytest.mark.parametrize(
         "graph, cap, message",
         [
@@ -1278,21 +1322,28 @@ class TestMain:
             # K4 at a term cap one below its 16 trees times 6 edges.
             ({"vertices": 4, "edges": [list(e) for e in itertools.combinations(range(4), 2)]}, 95,
              "16 spanning trees over 6 edges would make a term table of 96 entries (limit 95)"),
+            # The same with every edge doubled, in one block: a problem file
+            # would solve these on their edge classes.
+            ({"vertices": 26, "edges": [[i, i + 1] for i in range(25) for _ in range(2)]}, None,
+             "enumeration over 25 vertex pairs is intractable (limit 24)"),
+            # K4 with edge (0, 1) doubled: 24 trees, 8 of them through (0, 1).
+            ({"vertices": 4, "edges": [[1, 0]] + [list(e) for e in itertools.combinations(range(4), 2)]}, 167,
+             "24 spanning trees over 7 edges would make a term table of 168 entries (limit 167)"),
         ],
-        ids=["pairs", "term-cap"],
+        ids=["pairs", "term-cap", "multigraph-pairs", "multigraph-term-cap"],
     )
     def test_graph_past_a_size_guard_exits_two_naming_the_field(
         self, tmp_path, capsys, monkeypatch, command, graph, cap, message
     ):
         if cap is not None:
             monkeypatch.setattr(discriminant_module, "_MAX_TERM_ENTRIES", cap)
-        if command == "optimize":
+        if command == "discriminant":
+            args = ["--graph", self._write(tmp_path, "g.json", json.dumps(graph))]
+            path = "graph"
+        else:
             problem = {"expression": {"graph": graph}, "blocks": [len(graph["edges"])], "init": "barycenter"}
             args = ["--problem", self._write(tmp_path, "p.json", json.dumps(problem))]
             path = "expression.graph"
-        else:
-            args = ["--graph", self._write(tmp_path, "g.json", json.dumps(graph))]
-            path = "graph"
         assert main([command] + args) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path}: {message}")

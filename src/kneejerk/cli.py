@@ -671,7 +671,7 @@ def _cmd_optimize(args) -> int:
     sys.stdout.write(_dumps(summary))
     if summary["status"] == "degenerate":
         sys.stderr.write(
-            "degenerate: a block had zero gradient mass; its renormalized point "
+            "degenerate: a block had zero gradient mass; the point it kept "
             "is reported as terminal\n"
         )
         return 3

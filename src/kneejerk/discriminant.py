@@ -342,26 +342,19 @@ def discriminant_polynomial(graph: Graph) -> MatrixPolynomial:
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+    """Exact determinant of a positive definite integer matrix, at least
+    1 x 1, by fraction-free elimination.  Both callers pass the reduced
+    Laplacian of a connected graph (V >= 2) with positive integer weights, so
+    every pivot is a positive leading principal minor: no row swap is needed."""
     a = [row[:] for row in mat]
     n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
 
 
 def _validated_weights(graph: Graph, weights) -> list:

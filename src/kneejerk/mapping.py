@@ -15,9 +15,8 @@ with ``I_i`` the per-block I-divergence of the weight-rescaled vectors, so the
 bare update ascends monotonically: no line search, acceleration or damping.
 Each new point keeps, read-only, the ``a * x'`` and ``min x'`` its check computed.
 
-A block whose gradient weights are all zero has no preferred direction; the
-conventional treatment renormalizes that block (the identity on feasible
-points) and flags it degenerate.
+A block whose gradient weights are all zero has no preferred direction; it
+keeps its point and is flagged degenerate.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ class StepResult:
     ``bound`` is the certified lower bound ``sum_i m_i I_i`` on
     ``W_new - W``; ``divergence`` is the total I-divergence ``sum_i I_i``;
     ``masses`` holds the per-block gradient masses ``m_i``; ``degenerate``
-    flags blocks that fell back to renormalization.  ``gradient`` and
-    ``gradient_new`` are the gradient-weight vectors at the starting point
+    flags blocks without gradient mass, which kept their point.  ``gradient``
+    and ``gradient_new`` are the gradient-weight vectors at the starting point
     and at ``x_new``.  ``residual`` is the criticality residual at the
     starting point, taken over its positive coordinates.
     """
@@ -160,10 +159,10 @@ def _certified_update(x, g, structure: BlockStructure, checked=None):
     block masses ``m_i``, the degenerate flags, ``sum_i m_i I_i``, ``sum_i I_i``
     and the residual at ``x``, and last the new point's ``_check_feasible``, to
     pass on as ``checked`` (``x``'s own, computed when None).  A bad row raises
-    the error it raises alone.  Passes that leave every bit as it is are
-    skipped: the power-of-two shift unless some block's largest weight is below
-    1/2 (else every shift is 0), and each copy unless some block is degenerate
-    or has one coordinate."""
+    the error it raises alone.  The new point is ``(g / m) / a``: ``g / m`` is
+    scale-free, so a block's quotients sum to 1 within rounding at any
+    magnitude of ``g``, subnormal included.  The copy that keeps a point is
+    skipped unless some block is degenerate or has one coordinate."""
     s = structure
     w = s.weights
     masses = s.sums(g)
@@ -186,23 +185,17 @@ def _certified_update(x, g, structure: BlockStructure, checked=None):
         if degenerate.any() and g[i] < 0.0:
             raise ValueError(f"gradient weights must be nonnegative; g[{i}] = {g[i]}")
         raise ValueError("point coordinates must be finite")
-    # Scale each block's weights below 1/2 up by an exact power of two:
-    # subnormal ones would lose bits in the weighted sum and miss the
-    # normalization.  Without subnormals the quotient is unchanged.
-    top = np.maximum.reduceat(g, s.starts, axis=-1)
-    shift = -np.minimum(np.frexp(top)[1], 0) if _least(top) < 0.5 else None
-    raw = (g if shift is None else np.ldexp(g, shift.take(s.index, -1))) / w
-    # A block with no gradient signal is renormalized and flagged.  On a
-    # feasible input its weighted sum is 1, so this is the identity.
+    # A block with no gradient signal (flagged degenerate) and a block of one
+    # coordinate (its only feasible point) keep their point.  A degenerate
+    # block divides by 1, not 0, before the copy overwrites it.
+    m = masses.take(s.index, -1)
     keep = s.single
     if lo <= 0.0:
-        np.copyto(raw, x, where=degenerate.take(s.index, -1))
-        keep = keep & ~degenerate.take(s.index, -1)
-    x_new = raw / s.sums(w * raw).take(s.index, -1)
-    # A single-coordinate block admits exactly one feasible point, so the
-    # update is the identity; copying avoids renormalization round-off on a
-    # point that cannot move.
-    if 1 in s.blocks:
+        stuck = degenerate.take(s.index, -1)
+        np.copyto(m, 1.0, where=stuck)
+        keep = keep | stuck
+    x_new = g / m / w
+    if lo <= 0.0 or 1 in s.blocks:
         np.copyto(x_new, x, where=keep)
     checked_new = _check_feasible(x_new, s)
     checked = checked or (w * x, _least(x))
@@ -221,7 +214,7 @@ def knee_jerk_step(
 
     The input may touch the boundary: coordinates equal to zero have gradient
     weight exactly zero and stay at zero.  The output is feasible by
-    construction (each block is renormalized by its actual weighted sum).
+    construction (each block's gradient weights are divided by their own sum).
     ``start`` is ``eval_log(expr, point.x)`` when the caller already has it,
     e.g. the previous step's ``W_new`` and ``gradient_new``; it changes nothing.
     The new point is read-only and keeps what its check found for the next step.
@@ -263,7 +256,7 @@ def iterate(
     Stops with status "converged" when the per-step I-divergence falls below
     ``config.tol_div`` or the objective improvement falls below
     ``config.tol_w``; with status "degenerate" on the first degenerate block
-    (after its conventional renormalization step); with "max-iterations" at
+    (after a step in which that block keeps its point); with "max-iterations" at
     the cap.  The objective column of the trace is nondecreasing up to the
     rounding of ``W``: near the optimum a step can record ``W' - W`` an ulp
     or so below 0, as ``problems/triangle.json`` does at its last step.

@@ -1,8 +1,10 @@
 """Tests for problem files, the runner functions, and the CLI."""
 
+import copy
 import itertools
 import json
 import math
+import pickle
 import shutil
 import subprocess
 import sys
@@ -353,8 +355,8 @@ class TestClassSolve:
     # The two routes add the same terms in different orders.
     W_ULPS = 4
     # Bounds and divergences agree to 1e-12 relative above this floor, below
-    # which both are rounding: the edge update renormalizes a class that the
-    # class update moves as one coordinate.
+    # which both are rounding: the edge update divides each edge of a class by
+    # the block's mass, where the class update moves the class as one coordinate.
     RECORD_FLOOR = 1e-14
 
     def _assert_solves_like_the_edges(self, problem):
@@ -494,6 +496,34 @@ class TestClassSolve:
         oracle = run_oracle(problem, 20)
         assert oracle.gap == summary["W"] - oracle.best_W
         assert summary["W"] != iterate(problem.expression, problem.init, problem.config).W_final
+
+    def test_other_attributes_raise_as_on_any_object(self):
+        def assert_no_attribute(problem):
+            with pytest.raises(AttributeError) as e:
+                getattr(problem, "nope")
+            assert str(e.value) == "'Problem' object has no attribute 'nope'"
+            assert not hasattr(problem, "nope")
+
+        assert_no_attribute(parse_problem(GRAPH_PROBLEM))
+        lumped = _graph_problem(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS)
+        assert "expression" not in lumped.__dict__
+        assert_no_attribute(lumped)
+        lumped.expression
+        assert_no_attribute(lumped)
+        assert lumped._classes() is not None
+
+    @pytest.mark.parametrize(
+        "twin_of", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"]
+    )
+    def test_a_copy_before_the_first_read_keeps_the_classes(self, twin_of):
+        problem = _graph_problem(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS)
+        twin = twin_of(problem)
+        assert "expression" not in twin.__dict__
+        assert twin._classes() is not None
+        assert twin._classes()[0].tolist() == problem._classes()[0].tolist()
+        assert run_optimize(twin)[1]["W"] == run_optimize(problem)[1]["W"]
+        assert twin.expression == discriminant_polynomial(SPLIT_GRAPH)
+        assert twin._classes() is not None
 
     def test_the_edge_polynomial_is_built_on_first_read_only(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -173,8 +173,8 @@ class TestStep:
 
     @pytest.mark.parametrize("weight", np.linspace(0.5, 2.0, 31))
     def test_subnormal_gradient_mass_steps_cleanly(self, weight):
-        # The second coordinate's gradient weight is subnormal, so without
-        # rescaling the weighted sum of the updated block misses 1.
+        # The second coordinate's gradient weight, and so the block's mass,
+        # is subnormal; its quotient by that mass is still exactly 1.
         s = BlockStructure((2,), [1.0, weight])
         x = BlockPoint(np.array([0.5, 0.5 / weight]), s)
         expr = Sum((Const(1.0), Prod((Const(3e-316), Var(1)))))
@@ -182,8 +182,8 @@ class TestStep:
         assert res.degenerate == (False,)
         assert res.x_new.x[0] == 0.0
         assert abs(weight * res.x_new.x[1] - 1.0) <= 1e-15
-        # The same block after one with normal gradient mass: the rescale is
-        # per block, so the other block's larger maximum must not mask it.
+        # The same block after one with normal gradient mass: each block
+        # divides by its own mass, not by the other block's larger one.
         s = BlockStructure((2, 2), [1.0, 1.0, 1.0, weight])
         x = BlockPoint(np.array([0.5, 0.5, 0.5, 0.5 / weight]), s)
         tail = Sum((Const(1.0), Prod((Const(3e-316), Var(3)))))
@@ -427,17 +427,11 @@ def _loop_step(x, g, structure):
         gb = g[sl]
         m = float(np.sum(gb))
         masses[i] = m
-        if m <= 0.0:
-            degenerate.append(True)
-            x_new[sl] = x[sl] / float(np.sum(w[sl] * x[sl]))
-        elif sl.stop - sl.start == 1:
-            degenerate.append(False)
+        degenerate.append(m <= 0.0)
+        if m <= 0.0 or sl.stop - sl.start == 1:
             x_new[sl] = x[sl]
         else:
-            degenerate.append(False)
-            gb = np.ldexp(gb, -min(np.frexp(gb.max())[1], 0))
-            raw = gb / w[sl]
-            x_new[sl] = raw / float(np.sum(w[sl] * raw))
+            x_new[sl] = gb / m / w[sl]
     bound = 0.0
     divergence = 0.0
     residual = 0.0
@@ -501,16 +495,17 @@ class TestSegmentSumsMatchBlockLoops:
 
 
 def _reference_step(x, g, structure):
-    """The update and its certificate from the public pieces: ``normalize``
-    for the new point, ``i_divergence_blocks`` for the per-block divergence,
-    and the residual over the positive coordinates of ``x`` with masks."""
+    """The update and its certificate from the public pieces: ``sums`` and
+    ``index`` for the new point ``(g / m) / a``, with masks, ``i_divergence_blocks``
+    for the per-block divergence, and the residual over the positive
+    coordinates of ``x`` with masks."""
     w = structure.weights
     masses = structure.sums(g)
     degenerate = masses <= 0.0
-    raw = np.where(degenerate[structure.index], x, g / w)
-    x_new = normalize(raw, structure).x
-    keep = (np.array(structure.blocks) == 1) & ~degenerate
-    x_new = np.where(keep[structure.index], x, x_new)
+    m = masses[structure.index]
+    quotient = np.divide(g, m, out=np.zeros(g.shape), where=m > 0.0)
+    keep = (np.array(structure.blocks) == 1) | degenerate
+    x_new = np.where(keep[structure.index], x, quotient / w)
     d = i_divergence_blocks(x_new, x, structure)
     live = masses > 0.0
     bound = float((masses[live] * d[live]).sum())
@@ -669,20 +664,18 @@ class TestRowKernel:
 
 def _every_pass_update(x, g, structure):
     """The certified update with every pass run on every call, as it was
-    before the kernel skipped the passes that leave every bit as it is: the
-    power-of-two shift, ``np.where`` for both copies, ``min`` for every
-    branch, the divergence under ``np.errstate`` and the residual with
-    masks.  Valid input only: it has none of the kernel's guards."""
+    before the kernel skipped the passes that leave every bit as it is:
+    ``np.where`` for the copy of degenerate and single-coordinate blocks,
+    ``min`` for every branch, the divergence under ``np.errstate`` and the
+    residual with masks.  Valid input only: it has none of the kernel's
+    guards."""
     s = structure
     w = s.weights
     masses = s.sums(g)
     degenerate = masses <= 0.0
-    shift = -np.minimum(np.frexp(np.maximum.reduceat(g, s.starts, axis=-1))[1], 0)
-    raw = np.where(degenerate.take(s.index, -1), x, np.ldexp(g, shift.take(s.index, -1)) / w)
-    x_new = raw / s.sums(w * raw).take(s.index, -1)
-    if 1 in s.blocks:
-        single = np.array(s.blocks) == 1
-        x_new = np.where((single & ~degenerate).take(s.index, -1), x, x_new)
+    x_new = g / np.where(degenerate, 1.0, masses).take(s.index, -1) / w
+    single = np.array(s.blocks) == 1
+    x_new = np.where((single | degenerate).take(s.index, -1), x, x_new)
     with np.errstate(divide="ignore"):
         if x_new.min() > 0.0 and x.min() > 0.0:
             ratio = x_new / x
@@ -700,11 +693,18 @@ def _every_pass_update(x, g, structure):
     return x_new, masses, degenerate, bound, np.add.reduce(d, -1), dev.max(-1)
 
 
-# Largest gradient weight of a block: just below, at and just above 1/2 (the
-# shift is skipped from 1/2 up), subnormal, tiny, very large and ordinary.
+# Largest gradient weight of a block: ordinary (around 1/2, 0.3 and 2),
+# subnormal, tiny and very large.
 _TOPS = (
     np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 3e-310, 5e-324, 1e-300, 1e200, 0.3, 2.0,
 )
+
+
+def _weighted_update(st, masses):
+    """Whether a block of two or more coordinates, not all of unit weight,
+    has gradient mass: one the update moves by dividing by its weights."""
+    weighted = st.sums(st.weights != 1.0) > 0.0
+    return bool((weighted & (masses > 0.0) & (np.array(st.blocks) > 1)).any())
 
 
 def _parity_row(rng, st):
@@ -748,8 +748,8 @@ class TestKernelParity:
 
     def test_random_structures_points_and_rows(self):
         rng = np.random.default_rng(1818)
-        seen = {"shift": 0, "no shift": 0, "subnormal": 0, "degenerate": 0, "singleton": 0,
-                "zero x": 0, "mass where x is 0": 0}
+        seen = {"weighted": 0, "subnormal": 0, "subnormal mass": 0, "degenerate": 0,
+                "singleton": 0, "zero x": 0, "mass where x is 0": 0}
         for c in range(300):
             st = random_structure(rng, max_n=6 if c % 2 else 12, max_blocks=4)
             if c % 3 == 0:
@@ -760,9 +760,10 @@ class TestKernelParity:
                 want = _every_pass_update(x, g, st)
                 self._assert_same(mapping._certified_update(x, g, st), want)
                 self._assert_same(mapping._certified_update(x, g, st, _check_feasible(x, st)), want)
-                top = np.maximum.reduceat(g, st.starts)
-                seen["shift" if top.min() < 0.5 else "no shift"] += 1
+                m = st.sums(g)
+                seen["weighted"] += _weighted_update(st, m)
                 seen["subnormal"] += bool(((g > 0.0) & (g < np.finfo(float).tiny)).any())
+                seen["subnormal mass"] += bool(((m > 0.0) & (m < np.finfo(float).tiny)).any())
                 seen["degenerate"] += bool((st.sums(g) <= 0.0).any())
                 seen["singleton"] += 1 in st.blocks
                 seen["zero x"] += bool((x == 0.0).any())
@@ -770,6 +771,34 @@ class TestKernelParity:
             want = _every_pass_update(X, G, st)
             self._assert_same(mapping._certified_update(X, G, st), want)
             self._assert_same(mapping._certified_update(X, G, st, _check_feasible(X, st)), want)
+        assert min(seen.values()) >= 20, seen
+
+    def test_the_new_point_is_the_quotient_by_the_mass_and_the_weight(self):
+        # Weights from 1e-3 to 1e3 and block masses from subnormal to about
+        # 1e300: outside the copied blocks each coordinate is (g / m) / a,
+        # in that order, bit for bit, and every block sums to 1 within
+        # rounding, for a point and for (R, n) rows.
+        rng = np.random.default_rng(1919)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        seen = {"subnormal mass": 0, "huge mass": 0, "copied": 0}
+        for _ in range(300):
+            st = random_structure(rng, max_n=12, max_blocks=4)
+            st = BlockStructure(st.blocks, 10.0 ** rng.uniform(-3, 3, st.n))
+            sizes = np.array(st.blocks)
+            X = np.array([interior_point(rng, st).x for _ in range(int(rng.integers(1, 4)))])
+            scale = 10.0 ** rng.uniform(-323, 300, (len(X), st.k))
+            G = rng.random(X.shape) * scale.take(st.index, 1)
+            G[rng.random(G.shape) < 0.1] = 0.0
+            for x, g in [*zip(X, G), (X, G)]:
+                x_new, masses, degenerate = mapping._certified_update(x, g, st)[:3]
+                assert masses.tobytes() == st.sums(g).tobytes()
+                m = np.where(degenerate, 1.0, masses).take(st.index, -1)
+                copied = ((sizes == 1) | degenerate).take(st.index, -1)
+                assert x_new.tobytes() == np.where(copied, x, g / m / st.weights).tobytes()
+                assert (np.abs(st.sums(st.weights * x_new) - 1.0) <= (sizes + 3) * eps).all()
+                seen["subnormal mass"] += bool(((masses > 0.0) & (masses < tiny)).any())
+                seen["huge mass"] += bool((masses > 1e250).any())
+                seen["copied"] += bool(copied.any())
         assert min(seen.values()) >= 20, seen
 
     def test_masses_near_the_largest_float(self):
@@ -807,7 +836,7 @@ class TestCarriedFacts:
         rng = np.random.default_rng(2020)
         cfg = IterationConfig(max_iters=30, tol_div=1e-13)
         seen = {"boundary start": 0, "new zero": 0, "singleton": 0, "degenerate": 0,
-                "shift": 0, "carried": 0}
+                "weighted": 0, "carried": 0}
         for c in range(150):
             st = random_structure(rng, max_n=8, max_blocks=4)
             x0 = interior_point(rng, st).x
@@ -839,7 +868,7 @@ class TestCarriedFacts:
             for x, res in steps:
                 seen["new zero"] += bool(np.any((x > 0.0) & (res.x_new.x == 0.0)))
                 seen["degenerate"] += any(res.degenerate)
-                seen["shift"] += bool(np.maximum.reduceat(res.gradient, st.starts).min() < 0.5)
+                seen["weighted"] += _weighted_update(st, res.masses)
         assert min(seen.values()) >= 15, seen
 
     def test_a_new_point_keeps_no_fact_that_no_longer_holds(self):

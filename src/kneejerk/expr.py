@@ -44,9 +44,13 @@ point's largest live term, and a point with no live term has its max below
 ``-B``: no second product is needed to find dead terms, and no ``0 * -inf``
 NaN can arise.  ``exp`` runs only on lanes above -745.2, below which it is
 exactly 0.0 anyway.  A sum of monomials whose ``S`` would not be finite (an
-exponent near the smallest double) keeps the slot tape.  One helper,
-``_term_table``, builds this table (each point's max ``m`` and ``exp(Z -
-m)``): the batch evaluation sums it per point, and the oracle in
+exponent near the smallest double) keeps the slot tape.  The point
+evaluation takes log 0 as ``S`` too, so a point with a zero coordinate needs
+no mask of its dead terms, and it has no live term exactly when its largest
+term is below ``-B``; where ``S`` times an exponent could pass the float
+range, such a term overflows to ``-inf``, with the warning silenced.  One
+helper, ``_term_table``, builds this table (each point's max ``m`` and
+``exp(Z - m)``): the batch evaluation sums it per point, and the oracle in
 :mod:`kneejerk.cli` builds it for each half of a grid cut at a coordinate,
 with ``E`` restricted to that half's columns, and screens the points with
 one product of the two tables per group of points whose halves pair up;
@@ -436,21 +440,38 @@ class _MatrixForm:
         with np.errstate(over="ignore"):
             return float(-(2.0 * self.B + 746.0) / e_min)
 
+    @functools.cached_property
+    def _dead_overflows(self) -> bool:
+        """Whether ``E u`` can overflow when ``u`` holds ``S`` (every partial
+        sum of a row is within ``rowsum * |S|``, ``rowsum <= B / 745``)."""
+        return not self.B / _LOG_RANGE * -self.S < 1e308
+
     def point(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """``W`` and ``g`` at ``x`` (see :func:`_eval_log_raw`), numpy's kernels called directly."""
+        """``W`` and ``g`` at ``x`` (see :func:`_eval_log_raw`), numpy's kernels
+        called directly.  A zero coordinate takes log 0 as ``S``, as a batch
+        does: a term that reads it lies at least 746 below the largest live
+        term, so ``exp`` gives it exactly 0.0, and a live term reads it only
+        with exponent 0, adding ``0 * S``, a zero.  So ``W`` and ``g`` are
+        those of the limit, and no term is live exactly when the largest is
+        below ``-B``."""
         E, n = self.E, self.n
         xs = x[:n]
         if all(xs.tolist()):  # faster than ndarray.all() on short vectors
             z = np.dot(E, np.log(xs))  # the BLAS product that @ calls, bit for bit
-        else:  # log 0 = -inf would meet exponent 0 as NaN: kill its terms instead
+        else:
             zero = xs == 0.0
-            z = np.dot(E, np.log(np.where(zero, 1.0, xs)))
-            z[E[:, zero].any(axis=1)] = -math.inf
+            u = np.log(xs + zero)  # log 1 = 0 where x is 0, then S
+            u[zero] = self.S
+            if self._dead_overflows:  # such a term is then -inf: exp still gives 0.0
+                with np.errstate(over="ignore"):
+                    z = np.dot(E, u)
+            else:
+                z = np.dot(E, u)
         if not self.unit:  # adding log c = 0 could change only the sign of a zero
             z += self.log_c
         m = z[z.argmax()]  # z.max(), NaN too, at less cost
-        if m == -math.inf:
-            _raise_vanishes(m)
+        if m < -self.B:
+            _raise_vanishes(-math.inf)
         z -= m
         s = np.add.reduce(np.exp(z, out=z))
         g = np.dot(z, E)
@@ -526,8 +547,12 @@ class _SlotTape:
     def point(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """``W`` and ``g`` at ``x`` (see :func:`_eval_log_raw`)."""
         kinds, args = self.kinds, self.args
-        with np.errstate(divide="ignore"):
-            vals = _forward(self, np.log(x).tolist(), _lse_point)
+        if all(x.tolist()):  # faster than ndarray.all() on short vectors
+            u = np.log(x)
+        else:
+            with np.errstate(divide="ignore"):  # log 0 = -inf
+                u = np.log(x)
+        vals = _forward(self, u.tolist(), _lse_point)
         W = vals[-1]
         if not W > -math.inf:
             _raise_vanishes(W)
@@ -700,10 +725,12 @@ def _eval_log_raw(expr: KneeJerkExpr, x: np.ndarray) -> tuple[float, np.ndarray]
     compiled form (built on the first call): two matrix-vector products for
     the matrix form, else a forward and a reverse pass over the slot tape.
 
-    Zero coordinates are handled as limits: they carry log-value -inf, get
-    softmax weight exactly 0.0 at every sum node (in the matrix form, every
-    term with a positive exponent on them is -inf), and therefore contribute
-    exactly 0.0 to the gradient weights.  Raises ValueError when ``x`` has
+    Zero coordinates are handled as limits: they get softmax weight exactly
+    0.0 at every sum node, and therefore contribute exactly 0.0 to the
+    gradient weights.  The slot tape carries log 0 as -inf; the matrix form
+    takes it as the finite stand-in ``S``, which puts every term with a
+    positive exponent on them at least 746 below the largest live term,
+    where ``exp`` is exactly 0.0.  Raises ValueError when ``x`` has
     fewer coordinates than the objective has variables, when the objective
     vanishes on the support of ``x`` (W = -inf) or evaluates to NaN.
     """
@@ -741,8 +768,10 @@ def eval_log(expr: KneeJerkExpr, x) -> LogEval:
 
     Notes
     -----
-    Boundary points (coordinates equal to 0) are rejected here; the limit
-    convention for them lives in :func:`kneejerk.mapping.knee_jerk_step` only.
+    Boundary points (coordinates equal to 0) are rejected here.  The step
+    (:func:`kneejerk.mapping.knee_jerk_step`) evaluates them through
+    ``_eval_log_raw``, where each compiled form's point evaluation holds the
+    limit convention for them.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:

@@ -24,11 +24,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
 from .expr import KneeJerkExpr, LogEval, _eval_log_raw
-from .simplex import BlockPoint, BlockStructure, _check_feasible, _divergences, _least
+from .simplex import (
+    _FEW, BlockPoint, BlockStructure, _check_feasible, _divergences, _least, _weighted,
+)
 # perfbench/tracing.py wraps these two names in this module.
 from .simplex import i_divergence, i_divergence_blocks  # noqa: F401
 
@@ -140,13 +144,14 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _support_residual(g, x, structure: BlockStructure, masses, checked=None):
+def _support_residual(g, x, structure: BlockStructure, masses, checked=None, spread=None):
     """max_i max_j |g_j/(a_j x_j) - m_i| / (m_i + 1) over coordinates with
     x_j > 0 (each block of a feasible ``x`` has one), per row of ``x``, given
-    ``m = structure.sums(g)`` and ``checked = _check_feasible(x, structure)``
-    or None; equal to criticality_residual at interior points."""
-    m = masses.take(structure.index, -1)
-    wx, least = checked or (structure.weights * x, _least(x))
+    ``m = structure.sums(g)``, ``checked = _check_feasible(x, structure)``
+    or None, and ``spread``, each coordinate's block mass, or None; equal to
+    criticality_residual at interior points."""
+    m = masses.take(structure.index, -1) if spread is None else spread
+    wx, least = checked or (_weighted(x, structure), _least(x))
     # A zero x_j takes the quotient m_i, so it counts as 0, below every deviation.
     q = g / wx if least > 0.0 else np.divide(g, wx, out=m.copy(), where=x > 0.0)
     dev = np.abs(q - m) / (m + 1.0)
@@ -162,15 +167,18 @@ def _certified_update(x, g, structure: BlockStructure, checked=None):
     the error it raises alone.  The new point is ``(g / m) / a``: ``g / m`` is
     scale-free, so a block's quotients sum to 1 within rounding at any
     magnitude of ``g``, subnormal included.  The copy that keeps a point is
-    skipped unless some block is degenerate or has one coordinate."""
+    skipped unless some block is degenerate or has one coordinate, and the
+    division by the weights when every weight is 1.  One point of fewer than ``_FEW`` blocks
+    adds up its bound and divergence as Python floats, in numpy's order."""
     s = structure
-    w = s.weights
     masses = s.sums(g)
-    degenerate = masses <= 0.0
     if masses.ndim == 1:  # Python reads a few floats faster than numpy
         flat = masses.tolist()
         finite, lo = all(map(math.isfinite, flat)), min(flat)
+        # lo > 0 rules out a mass <= 0: min keeps a NaN, never a larger number
+        degenerate = np.zeros(s.k, bool) if lo > 0.0 else masses <= 0.0
     else:
+        degenerate = masses <= 0.0
         finite, lo = np.isfinite(masses).all(), masses.min()
     # What the new point's check cannot see, in this order: a NaN or inf weight
     # in a single-coordinate block (copied, its weight never read), a negative
@@ -194,17 +202,26 @@ def _certified_update(x, g, structure: BlockStructure, checked=None):
         stuck = degenerate.take(s.index, -1)
         np.copyto(m, 1.0, where=stuck)
         keep = keep | stuck
-    x_new = g / m / w
+    x_new = g / m
+    if not s.unit:
+        x_new /= s.weights
     if lo <= 0.0 or 1 in s.blocks:
         np.copyto(x_new, x, where=keep)
     checked_new = _check_feasible(x_new, s)
-    checked = checked or (w * x, _least(x))
+    checked = checked or (_weighted(x, s), _least(x))
     # Both points are feasible, so the divergence needs no further validation.
     # A block without mass adds 0 * I_i = 0; ``+ 0.0`` turns -0.0 into 0.0.
     d = _divergences(x_new, x, s, checked_new[0], checked[1] > 0.0)
-    bound = np.add.reduce(masses * d, -1) + 0.0
-    residual = _support_residual(g, x, s, masses, checked)
-    return x_new, masses, degenerate, bound, np.add.reduce(d, -1), residual, checked_new
+    if masses.ndim == 1 and s.k < _FEW:  # in order, as numpy adds so few floats
+        d_flat = d.tolist()  # (from Python 3.12 on, sum would compensate)
+        bound = np.float64(reduce(add, map(mul, flat, d_flat)) + 0.0)
+        divergence = np.float64(reduce(add, d_flat))
+    else:
+        bound = np.add.reduce(masses * d, -1) + 0.0
+        divergence = np.add.reduce(d, -1)
+    # Without a degenerate block m is still each coordinate's block mass.
+    residual = _support_residual(g, x, s, masses, checked, m if lo > 0.0 else None)
+    return x_new, masses, degenerate, bound, divergence, residual, checked_new
 
 
 def knee_jerk_step(

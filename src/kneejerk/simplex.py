@@ -9,14 +9,18 @@ probability simplex is the single-block, unit-weight case.
 Every per-block quantity is one reduction over a vector or its ``(R, n)``
 rows.  A structure carries ``index``, the block of each coordinate, and
 ``starts``, the first coordinate of each block, and keeps the constants a step
-reads, ``k`` and ``single``, from their first use; ``BlockStructure.sums`` adds
-up block by block with ``np.bincount`` (rows by the index ``row * k + block``)
-in coordinate order, so a row sums as it does alone, and a block of fewer than
-8 coordinates as ``np.sum`` does (longer ones may differ in the last place).
-A step reads a minimum as ``_least(v)``: the value of ``v.min()``, NaN too, at
-a third of the cost; the feasibility check returns ``w * x`` and ``_least(x)``,
-kept by each point the update makes.  ``_compositions`` unranks simplex grid
-points in lexicographic order, for the oracle's grid and spanning-tree subsets.
+reads, ``k``, ``single`` and ``unit``, from their first use;
+``BlockStructure.sums`` adds up block by block with ``np.bincount`` (rows by
+the index ``row * k + block``) in coordinate order, so a row sums as it does
+alone, and a block of fewer than 8 coordinates as ``np.sum`` does (longer ones
+may differ in the last place).  numpy adds fewer than ``_FEW = 8`` floats in
+order too, so a step adds up one point's few block values as Python floats in
+that order, bit for bit as numpy would.  A step reads a minimum
+as ``_least(v)``: the value of ``v.min()``, NaN too, at a third of the cost;
+the feasibility check returns ``w * x`` (``x`` itself under unit weights,
+where the product is exact) and ``_least(x)``, kept by each point the update
+makes.  ``_compositions`` unranks simplex grid points in lexicographic order,
+for the oracle's grid and spanning-tree subsets.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ __all__ = [
 _SUM_TOL = 1e-9
 # Tighter tolerance enforced on constructed BlockPoints.
 _POINT_TOL = 1e-12
+# numpy adds fewer than this many floats in order, and more pairwise.
+_FEW = 8
 
 
 @dataclass(eq=False)
@@ -49,8 +55,9 @@ class BlockStructure:
     """Block sizes plus per-coordinate positive weights (default all ones).
 
     ``index[j]`` is the block of coordinate ``j`` and ``starts[i]`` the first
-    coordinate of block ``i``.  ``k`` (the block count) and ``single[j]`` (is
-    coordinate ``j`` alone in its block?) are computed on first use and kept.
+    coordinate of block ``i``.  ``k`` (the block count), ``single[j]`` (is
+    coordinate ``j`` alone in its block?) and ``unit`` (is every weight 1?)
+    are computed on first use and kept.
     """
 
     blocks: tuple[int, ...]
@@ -95,6 +102,10 @@ class BlockStructure:
     def single(self) -> np.ndarray:
         return (np.array(self.blocks) == 1)[self.index]
 
+    @cached_property
+    def unit(self) -> bool:
+        return bool((self.weights == 1.0).all())
+
     def sums(self, v: np.ndarray) -> np.ndarray:
         """Per-block sums of a length-``n`` vector or of each row, in coordinate order."""
         if v.ndim == 1:
@@ -109,7 +120,7 @@ class BlockStructure:
 
     def to_json_dict(self) -> dict:
         out = {"blocks": list(self.blocks)}
-        if not np.all(self.weights == 1.0):
+        if not self.unit:
             out["weights"] = [float(w) for w in self.weights]
         return out
 
@@ -148,15 +159,26 @@ def _least(v: np.ndarray):
     return v[v.argmin()]
 
 
+def _weighted(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """``a * x``: ``x`` itself under unit weights, where the product is exact."""
+    return x if structure.unit else structure.weights * x
+
+
 def _check_feasible(x: np.ndarray, structure: BlockStructure):
     """Raise unless ``x``, one point or ``(R, n)`` rows, is feasible within ``_POINT_TOL``
-    (the first bad row raises its own error); else return ``w * x`` and ``_least(x)``."""
-    totals = structure.sums(wx := structure.weights * x)
-    dev = np.abs(totals - 1.0)
+    (the first bad row raises its own error); else return ``w * x`` (see
+    :func:`_weighted`) and ``_least(x)``.  One point of fewer than ``_FEW``
+    blocks is tested on its block totals as Python floats."""
+    totals = structure.sums(wx := _weighted(x, structure))
+    if x.ndim == 1 and structure.k < _FEW:
+        off = [abs(t - 1.0) > _POINT_TOL for t in totals.tolist()]
+    else:
+        off = (np.abs(totals - 1.0) > _POINT_TOL).ravel().tolist()
     # One pass on good rows: a NaN total needs a NaN x, an inf x makes it inf.
-    if (least := _least(x)) >= 0.0 and True not in (dev > _POINT_TOL).ravel().tolist():
+    if (least := _least(x)) >= 0.0 and True not in off:
         return wx, least
-    for x, totals, dev in zip(*map(np.atleast_2d, (x, totals, dev))):
+    for x, totals in zip(*map(np.atleast_2d, (x, totals))):
+        dev = np.abs(totals - 1.0)
         if not np.isfinite(x).all():
             raise ValueError("point coordinates must be finite")
         if (x < 0.0).any():
@@ -199,14 +221,22 @@ def normalize(raw, structure: BlockStructure) -> BlockPoint:
 
 def _divergences(y, x, structure: BlockStructure, wy, x_positive) -> np.ndarray:
     """Per-block ``sum_j a_j y_j log(y_j / x_j)`` of two feasible vectors or
-    rows, given ``wy = a * y`` and ``x_positive = _least(x) > 0``.  By
-    convention ``0 log 0 = 0``, and ``y`` putting mass where ``x`` has none
-    makes that block's divergence ``+inf``."""
+    rows, given ``wy = a * y`` and ``x_positive = _least(x) > 0``.  A term
+    whose weighted mass ``a_j y_j`` is 0 counts as 0 (so ``0 log 0 = 0``,
+    also where ``a_j y_j`` underflows), and ``y`` putting mass where ``x``
+    has none makes that block's divergence ``+inf``.
+
+    A term with ``a_j y_j = 0`` takes the ratio ``(y_j + 1) / (x_j + 1)``,
+    positive and finite, so it adds ``0 * log(...) = 0`` with no mask and no
+    error state.  Only a positive ``a_j y_j`` over ``x_j = 0`` (``+inf``) or
+    a ratio that underflows to 0 (``-inf``) takes the masked quotient."""
     if x_positive and _least(ratio := y / x) > 0.0:  # no zero y_j, no underflow
         return structure.sums(wy * np.log(ratio))
-    # A zero y_j takes log 1, so its term is 0; y_j / x_j can underflow to 0.
+    dead = wy == 0.0
+    if _least(den := x + dead) > 0.0 and _least(ratio := (y + dead) / den) > 0.0:
+        return structure.sums(wy * np.log(ratio))
     with np.errstate(divide="ignore"):
-        ratio = np.divide(y, x, out=np.ones(y.shape), where=y > 0.0)
+        ratio = np.divide(y, x, out=np.ones(y.shape), where=~dead)
         return structure.sums(wy * np.log(ratio))
 
 

@@ -714,6 +714,50 @@ class TestMonomialForm:
                 assert g.shape == g_ref.shape and g.tobytes() == g_ref.tobytes()
         assert min(seen.values()) >= 20, seen
 
+    def test_zero_coordinates_match_the_column_mask_bit_for_bit(self):
+        # The point evaluation takes log 0 as the stand-in S; _plain_point
+        # kills each term that reads a zero coordinate instead.  Random
+        # polynomials with unit and other coefficients, coordinates from
+        # 1e-300 to 1e300 (live terms near both ends of [-B, B]), and padded
+        # points: W and g agree bit for bit, with no warning, and where every
+        # term dies both raise the same error, with W = -inf.  With an
+        # exponent of 10**160, S times it passes the largest float, so such
+        # a term is -inf.
+        rng = np.random.default_rng(3737)
+        overflowing = MatrixPolynomial([[10**160, 0], [0, 1]], [1.0, 2.0])._form
+        assert overflowing._dead_overflows
+        forms = [overflowing] * 20
+        for i in range(150):
+            poly = random_polynomial(rng, int(rng.integers(1, 7)), max_degree=8, max_terms=12)
+            forms.append(MatrixPolynomial(poly.E, np.ones(len(poly.c)))._form if i % 2 else poly._form)
+        seen = {"unit": 0, "log c": 0, "padded": 0, "some dead": 0, "vanishes": 0, "overflowing": 0}
+        for form in forms:
+            if not form.n:
+                continue
+            x = 10.0 ** rng.uniform(-300, 300, form.n + int(rng.integers(0, 3)))
+            x[rng.random(x.size) < 0.4] = 0.0
+            x[int(rng.integers(form.n))] = 0.0
+            dead = form.E[:, x[: form.n] == 0.0].any(axis=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    W_ref, g_ref = _plain_point(form, x)
+                except ValueError as err:
+                    assert "W = -inf" in str(err) and dead.all()
+                    with pytest.raises(ValueError) as got:
+                        form.point(x)
+                    assert str(got.value) == str(err)
+                    seen["vanishes"] += 1
+                    continue
+                W, g = form.point(x)
+            assert type(W) is float and W.hex() == W_ref.hex()
+            assert g.shape == g_ref.shape and g.tobytes() == g_ref.tobytes()
+            seen["unit" if form.unit else "log c"] += 1
+            seen["padded"] += form.n < x.size
+            seen["some dead"] += bool(dead.any())
+            seen["overflowing"] += form is overflowing
+        assert min(seen.values()) >= 5, seen
+
     def test_polynomials_take_the_matrix_form_and_other_trees_the_tape(self):
         poly = polynomial_to_expression(random_polynomial(np.random.default_rng(30), 3))
         assert self._is_monomial_form(poly)

@@ -707,6 +707,15 @@ def _weighted_update(st, masses):
     return bool((weighted & (masses > 0.0) & (np.array(st.blocks) > 1)).any())
 
 
+def _many_blocks(rng):
+    """A structure of 8 to 12 blocks over up to 16 coordinates, unit weights
+    half the time: 8 blocks, the fewest numpy adds pairwise, half the time."""
+    k = 8 if rng.random() < 0.5 else int(rng.integers(9, 13))
+    blocks = 1 + rng.multinomial(int(rng.integers(0, 5)), np.ones(k) / k)
+    n = int(blocks.sum())
+    return BlockStructure(tuple(blocks.tolist()), rng.uniform(0.5, 2.0, n) if rng.random() < 0.5 else None)
+
+
 def _parity_row(rng, st):
     """A feasible point of ``st`` and gradient weights for it.  Zero
     coordinates (each block keeps a positive one) get zero weight, but now
@@ -747,11 +756,18 @@ class TestKernelParity:
             assert a.shape == np.shape(b) and a.tobytes() == np.asarray(b).tobytes(), name
 
     def test_random_structures_points_and_rows(self):
+        # One point of fewer than 8 blocks adds up its bound and divergence
+        # in order as Python floats, and one of 8 or more, like rows, by
+        # numpy's pairwise sum: both meet the reference's np.add.reduce.
         rng = np.random.default_rng(1818)
         seen = {"weighted": 0, "subnormal": 0, "subnormal mass": 0, "degenerate": 0,
-                "singleton": 0, "zero x": 0, "mass where x is 0": 0}
+                "singleton": 0, "zero x": 0, "mass where x is 0": 0, "unit weights": 0,
+                "8 or more blocks": 0}
         for c in range(300):
-            st = random_structure(rng, max_n=6 if c % 2 else 12, max_blocks=4)
+            if c % 4 == 3:
+                st = _many_blocks(rng)
+            else:
+                st = random_structure(rng, max_n=6 if c % 2 else 12, max_blocks=4)
             if c % 3 == 0:
                 st = BlockStructure(st.blocks, rng.uniform(1e-3, 1e3, st.n))
             rows = [_parity_row(rng, st) for _ in range(int(rng.integers(1, 6)))]
@@ -768,6 +784,8 @@ class TestKernelParity:
                 seen["singleton"] += 1 in st.blocks
                 seen["zero x"] += bool((x == 0.0).any())
                 seen["mass where x is 0"] += bool(((x == 0.0) & (g > 0.0)).any())
+                seen["unit weights"] += bool((st.weights == 1.0).all())
+                seen["8 or more blocks"] += st.k >= 8
             want = _every_pass_update(X, G, st)
             self._assert_same(mapping._certified_update(X, G, st), want)
             self._assert_same(mapping._certified_update(X, G, st, _check_feasible(X, st)), want)

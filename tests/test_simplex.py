@@ -30,6 +30,8 @@ class TestBlockStructure:
         assert np.array_equal(s.weights, np.ones(5))
         assert s.index.tolist() == [0, 0, 1, 1, 1]
         assert s.starts.tolist() == [0, 2]
+        assert s.unit is True
+        assert BlockStructure((2, 3), np.array([1.0, 1.0, 2.0, 1.0, 1.0])).unit is False
 
     def test_sums_match_np_sum_on_short_blocks(self):
         # bincount adds each block in coordinate order, which is np.sum's
@@ -286,6 +288,19 @@ class TestIDivergence:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert i_divergence_blocks(y, x)[0] == -math.inf
+
+    def test_weighted_mass_that_underflows_counts_as_zero(self):
+        # a_0 y_0 = 1e-3 * 5e-324 and y_0 / x_0 both round to 0: the term
+        # counts as 0, as y_0 = 1e-320 (a_0 y_0 > 0) already shows, and the
+        # block's divergence is log(1 / 0.5), not 0 * log 0 = NaN.
+        s = BlockStructure((2,), np.array([1e-3, 1.0]))
+        x = np.array([500.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = i_divergence_blocks(np.array([5e-324, 1.0]), x, s)
+            near = i_divergence_blocks(np.array([1e-320, 1.0]), x, s)
+        assert got.tobytes() == near.tobytes()
+        assert_allclose(got, [math.log(2.0)], rtol=1e-15)
 
     def test_structure_mismatch_rejected(self):
         s2 = BlockStructure((2,))

@@ -1,9 +1,11 @@
 """Graph discriminants: spanning-tree generating polynomials.
 
-The discriminant of a connected graph assigns one variable per edge and sums,
-over all spanning trees, the product of the tree's edge variables.  It is a
-homogeneous positive polynomial of degree V-1, so it drops straight into the
-optimizer; it is also log-concave, which the diagnostics probes exercise.
+The discriminant of a connected graph assigns one variable per edge (edge k
+owns variable k, parallel edges included) and sums, over all spanning trees,
+the product of the tree's edge variables.  It is a homogeneous positive
+polynomial of degree V-1 with unit coefficients and 0/1 exponents, so it drops
+straight into the optimizer; it is also log-concave, which the diagnostics
+probes exercise.
 
 Two independent evaluation routes are kept deliberately separate so they can
 cross-check each other: explicit enumeration of spanning trees (exponential,
@@ -25,11 +27,12 @@ pair's edge classes instead of its edges (the parallel edges in one block
 with one weight), gives the objective over the class sums
 (``_edge_classes``) that :mod:`kneejerk.cli` solves a problem's graph source
 on: a graph parsed from a problem file is searched once for both.
-:func:`discriminant_polynomial` counts each tree's edge variables into one
-exponent row and hands the rows to :class:`kneejerk.expr.MatrixPolynomial`,
-which sorts them by one stable argsort of a mixed-radix key per row
-(``np.lexsort`` past a radix product of 2^53) and merges trees with the same
-monomial.  A graph source with no edge classes parses through it; one with
+:func:`discriminant_polynomial` writes each tree as a 0/1 exponent row, as
+the class objective writes each class choice (``_unit_rows``), and hands the
+rows to :class:`kneejerk.expr.MatrixPolynomial`, which sorts them by one
+stable argsort of a mixed-radix key per row (``np.lexsort`` past a radix
+product of 2^53); distinct trees have distinct edge sets, so no two rows
+merge.  A graph source with no edge classes parses through it; one with
 classes builds only the class objective, and its polynomial on first read.
 :func:`enumerate_spanning_trees` sorts its trees with the same key.
 Two guards run first: at most 24 vertex pairs, however many parallel edges,
@@ -74,19 +77,15 @@ _SUBSET_CHUNK = 2**14
 
 @dataclass(eq=False)
 class Graph:
-    """Undirected multigraph with one variable index per edge.
+    """Undirected multigraph whose edge k owns variable k.
 
     ``edges`` lists (u, v) endpoint pairs; parallel edges are allowed,
     self-loops are not (they lie in no spanning tree and would make the
-    discriminant vacuously independent of their variable).  ``var_indices``
-    maps each edge to its variable; by default edge k owns variable k, but
-    indices may repeat, in which case monomials can merge with coefficient
-    greater than one.
+    discriminant vacuously independent of their variable).
     """
 
     vertices: int
     edges: tuple[tuple[int, int], ...]
-    var_indices: tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if isinstance(self.vertices, bool) or not isinstance(self.vertices, int) or self.vertices < 2:
@@ -109,16 +108,6 @@ class Graph:
         m = len(self.edges)
         if m == 0:
             raise ValueError("graph has no edges")
-        if self.var_indices is None:
-            self.var_indices = tuple(range(m))
-        else:
-            vi = tuple(self.var_indices)
-            if len(vi) != m:
-                raise ValueError(f"var_indices must have one entry per edge ({m}), got {len(vi)}")
-            for k in vi:
-                if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < m:
-                    raise ValueError(f"edge variable index {k!r} is not in [0, {m})")
-            self.var_indices = vi
         # Connectivity: each edge joins at most two components, so fewer than
         # vertices - 1 edges cannot connect the graph (checked before the
         # union-find allocates one entry per vertex).
@@ -235,7 +224,7 @@ def _pair_tree_search(graph: Graph) -> tuple[list[list[int]], np.ndarray]:
     # Trees are (V-1)-edge subsets, so the exact count is needed only when
     # that bound does not already keep the term table under the cap.
     if math.comb(m, V - 1) * m > _MAX_TERM_ENTRIES:
-        trees = _bareiss_det(_laplacian_minor(graph, [1] * graph.n_vars, as_int=True))
+        trees = _bareiss_det(_laplacian_minor(graph, [1] * m))
         if trees * m > _MAX_TERM_ENTRIES:
             raise ValueError(
                 f"{trees} spanning trees over {m} edges would make a term table of "
@@ -272,6 +261,15 @@ def _expand(groups: list[list[int]], pair_trees: np.ndarray) -> np.ndarray:
     return members[base + rank[:, None] % span // inner]
 
 
+def _unit_rows(rows: np.ndarray, n: int, dtype) -> np.ndarray:
+    """0/1 exponent rows over ``n`` variables, row ``r`` one at each of the
+    distinct positions ``rows[r]``: a spanning tree's edges, or one choice of
+    class per pair."""
+    E = np.zeros((len(rows), n), dtype)
+    E[np.arange(len(rows))[:, None], rows] = 1
+    return E
+
+
 def _edge_classes(graph: Graph, s: BlockStructure):
     """The graph's class coordinates under ``s``, the block structure of its
     edges, or None when no class has two edges (or the class objective would
@@ -302,8 +300,7 @@ def _edge_classes(graph: Graph, s: BlockStructure):
     trees = _expand(classes, pair_trees)
     if not _dense_enough((len(trees), n), trees.size):
         return None
-    E = np.zeros((len(trees), n))
-    E[np.arange(len(trees))[:, None], trees] = 1.0
+    E = _unit_rows(trees, n, float)  # _unit_monomials takes float64 as given
     sizes = tuple(np.bincount([b for _, b, _ in ids], minlength=s.k).tolist())
     weights = [w for _, _, w in ids]
     # Unit weights need no second check.
@@ -330,15 +327,13 @@ def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:
 def discriminant_polynomial(graph: Graph) -> MatrixPolynomial:
     """The spanning-tree generating polynomial over the edge variables.
 
-    Homogeneous of degree V-1 with positive integer coefficients; every
-    coefficient is 1 unless edges sharing a variable index let distinct trees
-    produce the same monomial.
+    Homogeneous of degree V-1, one term per spanning tree: distinct trees
+    have distinct edge sets, so every coefficient is 1 and every exponent 0
+    or 1.
     """
     trees = _expand(*graph._pair_trees)  # grouped by pair tree, unsorted
-    t, n = len(trees), graph.n_vars
-    var = np.asarray(graph.var_indices)[trees]
-    flat = (np.arange(t)[:, None] * n + var).ravel()
-    return MatrixPolynomial(np.bincount(flat, minlength=t * n).reshape(t, n), np.ones(t))
+    # int8, the narrowest integer dtype: MatrixPolynomial checks it for sign only.
+    return MatrixPolynomial(_unit_rows(trees, graph.n_vars, np.int8), np.ones(len(trees)))
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
@@ -371,26 +366,23 @@ def _validated_weights(graph: Graph, weights) -> list:
     return w
 
 
-def _laplacian_minor(graph: Graph, w: list, as_int: bool):
+def _laplacian_minor(graph: Graph, w: list) -> list[list]:
+    """The Laplacian with edge k weighted ``w[k]``, its last row and column
+    dropped, as rows of Python numbers: ints for int weights, floats for
+    float ones, each entry summed in edge order."""
     V = graph.vertices
-    if as_int:
-        L = [[0] * V for _ in range(V)]
-    else:
-        L = np.zeros((V, V))
-    for (u, v), vi in zip(graph.edges, graph.var_indices):
-        wt = w[vi] if as_int else float(w[vi])
+    L = [[0] * V for _ in range(V)]
+    for (u, v), wt in zip(graph.edges, w):
         L[u][u] += wt
         L[v][v] += wt
         L[u][v] -= wt
         L[v][u] -= wt
-    if as_int:
-        return [row[:-1] for row in L[:-1]]
-    return L[:-1, :-1]
+    return [row[:-1] for row in L[:-1]]
 
 
 def eval_matrix_tree(graph: Graph, weights):
-    """Discriminant value at positive edge weights via the weighted-Laplacian
-    cofactor - no tree enumeration.
+    """Discriminant value at positive edge weights, ``weights[k]`` on edge k,
+    via the weighted-Laplacian cofactor - no tree enumeration.
 
     Integer weights take an exact fraction-free elimination path and return a
     Python int; float weights go through LU with partial pivoting
@@ -398,20 +390,17 @@ def eval_matrix_tree(graph: Graph, weights):
     """
     w = _validated_weights(graph, weights)
     if all(isinstance(v, (int, np.integer)) for v in w):
-        minor = _laplacian_minor(graph, [int(v) for v in w], as_int=True)
-        return _bareiss_det(minor)
-    minor = _laplacian_minor(graph, w, as_int=False)
-    return float(np.linalg.det(minor))
+        return _bareiss_det(_laplacian_minor(graph, [int(v) for v in w]))
+    return float(np.linalg.det(np.array(_laplacian_minor(graph, [float(v) for v in w]))))
 
 
 def eval_matrix_tree_log(graph: Graph, weights) -> float:
-    """``log`` of the discriminant value, stable for graphs whose tree totals
-    overflow a float.  The cofactor of a positively weighted connected graph
-    is positive definite, so a nonpositive sign indicates numerical breakdown
-    and raises."""
+    """``log`` of the discriminant value at one weight per edge, stable for
+    graphs whose tree totals overflow a float.  The cofactor of a positively
+    weighted connected graph is positive definite, so a nonpositive sign
+    indicates numerical breakdown and raises."""
     w = _validated_weights(graph, weights)
-    minor = _laplacian_minor(graph, [float(v) for v in w], as_int=False)
-    sign, logdet = np.linalg.slogdet(minor)
+    sign, logdet = np.linalg.slogdet(np.array(_laplacian_minor(graph, [float(v) for v in w])))
     if sign <= 0.0:
         raise ValueError("Laplacian cofactor lost positive-definiteness numerically")
     return float(logdet)

@@ -229,7 +229,9 @@ def _divergences(y, x, structure: BlockStructure, wy, x_positive) -> np.ndarray:
     A term with ``a_j y_j = 0`` takes the ratio ``(y_j + 1) / (x_j + 1)``,
     positive and finite, so it adds ``0 * log(...) = 0`` with no mask and no
     error state.  Only a positive ``a_j y_j`` over ``x_j = 0`` (``+inf``) or
-    a ratio that underflows to 0 (``-inf``) takes the masked quotient."""
+    a ratio that underflows to 0 takes the masked quotient; there the log of
+    a zero ratio is taken as ``log y_j - log x_j``, finite for positive
+    ``y_j`` and ``x_j``."""
     if x_positive and _least(ratio := y / x) > 0.0:  # no zero y_j, no underflow
         return structure.sums(wy * np.log(ratio))
     dead = wy == 0.0
@@ -237,7 +239,10 @@ def _divergences(y, x, structure: BlockStructure, wy, x_positive) -> np.ndarray:
         return structure.sums(wy * np.log(ratio))
     with np.errstate(divide="ignore"):
         ratio = np.divide(y, x, out=np.ones(y.shape), where=~dead)
-        return structure.sums(wy * np.log(ratio))
+        logs = np.log(ratio)
+    under = ratio == 0.0  # live, so y_j > 0, and x_j > 0: only the quotient underflowed
+    logs[under] = np.log(y[under]) - np.log(x[under])
+    return structure.sums(wy * logs)
 
 
 def _unwrap_points(y, x, structure):

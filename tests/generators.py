@@ -103,8 +103,8 @@ def random_connected_graph(rng, min_v=2, max_v=6):
 
 
 def random_multigraph(rng, max_v=6, max_edges=12):
-    """Random connected multigraph (parallel edges likely) whose edges share
-    variable indices at random, so trees can merge into one monomial."""
+    """Random connected multigraph (parallel edges likely), its edges in
+    random order."""
     V = int(rng.integers(2, max_v + 1))
     edges = [(int(rng.integers(v)), v) for v in range(1, V)]
     while len(edges) < int(rng.integers(V - 1, max_edges + 1)):
@@ -112,8 +112,7 @@ def random_multigraph(rng, max_v=6, max_edges=12):
         edges.append((u, v))
     order = rng.permutation(len(edges))
     edges = [edges[k] for k in order]
-    var_indices = tuple(int(k) for k in rng.integers(0, len(edges), len(edges)))
-    return Graph(V, tuple(edges), var_indices=var_indices)
+    return Graph(V, tuple(edges))
 
 
 def reference_spanning_trees(graph):
@@ -146,14 +145,15 @@ def reference_spanning_trees(graph):
 
 def reference_discriminant(graph):
     """The spanning-tree polynomial summed tree by tree from the reference
-    enumeration: trees with the same monomial are counted here, in a dict,
-    and the distinct monomials handed over in sorted order, so neither
-    MatrixPolynomial's sort nor its merge is what makes it match."""
+    enumeration: each tree's monomial is counted here, in a dict (a count
+    above 1 would mean a tree listed twice), and the distinct monomials
+    handed over in sorted order, so neither MatrixPolynomial's sort nor its
+    merge is what makes it match."""
     counts = {}
     for tree in reference_spanning_trees(graph):
         exps = [0] * graph.n_vars
         for ei in tree:
-            exps[graph.var_indices[ei]] += 1
+            exps[ei] += 1
         counts[tuple(exps)] = counts.get(tuple(exps), 0) + 1
     monomials = sorted(counts)
     return MatrixPolynomial(monomials, [float(counts[e]) for e in monomials])

@@ -210,7 +210,7 @@ def test_c05_discriminant_cross_oracle():
         for tree in enumerate_spanning_trees(graph):
             prod = 1
             for ei in tree:
-                prod *= weights[graph.var_indices[ei]]
+                prod *= weights[ei]
             by_enum += prod
         by_det = eval_matrix_tree(graph, weights)
         assert isinstance(by_det, int)

@@ -209,7 +209,6 @@ class TestMatrixFormParse:
         graphs = [Graph(v, tuple(itertools.combinations(range(v), 2))) for v in (2, 3, 4, 5, 6)]
         graphs += [random_multigraph(rng) for _ in range(20)]
         for g in graphs:
-            g = Graph(g.vertices, g.edges)  # a problem file gives each edge its own variable
             _assert_parses_to_the_tree_matrix_form(
                 _problem_text({"graph": g.to_json_dict()}, g.n_vars), discriminant_polynomial(g), g.n_vars)
 
@@ -537,7 +536,6 @@ class TestClassSolve:
         cases = [(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS)]
         while len(cases) < 12:
             g = random_multigraph(rng)
-            g = Graph(g.vertices, g.edges)  # a problem file gives each edge its own variable
             weights = rng.choice([1.0, 2.0], len(g.edges)).tolist() if len(cases) % 2 else None
             if _graph_problem(g, [len(g.edges)], weights)._classes() is not None:
                 cases.append((g, [len(g.edges)], weights))

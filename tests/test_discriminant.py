@@ -51,19 +51,6 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph(1, ())
 
-    def test_var_indices_default_to_identity(self):
-        g = triangle_graph()
-        assert g.var_indices == (0, 1, 2)
-        assert g.n_vars == 3
-
-    def test_var_indices_may_repeat(self):
-        g = Graph(2, ((0, 1), (0, 1)), var_indices=(0, 0))
-        assert g.n_vars == 2
-
-    def test_var_indices_range_checked(self):
-        with pytest.raises(ValueError):
-            Graph(2, ((0, 1), (0, 1)), var_indices=(0, 5))
-
     def test_json_round_trip(self):
         g = k4_graph()
         d = g.to_json_dict()
@@ -113,8 +100,7 @@ class TestEnumeration:
 def _parallel_multigraph(rng, max_v=6, max_pairs=8, max_edges=16):
     """A connected multigraph whose vertex pairs carry 1 to 4 parallel edges:
     each edge's endpoints in either order, the edges shuffled (so neither
-    the pairs nor the edges come sorted) and variable indices drawn with
-    repeats."""
+    the pairs nor the edges come sorted)."""
     V = int(rng.integers(2, max_v + 1))
     pairs = {(int(rng.integers(v)), v) for v in range(1, V)}
     all_pairs = list(itertools.combinations(range(V), 2))
@@ -125,9 +111,8 @@ def _parallel_multigraph(rng, max_v=6, max_pairs=8, max_edges=16):
         for _ in range(int(rng.integers(1, 5))):
             edges.append((u, v) if rng.random() < 0.5 else (v, u))
     edges = [edges[k] for k in rng.permutation(len(edges))[:max_edges]]
-    var_indices = tuple(int(k) for k in rng.integers(0, len(edges), len(edges)))
     try:
-        return Graph(V, tuple(edges), var_indices=var_indices)
+        return Graph(V, tuple(edges))
     except ValueError:  # the cut to max_edges disconnected it
         return _parallel_multigraph(rng, max_v, max_pairs, max_edges)
 
@@ -141,12 +126,28 @@ def _reference_cases():
     cases = [Graph(v, tuple(itertools.combinations(range(v), 2))) for v in range(2, 8)]
     cases += [Graph(v, tuple((i, (i + 1) % v) for i in range(v))) for v in range(3, 9)]
     cases.append(Graph(2, ((0, 1), (0, 1))))
-    cases.append(Graph(3, ((0, 1), (1, 2), (0, 1), (1, 2), (0, 2)), var_indices=(0, 0, 1, 1, 2)))
+    cases.append(Graph(3, ((0, 1), (1, 2), (0, 1), (1, 2), (0, 2))))
+    # K6 with (0, 1) doubled: its 3003 pair subsets fill 47 chunks of 64, so
+    # the chunk test at 64 expands pair trees from several chunks.
+    cases.append(Graph(6, tuple(itertools.combinations(range(6), 2)) + ((0, 1),)))
     rng = np.random.default_rng(85)
     cases += [random_multigraph(rng) for _ in range(40)]
     rng = np.random.default_rng(86)
     cases += [_parallel_multigraph(rng) for _ in range(40)]
     return cases
+
+
+# Graphs of more than 24 edges on at most 24 vertex pairs.
+_WIDE_GRAPHS = [
+    # 10 parallel edges on each pair of a 3-edge path: 30 edges.
+    Graph(4, tuple((i, i + 1) for i in range(3) for _ in range(10))),
+    # K4 with every pair 5 times over: 30 edges, 16 * 5^3 trees.
+    Graph(4, tuple(e for e in itertools.combinations(range(4), 2) for _ in range(5))),
+    # A path on 25 vertices (24 pairs, the guard) with 3 more parallel edges
+    # on two of its pairs: 27 edges.
+    Graph(25, tuple((i, i + 1) for i in range(24)) + ((0, 1), (1, 0), (23, 24))),
+]
+_WIDE_IDS = ["path-30", "k4-30", "path-24-pairs"]
 
 
 class TestArrayEnumeration:
@@ -208,19 +209,7 @@ class TestPairEnumeration:
         g = Graph(2, tuple((1, 0) if k % 2 else (0, 1) for k in range(25)))
         assert enumerate_spanning_trees(g) == [(k,) for k in range(25)]
 
-    @pytest.mark.parametrize(
-        "graph",
-        [
-            # 10 parallel edges on each pair of a 3-edge path: 30 edges.
-            Graph(4, tuple((i, i + 1) for i in range(3) for _ in range(10))),
-            # K4 with every pair 5 times over: 30 edges, 16 * 5^3 trees.
-            Graph(4, tuple(e for e in itertools.combinations(range(4), 2) for _ in range(5))),
-            # A path on 25 vertices (24 pairs, the guard) with 3 more
-            # parallel edges on two of its pairs: 27 edges.
-            Graph(25, tuple((i, i + 1) for i in range(24)) + ((0, 1), (1, 0), (23, 24))),
-        ],
-        ids=["path-30", "k4-30", "path-24-pairs"],
-    )
+    @pytest.mark.parametrize("graph", _WIDE_GRAPHS, ids=_WIDE_IDS)
     def test_more_than_24_edges_on_at_most_24_pairs_parse(self, graph):
         assert len(graph.edges) > 24 and _pairs(graph) <= 24
         problem = {"expression": {"graph": graph.to_json_dict()},
@@ -266,11 +255,6 @@ class TestDiscriminantPolynomial:
         p = discriminant_polynomial(g)
         assert p == MatrixPolynomial([[1, 1]], [1.0])
 
-    def test_shared_variable_merges_coefficients(self):
-        g = Graph(2, ((0, 1), (0, 1)), var_indices=(0, 0))
-        p = discriminant_polynomial(g)
-        assert p.to_json_dict(2) == {"n": 2, "terms": [{"c": 2.0, "e": [1, 0]}]}
-
     def test_homogeneous_of_degree_v_minus_one(self):
         rng = np.random.default_rng(81)
         for _ in range(20):
@@ -309,6 +293,22 @@ class TestMatrixTree:
                     by_enum += prod
                 assert naive_poly_eval_int(poly, weights) == by_enum
                 assert eval_matrix_tree(g, weights) == by_enum
+
+    def test_integer_weights_agree_exactly_on_multigraphs(self):
+        # The per-edge Laplacian (Bareiss), the polynomial and the trees give
+        # one Python int on graphs with parallel edges, up to 4 copies of a
+        # pair and past 24 edges; every term is a tree, with unit
+        # coefficient and 0/1 exponents.
+        rng = np.random.default_rng(88)
+        graphs = [g for g in _reference_cases() if _pairs(g) < len(g.edges)] + _WIDE_GRAPHS
+        for g in graphs:
+            weights = [int(w) for w in rng.integers(1, 10, len(g.edges))]
+            poly = discriminant_polynomial(g)
+            assert set(poly.c.tolist()) == {1.0} and set(poly.E.ravel().tolist()) <= {0.0, 1.0}
+            by_enum = sum(math.prod(weights[e] for e in tree) for tree in enumerate_spanning_trees(g))
+            by_det = eval_matrix_tree(g, weights)
+            assert type(by_det) is int and by_det == by_enum
+            assert naive_poly_eval_int(poly, weights) == by_enum
 
     def test_huge_integer_weights_stay_exact(self):
         # Bareiss elimination works on Python integers, so no overflow.
@@ -366,21 +366,19 @@ class TestMatrixTree:
         with pytest.raises(ValueError):
             eval_matrix_tree(triangle_graph(), [1.0, 1.0])
 
-    def test_weights_are_per_variable_not_per_edge(self):
-        # With var_indices sharing one variable across both edges, the
-        # weight vector has length n_vars.
-        g = Graph(2, ((0, 1), (0, 1)), var_indices=(0, 0))
+    def test_parallel_edges_take_one_weight_each(self):
+        # Each parallel edge owns its variable: the two one-edge trees weigh
+        # 2 and 7.
+        g = Graph(2, ((0, 1), (0, 1)))
         assert g.n_vars == 2
         with pytest.raises(ValueError):
             eval_matrix_tree(g, [2.0])
-        assert eval_matrix_tree(g, [2, 7]) == 4
+        assert eval_matrix_tree(g, [2, 7]) == 9
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        pytest.param(lambda: Graph(3, ((0, 1), (1, 2)), var_indices=(0,)),
-                     "var_indices must have one entry per edge (2), got 1", id="var-indices-length"),
         pytest.param(lambda: eval_matrix_tree(triangle_graph(), [1, True, 1]),
                      "weight 1 must be a number, got True", id="bool-weight"),
         pytest.param(lambda: eval_matrix_tree(triangle_graph(), [1, 1, "1"]),

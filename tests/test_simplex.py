@@ -280,14 +280,17 @@ class TestIDivergence:
     def test_ratio_underflow_at_positive_points_warns_nothing(self):
         # A weight just above 1/2 lets x_0 = 2 (a_0 x_0 is 1 within the point
         # tolerance); the smallest subnormal y_0 keeps a_0 y_0 > 0, but
-        # y_0 / x_0 rounds to 0.  Both points are positive, yet log sees a 0.
+        # y_0 / x_0 rounds to 0.  Both points are positive, so the term is
+        # a_0 y_0 (log y_0 - log x_0), a subnormal, and the block's
+        # divergence is that of its second coordinate, log(1 / 1e-300).
         s = BlockStructure((2,), np.array([0.5 * (1.0 + 2.0**-44), 1.0]))
         y = BlockPoint(np.array([5e-324, 1.0]), s)
         x = BlockPoint(np.array([2.0, 1e-300]), s)
         assert y.x[0] / x.x[0] == 0.0 and s.weights[0] * y.x[0] > 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert i_divergence_blocks(y, x)[0] == -math.inf
+            got = i_divergence_blocks(y, x)[0]
+        assert got == pytest.approx(math.log(1e300), rel=1e-15)
 
     def test_weighted_mass_that_underflows_counts_as_zero(self):
         # a_0 y_0 = 1e-3 * 5e-324 and y_0 / x_0 both round to 0: the term

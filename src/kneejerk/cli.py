@@ -19,8 +19,8 @@ Subcommands: ``optimize`` (iterate, write trace CSV + JSON summary),
 seed), ``discriminant`` (graph file to polynomial JSON), ``oracle``
 (exhaustive grid search, reports the gap to the iteration's terminal value).
 ``optimize`` and ``oracle`` iterate through :func:`_solve`, which solves a
-graph source with parallel edges on its edge classes.  Such a source parses
-to its class objective alone: its edge polynomial is built on first read.
+graph source on its edge classes.  A graph source parses to its class
+objective alone: its edge polynomial is built on first read.
 
 Exit codes: 0 success / converged, 1 verification failure or iteration cap
 reached, 2 input error (including an expression nested too deeply to parse),
@@ -86,11 +86,11 @@ _TOO_MANY = "blocks: sum to {} coordinates, too many to allocate"
 @dataclass(eq=False)
 class Problem:
     """A parsed problem.  ``_classes()`` is the class coordinates that
-    :func:`parse_problem` built for a graph source with parallel edges
-    (:func:`kneejerk.discriminant._edge_classes`), or None: always once
-    ``expression`` or ``structure`` is replaced.  That parse leaves
-    ``expression``, the graph's :func:`discriminant_polynomial`, to be built
-    on first read, from the classes' pair-tree search, and kept."""
+    :func:`parse_problem` built for a graph source
+    (:func:`kneejerk.discriminant._edge_classes`), or None: always for other
+    sources, and once ``expression`` or ``structure`` is replaced.  That
+    parse leaves ``expression``, the graph's :func:`discriminant_polynomial`,
+    to be built on first read, from the classes' pair-tree search, and kept."""
 
     expression: KneeJerkExpr
     structure: BlockStructure
@@ -159,8 +159,8 @@ def _searched(graph: Graph, path: str) -> Graph:
 def parse_problem(text: str) -> Problem:
     """Parse and validate a problem from JSON text.
 
-    Polynomial and graph sources become a :class:`MatrixPolynomial`; a graph
-    source with edge classes, only its class objective (:class:`Problem`).
+    A polynomial source becomes a :class:`MatrixPolynomial`; a graph source,
+    only its class objective (:class:`Problem`).
     Raises ValueError naming the offending field on any schema violation.
     """
     try:
@@ -228,17 +228,14 @@ def parse_problem(text: str) -> Problem:
         )
 
     init = data["init"]
-    if init == "barycenter":
-        try:
-            init_point = barycenter(structure)
-        except MemoryError:
-            raise ValueError(_TOO_MANY.format(n)) from None
-    else:
-        _require(_is_number_list(init), "init: must be a list of numbers or \"barycenter\"")
-        try:
-            init_point = BlockPoint(np.asarray(init, dtype=float), structure)
-        except (ValueError, OverflowError) as err:
-            raise ValueError(f"init: {err}") from None
+    center = init == "barycenter"
+    _require(center or _is_number_list(init), "init: must be a list of numbers or \"barycenter\"")
+    try:
+        init_point = barycenter(structure) if center else BlockPoint(np.asarray(init, dtype=float), structure)
+    except MemoryError:
+        raise ValueError(_TOO_MANY.format(n)) from None
+    except (ValueError, OverflowError) as err:
+        raise ValueError(f"init: {err}") from None
 
     cfg_data = data.get("config", {})
     _require(isinstance(cfg_data, dict), "config: must be an object")
@@ -249,20 +246,17 @@ def parse_problem(text: str) -> Problem:
     except (ValueError, TypeError) as err:
         raise ValueError(f"config: {err}") from None
 
-    classes = None if graph is None else _edge_classes(graph, structure)
-    if graph is not None and classes is None:
-        expr = discriminant_polynomial(graph)
     problem = Problem(expression=expr, structure=structure, init=init_point, config=config)
-    if classes is not None:
+    if graph is not None:
         del problem.expression  # built on first read: Problem.__getattr__
-        problem._lumped = (None, structure, classes, graph)
+        problem._lumped = (None, structure, _edge_classes(graph, structure), graph)
     return problem
 
 
 def serialize_problem(problem: Problem) -> dict:
     """JSON form of a problem; parsing it back reproduces the problem
-    structurally.  A :class:`MatrixPolynomial` (what a polynomial or graph
-    source parses to) is written as ``{"polynomial": ...}`` over all
+    structurally.  A :class:`MatrixPolynomial` (the ``expression`` of a
+    polynomial or graph source) is written as ``{"polynomial": ...}`` over all
     ``structure.n`` variables, so a graph source comes back as its
     discriminant polynomial; any other objective as its expression tree."""
     e = problem.expression
@@ -303,8 +297,8 @@ def _solve(problem: Problem) -> Trace:
 def run_optimize(problem: Problem, out_dir: Path | None = None) -> tuple[Trace, dict]:
     """Iterate from the problem's init point; return the trace and summary,
     optionally writing ``trace.csv`` and ``summary.json``.  A graph source
-    with parallel edges iterates on its class sums (:func:`_solve`); the
-    summary's residual is taken on edges."""
+    iterates on its class sums (:func:`_solve`); the summary's residual is
+    taken on edges."""
     trace = _solve(problem)
     s, g, x = problem.structure, trace.gradient_final, trace.x_final
     summary = {

@@ -25,15 +25,15 @@ into every choice of one edge per pair, counted off in mixed-radix digits
 over the pair multiplicities (``_expand``).  The same expansion, over each
 pair's edge classes instead of its edges (the parallel edges in one block
 with one weight), gives the objective over the class sums
-(``_edge_classes``) that :mod:`kneejerk.cli` solves a problem's graph source
-on: a graph parsed from a problem file is searched once for both.
+(``_edge_classes``) that :mod:`kneejerk.cli` solves every graph source on: a
+graph parsed from a problem file is searched once for both.
 :func:`discriminant_polynomial` writes each tree as a 0/1 exponent row, as
 the class objective writes each class choice (``_unit_rows``), and hands the
 rows to :class:`kneejerk.expr.MatrixPolynomial`, which sorts them by one
 stable argsort of a mixed-radix key per row (``np.lexsort`` past a radix
 product of 2^53); distinct trees have distinct edge sets, so no two rows
-merge.  A graph source with no edge classes parses through it; one with
-classes builds only the class objective, and its polynomial on first read.
+merge.  A graph source parses to its class objective alone, and builds
+its polynomial on first read.
 :func:`enumerate_spanning_trees` sorts its trees with the same key.
 Two guards run first: at most 24 vertex pairs, however many parallel edges,
 and a term table (trees x edges) of at most 2^26 entries.  Where the subset
@@ -271,41 +271,39 @@ def _unit_rows(rows: np.ndarray, n: int, dtype) -> np.ndarray:
 
 
 def _edge_classes(graph: Graph, s: BlockStructure):
-    """The graph's class coordinates under ``s``, the block structure of its
-    edges, or None when no class has two edges (or the class objective would
-    be too sparse for the matrix form).
+    """The graph's class coordinates under ``s``, the block structure of its edges.
 
-    A class is the edges of one vertex pair in one block with one weight.
-    The discriminant sees them only through their sum ``y_C``, and the
-    update moves them by the same factor ``(dW/dy_C) / (a_C m_B)``, so
-    iterating on the class sums takes the same steps.  Returns the class of
-    each edge, the objective over the class sums and their structure.
-    Classes are numbered by their first edge, so each block's classes are
-    contiguous, and each takes its edges' weight.  The objective's terms are
-    the graph's pair trees (``Graph._pair_trees``), each expanded by
-    :func:`_expand` into every choice of one class per pair (one term, when
-    each pair is one class), so its exponents are 0 and 1 and no two terms
-    are alike.  Raises as :func:`_pair_tree_search`."""
+    A class is the edges of one vertex pair in one block with one weight; an
+    edge with no such twin is a class of its own.  The discriminant sees a
+    class's edges only through their sum ``y_C``, and the update moves them
+    by the same factor ``(dW/dy_C) / (a_C m_B)``, so iterating on the class
+    sums takes the same steps.  Returns the class of each edge, the objective
+    over the class sums and their structure.  Classes are numbered by their
+    first edge, so each block's classes are contiguous, and each takes its
+    edges' weight.  The objective's terms are the graph's pair trees
+    (``Graph._pair_trees``), each expanded by :func:`_expand` into every
+    choice of one class per pair (one term, when each pair is one class), so
+    its exponents are 0 and 1 and no two terms are alike.  One too sparse
+    for the matrix form is a :class:`MatrixPolynomial`, on its slot tape.
+    Raises as :func:`_pair_tree_search`."""
     groups, pair_trees = graph._pair_trees
     pair = {k: p for p, group in enumerate(groups) for k in group}  # each edge's pair
     ids: dict = {}
     keys = zip(map(pair.get, range(s.n)), s.index.tolist(), s.weights.tolist())
     cls = [ids.setdefault(key, len(ids)) for key in keys]
     n = len(ids)
-    if n == s.n:
-        return None
     classes: list[list[int]] = [[] for _ in groups]  # each pair's classes
     for c, (p, _, _) in enumerate(ids):
         classes[p].append(c)
     trees = _expand(classes, pair_trees)
-    if not _dense_enough((len(trees), n), trees.size):
-        return None
     E = _unit_rows(trees, n, float)  # _unit_monomials takes float64 as given
+    dense = _dense_enough(E.shape, trees.size)
+    objective = _unit_monomials(E) if dense else MatrixPolynomial(E, np.ones(len(E)))
     sizes = tuple(np.bincount([b for _, b, _ in ids], minlength=s.k).tolist())
     weights = [w for _, _, w in ids]
     # Unit weights need no second check.
     structure = BlockStructure(sizes, None if weights.count(1.0) == n else np.array(weights))
-    return np.array(cls), _unit_monomials(E), structure
+    return np.array(cls), objective, structure
 
 
 def enumerate_spanning_trees(graph: Graph) -> list[tuple[int, ...]]:

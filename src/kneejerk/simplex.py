@@ -193,9 +193,12 @@ def _check_feasible(x: np.ndarray, structure: BlockStructure):
 
 
 def barycenter(structure: BlockStructure) -> BlockPoint:
-    """Center of the feasible set: ``x_j = 1 / (block_size * a_j)``."""
+    """Center of the feasible set: ``x_j = 1 / (block_size * a_j)``; the
+    point check refuses an ``inf`` or 0 that leaves the float range."""
     sizes = np.array(structure.blocks)
-    return BlockPoint(1.0 / (sizes[structure.index] * structure.weights), structure)
+    with np.errstate(over="ignore"):
+        x = 1.0 / (sizes[structure.index] * structure.weights)
+    return BlockPoint(x, structure)
 
 
 def normalize(raw, structure: BlockStructure) -> BlockPoint:

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,8 +347,8 @@ SPLIT_BLOCKS, SPLIT_WEIGHTS = [3, 4], [1, 1, 1, 1, 1, 2, 1]
 
 
 class TestClassSolve:
-    """A graph source with parallel edges is solved on its class sums and
-    expanded back to edges: the same steps as iterating on the edges."""
+    """A graph source is solved on its class sums and expanded back to
+    edges: the same steps as iterating on the edges."""
 
     # The two routes add the same terms in different orders.
     W_ULPS = 4
@@ -388,8 +387,21 @@ class TestClassSolve:
             s = BlockStructure(s.blocks, weights)
             init = random_interior(s, rng).x.tolist()
             problem = _graph_problem(g, s.blocks, weights, init, {"max_iters": 500})
-            if problem._classes() is None:
+            self._assert_solves_like_the_edges(problem)
+            solved += 1
+
+    def test_random_graphs_without_parallel_edges_solve_like_their_edges(self):
+        # Each edge is a class of its own, so only the order of the terms differs.
+        rng = np.random.default_rng(93)
+        solved = 0
+        while solved < 20:
+            g = random_connected_graph(rng, 3, 6)
+            if _has_parallel_edges(g):
                 continue
+            s = random_structure(rng, n=len(g.edges))
+            init = random_interior(s, rng).x.tolist()
+            problem = _graph_problem(g, s.blocks, s.weights.tolist(), init, {"max_iters": 500})
+            assert problem._classes()[0].tolist() == list(range(len(g.edges)))
             self._assert_solves_like_the_edges(problem)
             solved += 1
 
@@ -440,32 +452,35 @@ class TestClassSolve:
         ],
         ids=["K5", "K4-blocks", "triangle"],
     )
-    def test_graphs_without_parallel_edges_write_identical_outputs(self, tmp_path, graph, blocks, weights):
+    def test_graphs_without_parallel_edges_solve_like_their_edges(self, graph, blocks, weights):
         problem = _graph_problem(graph, blocks, weights)
-        assert problem._classes() is None
-        run_optimize(problem, tmp_path / "parsed")
-        run_optimize(replace(problem), tmp_path / "plain")  # a copy drops any class coordinates
-        for name in ("trace.csv", "summary.json"):
-            assert (tmp_path / "parsed" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        assert problem._classes()[0].tolist() == list(range(len(graph.edges)))
+        self._assert_solves_like_the_edges(problem)
 
     def test_parallel_edges_in_other_blocks_or_weights_are_not_lumped(self):
         g = Graph(3, ((0, 1), (1, 2), (0, 1), (0, 2), (2, 1)))
-        assert _graph_problem(g, [2, 3])._classes() is None
-        assert _graph_problem(g, [5], [1, 1, 2, 1, 3])._classes() is None
-        assert _graph_problem(g, [5])._classes() is not None
+        assert _graph_problem(g, [2, 3])._classes()[0].tolist() == [0, 1, 2, 3, 4]
+        assert _graph_problem(g, [5], [1, 1, 2, 1, 3])._classes()[0].tolist() == [0, 1, 2, 3, 4]
+        assert _graph_problem(g, [5])._classes()[0].tolist() == [0, 1, 0, 2, 1]
 
-    @pytest.mark.parametrize("classes, lumped", [(249, True), (299, False)])
-    def test_class_terms_too_sparse_for_the_matrix_form_solve_on_edges(self, classes, lumped):
+    @pytest.mark.parametrize("classes, matrix_form", [(249, True), (299, False)])
+    def test_class_terms_too_sparse_keep_the_slot_tape(self, classes, matrix_form):
         # One pair, 300 parallel edges: the first 301 - classes share weight
         # 1, and each of the rest has a weight of its own.  Each class is a
         # term of one exponent, so E holds classes^2 entries for as many
         # exponents: 249 classes pass the matrix form's density guard, 299
-        # do not.
+        # do not, and solve on the slot tape of a MatrixPolynomial.
         weights = [1.0] * (301 - classes) + [1.0 + k / 1000 for k in range(1, classes)]
-        problem = _graph_problem(Graph(2, ((0, 1),) * 300), [300], weights)
-        assert (problem._classes() is not None) == lumped
-        if lumped:
-            assert problem._classes()[1]._form.E.shape == (classes, classes)
+        problem = _graph_problem(Graph(2, ((0, 1),) * 300), [300], weights, config={"max_iters": 20})
+        cls, objective, structure = problem._classes()
+        assert structure.n == classes and cls.max() == classes - 1
+        assert isinstance(objective._form, expr_module._MatrixForm) == matrix_form
+        assert (type(objective) is MatrixPolynomial) == (not matrix_form)
+        # A sum of some 300 terms: W agrees to rounding, not to a few ulps.
+        trace, summary = run_optimize(problem)
+        plain = iterate(problem.expression, problem.init, problem.config)
+        assert trace.iterations == plain.iterations
+        assert_allclose(summary["W"], plain.W_final, rtol=1e-12)
 
     def test_a_replaced_objective_or_structure_solves_the_plain_way(self):
         problem = _graph_problem(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS)
@@ -533,12 +548,15 @@ class TestClassSolve:
 
         monkeypatch.setattr(cli, "discriminant_polynomial", counted)
         rng = np.random.default_rng(92)
-        cases = [(SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS)]
+        cases = [
+            (SPLIT_GRAPH, SPLIT_BLOCKS, SPLIT_WEIGHTS),
+            (Graph(5, tuple(itertools.combinations(range(5), 2))), [10], None),  # K5
+            (Graph(3, ((0, 1), (0, 2), (1, 2))), [3], None),  # triangle
+        ]
         while len(cases) < 12:
             g = random_multigraph(rng)
             weights = rng.choice([1.0, 2.0], len(g.edges)).tolist() if len(cases) % 2 else None
-            if _graph_problem(g, [len(g.edges)], weights)._classes() is not None:
-                cases.append((g, [len(g.edges)], weights))
+            cases.append((g, [len(g.edges)], weights))
         for g, blocks, weights in cases:
             calls.clear()
             problem = _graph_problem(g, blocks, weights)
@@ -1237,6 +1255,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}")
         assert "too large" in err
+
+    @pytest.mark.parametrize("weights", [[5e-324, 1], [1e308, 1e308]], ids=["inf", "zero"])
+    def test_barycenter_outside_the_float_range_exits_two(self, tmp_path, capsys, weights):
+        # 1 / (block size * weight) overflows to inf, or the product does and
+        # the coordinate reads 0: neither is a point.
+        data = {"expression": {"op": "var", "index": 0}, "blocks": [2], "weights": weights, "init": "barycenter"}
+        prob = self._write(tmp_path, "p.json", json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["optimize", "--problem", prob])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: init: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "source, named",
